@@ -1,19 +1,13 @@
 //! Large-swarm scaling: the brute-force O(n²) neighbor pipeline vs the
-//! spatial-grid pipeline vs the grid + SoA column-kernel pipeline at
-//! N ∈ {10, 25, 50, 100, 200, 500, 1000}.
+//! spatial-grid pipeline at N ∈ {10, 25, 50, 100, 200, 500, 1000}.
 //!
-//! Three execution modes per size, all required to produce bit-identical
-//! flight records (the differential contract `tests/grid_equivalence.rs`
-//! and `tests/soa_equivalence.rs` pin, re-asserted here on the exact
-//! configurations being benchmarked):
+//! Two execution modes per size, required to produce bit-identical flight
+//! records (the differential contract `tests/grid_equivalence.rs` pins,
+//! re-asserted here on the exact configurations being benchmarked):
 //!
-//! - **brute**: `SpatialPolicy::ForceOff` + `StateLayout::ForceAos` — the
-//!   pre-grid scalar baseline.
-//! - **grid**: `SpatialPolicy::ForceOn` + `StateLayout::ForceAos` — PR 2's
-//!   neighbor index on the scalar per-drone state loop.
-//! - **soa**: `SpatialPolicy::ForceOn` + `StateLayout::ForceSoa` — the grid
-//!   plus the structure-of-arrays column kernels for controller terms,
-//!   integration, wind and GPS sampling.
+//! - **brute**: `SpatialPolicy::ForceOff` — the pre-grid baseline.
+//! - **grid**: `SpatialPolicy::ForceOn` — the neighbor index (comms
+//!   delivery and collision broad phase) on the same per-drone step loop.
 //!
 //! Two metric families per size:
 //!
@@ -25,8 +19,7 @@
 //!   collision pair scan per physics step plus the comms range scan per
 //!   control tick, measured on a mid-mission position snapshot. This
 //!   isolates exactly the work the grid replaces and is where the
-//!   asymptotic win shows (≥ 5× at N=200, asserted below). The kernel is
-//!   layout-independent, so it is measured once per size.
+//!   asymptotic win shows (≥ 5× at N=200, asserted below).
 //!
 //! Modes:
 //! - full (default): all sizes, 10 s missions; asserts the kernel floor at
@@ -34,16 +27,16 @@
 //!   trajectory metrics (led by `tps_at_n1000`) to
 //!   `bench_results/scaling_trajectory.csv` for the trajectory guard.
 //! - smoke (`--smoke` or `SWARMFUZZ_SCALING_SMOKE=1`): N=50 only, 2 s
-//!   mission — a CI-friendly wiring check (all three modes, identity
+//!   mission — a CI-friendly wiring check (both modes, identity
 //!   asserted) with no speedup assertions and no trajectory file (short
 //!   runs on loaded runners are too noisy to gate on).
 //!
 //! Per-size rows go to `bench_results/scaling.csv`:
 //! n,mode,physics_steps,wall_ms,ticks_per_sec,mission_speedup,kernel_us_per_tick,kernel_speedup
 //!
-//! The last stdout line is machine-readable: `BENCH {json}` with the
-//! headline metrics, so harnesses can scrape the trajectory without
-//! parsing the table.
+//! The last stdout line is machine-readable: `BENCH {json}` with the grid
+//! mode's ticks/sec per size, so harnesses can scrape the trajectory
+//! without parsing the table.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -51,7 +44,7 @@ use std::time::Instant;
 use swarm_math::Vec3;
 use swarm_sim::scenario;
 use swarm_sim::spatial::SpatialGrid;
-use swarm_sim::{MissionOutcome, SimConfig, Simulation, SpatialPolicy, StateLayout};
+use swarm_sim::{MissionOutcome, SimConfig, Simulation, SpatialPolicy};
 use swarmfuzz_bench::{paper_controller, results_dir};
 
 /// Neighbor-search kernel floor at N=200 (full mode only).
@@ -59,9 +52,6 @@ const KERNEL_SPEEDUP_FLOOR_AT_200: f64 = 5.0;
 /// Whole-mission floor at N=200 (full mode only) — Amdahl-capped by the
 /// shared per-step work, so deliberately far below the kernel floor.
 const MISSION_SPEEDUP_FLOOR_AT_200: f64 = 1.5;
-/// The SoA column path must never be a whole-mission slowdown vs the AoS
-/// grid path at N=200 (full mode only; generous slack for runner noise).
-const SOA_OVER_GRID_FLOOR_AT_200: f64 = 0.85;
 
 struct Timed {
     outcome: MissionOutcome,
@@ -75,20 +65,13 @@ impl Timed {
     }
 }
 
-/// Run the mission `reps` times with the given spatial policy and state
-/// layout, keeping the fastest wall time (minimum is the standard estimator
-/// for a deterministic workload under scheduler noise).
-fn run_timed(
-    spec: &swarm_sim::mission::MissionSpec,
-    policy: SpatialPolicy,
-    layout: StateLayout,
-    reps: usize,
-) -> Timed {
-    let sim = Simulation::new(spec.clone(), paper_controller()).unwrap().with_config(SimConfig {
-        spatial: policy,
-        layout,
-        ..Default::default()
-    });
+/// Run the mission `reps` times with the given spatial policy, keeping the
+/// fastest wall time (minimum is the standard estimator for a deterministic
+/// workload under scheduler noise).
+fn run_timed(spec: &swarm_sim::mission::MissionSpec, policy: SpatialPolicy, reps: usize) -> Timed {
+    let sim = Simulation::new(spec.clone(), paper_controller())
+        .unwrap()
+        .with_config(SimConfig { spatial: policy, ..Default::default() });
     let mut best: Option<Timed> = None;
     for _ in 0..reps {
         let start = Instant::now();
@@ -197,16 +180,8 @@ fn main() {
     let mode = if smoke { "smoke" } else { "full" };
     println!("scaling bench ({mode}): sizes {sizes:?}, {duration} s missions");
     println!(
-        "{:>5} {:>13} {:>13} {:>13} {:>9} {:>7} {:>12} {:>12} {:>9}",
-        "n",
-        "brute tick/s",
-        "grid tick/s",
-        "soa tick/s",
-        "mission",
-        "soa/gr",
-        "brute krn us",
-        "grid krn us",
-        "kernel"
+        "{:>5} {:>13} {:>13} {:>9} {:>12} {:>12} {:>9}",
+        "n", "brute tick/s", "grid tick/s", "mission", "brute krn us", "grid krn us", "kernel"
     );
 
     let mut csv = String::from(
@@ -219,21 +194,15 @@ fn main() {
         let mut spec = scenario::large_swarm(n, 7);
         spec.duration = duration;
 
-        let brute = run_timed(&spec, SpatialPolicy::ForceOff, StateLayout::ForceAos, reps);
-        let grid = run_timed(&spec, SpatialPolicy::ForceOn, StateLayout::ForceAos, reps);
-        let soa = run_timed(&spec, SpatialPolicy::ForceOn, StateLayout::ForceSoa, reps);
+        let brute = run_timed(&spec, SpatialPolicy::ForceOff, reps);
+        let grid = run_timed(&spec, SpatialPolicy::ForceOn, reps);
         assert_eq!(
             grid.outcome.record, brute.outcome.record,
             "grid and brute runs diverged at n={n} — differential contract broken"
         );
-        assert_eq!(
-            soa.outcome.record, brute.outcome.record,
-            "SoA and AoS runs diverged at n={n} — differential contract broken"
-        );
 
         // Kernel on two consecutive mid-mission snapshots of the
-        // (identical) record. The neighbor machinery is layout-independent,
-        // so one measurement covers all three modes.
+        // (identical) record.
         let record = &brute.outcome.record;
         let mid = record.len() / 2;
         let snapshots = [record.positions_at(mid), record.positions_at(mid + 1)];
@@ -258,13 +227,11 @@ fn main() {
             kernel_reps,
         );
 
-        let (brute_tps, grid_tps, soa_tps) = (brute.tps(), grid.tps(), soa.tps());
+        let (brute_tps, grid_tps) = (brute.tps(), grid.tps());
         let mission_speedup = grid_tps / brute_tps;
-        let soa_speedup = soa_tps / brute_tps;
-        let soa_over_grid = soa_tps / grid_tps;
         let kernel_speedup = brute_us / grid_us;
         println!(
-            "{n:>5} {brute_tps:>13.0} {grid_tps:>13.0} {soa_tps:>13.0} {mission_speedup:>8.2}x {soa_over_grid:>6.2}x {brute_us:>12.1} {grid_us:>12.1} {kernel_speedup:>8.2}x"
+            "{n:>5} {brute_tps:>13.0} {grid_tps:>13.0} {mission_speedup:>8.2}x {brute_us:>12.1} {grid_us:>12.1} {kernel_speedup:>8.2}x"
         );
         csv.push_str(&format!(
             "{n},brute,{},{:.3},{brute_tps:.1},1.00,{brute_us:.2},1.00\n",
@@ -274,16 +241,12 @@ fn main() {
             "{n},grid,{},{:.3},{grid_tps:.1},{mission_speedup:.2},{grid_us:.2},{kernel_speedup:.2}\n",
             grid.physics_steps, grid.wall_ms
         ));
-        csv.push_str(&format!(
-            "{n},soa,{},{:.3},{soa_tps:.1},{soa_speedup:.2},{grid_us:.2},{kernel_speedup:.2}\n",
-            soa.physics_steps, soa.wall_ms
-        ));
-        bench_json.push(format!("\"tps_at_n{n}\":{soa_tps:.1}"));
+        bench_json.push(format!("\"tps_at_n{n}\":{grid_tps:.1}"));
         if n == 200 {
-            at_200 = Some((mission_speedup, soa_speedup, soa_over_grid, kernel_speedup));
+            at_200 = Some((mission_speedup, kernel_speedup));
         }
         if n == 1000 {
-            at_1000 = Some(soa_tps);
+            at_1000 = Some(grid_tps);
         }
     }
 
@@ -301,14 +264,11 @@ fn main() {
     // committed copy (and gates: `tps_at_n1000` fails CI on a >10%
     // regression, see benches/trajectory.rs). Smoke runs never write this
     // file, so a short noisy CI run cannot trip the gate.
-    if let (Some((mission, soa_speedup, soa_over_grid, kernel)), Some(tps1000)) = (at_200, at_1000)
-    {
+    if let (Some((mission, kernel)), Some(tps1000)) = (at_200, at_1000) {
         let trajectory = format!(
             "metric,value\n\
              tps_at_n1000,{tps1000:.1}\n\
              mission_speedup_at_n200,{mission:.3}\n\
-             soa_speedup_at_n200,{soa_speedup:.3}\n\
-             soa_over_grid_at_n200,{soa_over_grid:.3}\n\
              kernel_speedup_at_n200,{kernel:.3}\n"
         );
         let tpath = results_dir().join("scaling_trajectory.csv");
@@ -318,7 +278,7 @@ fn main() {
 
     println!("BENCH {{\"bench\":\"scaling\",\"mode\":\"{mode}\",{}}}", bench_json.join(","));
 
-    if let Some((mission, _, soa_over_grid, kernel)) = at_200 {
+    if let Some((mission, kernel)) = at_200 {
         assert!(
             kernel >= KERNEL_SPEEDUP_FLOOR_AT_200,
             "neighbor-search kernel speedup at n=200 was {kernel:.2}x, below the {KERNEL_SPEEDUP_FLOOR_AT_200}x floor"
@@ -326,10 +286,6 @@ fn main() {
         assert!(
             mission >= MISSION_SPEEDUP_FLOOR_AT_200,
             "whole-mission speedup at n=200 was {mission:.2}x, below the {MISSION_SPEEDUP_FLOOR_AT_200}x floor"
-        );
-        assert!(
-            soa_over_grid >= SOA_OVER_GRID_FLOOR_AT_200,
-            "SoA path ran at {soa_over_grid:.2}x the grid path at n=200, below the {SOA_OVER_GRID_FLOOR_AT_200}x floor"
         );
     }
 }

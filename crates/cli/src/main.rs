@@ -46,7 +46,7 @@ COMMANDS:
     campaign  run the paper's 6-configuration evaluation grid
                 --missions K (20)  --workers W (cores)
                 --journal PATH (off)  --resume yes|no (no)  --retries N (1)
-                --snapshot on|off (on)  --batch on|off (off)
+                --snapshot on|off (on)
                 --telemetry off|summary|json (off)
                 --attacks constant,drift,circular,jump (constant)
                 --trace off|ring|FILE (off)  --progress off|every-N (off)
@@ -61,7 +61,7 @@ COMMANDS:
                 --start TS  --duration DT  --deviation M (10)  --minimize yes|no (no)
     stress    fly the large-swarm stress scenario and report throughput
                 --drones N (100)  --seed S (0)  --duration T (20)
-                --grid auto|on|off (auto)  --layout auto|aos|soa (auto)
+                --grid auto|on|off (auto)
                 --telemetry off|summary|json (off)
     serve     run the multi-tenant campaign server over TCP
                 --bind ADDR (127.0.0.1:7700)  --workers W (cores)
@@ -259,8 +259,6 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
         journal: opts.journal.clone(),
         max_retries: opts.max_retries,
         snapshot: opts.snapshot,
-        constant_via_trait: false,
-        batch: opts.batch,
     };
     let attacks = opts.attacks;
 
@@ -401,7 +399,7 @@ fn cmd_baseline(opts: &BaselineOpts) -> Result<(), CliError> {
 fn cmd_stress(opts: &StressOpts) -> Result<(), CliError> {
     use swarm_sim::{metrics, scenario, SimConfig, SpatialGrid, SpatialPolicy};
 
-    let StressOpts { drones, seed, duration, spatial, layout, telemetry: mode } = *opts;
+    let StressOpts { drones, seed, duration, spatial, telemetry: mode } = *opts;
     let telemetry =
         if mode == TelemetryMode::Off { Telemetry::off() } else { Telemetry::enabled(1) };
 
@@ -411,11 +409,8 @@ fn cmd_stress(opts: &StressOpts) -> Result<(), CliError> {
         .comms
         .range
         .ok_or_else(|| CliError::Other("large_swarm scenario did not set a radio range".into()))?;
-    let sim = Simulation::new(spec.clone(), controller())?.with_config(SimConfig {
-        spatial,
-        layout,
-        ..Default::default()
-    });
+    let sim = Simulation::new(spec.clone(), controller())?
+        .with_config(SimConfig { spatial, ..Default::default() });
 
     let started = std::time::Instant::now();
     let out = sim.run_observed(None, Some(&telemetry))?;
@@ -429,17 +424,12 @@ fn cmd_stress(opts: &StressOpts) -> Result<(), CliError> {
         mode,
         format_args!(
             "  simulated {simulated:.1} s in {:.0} ms  ({ticks_per_sec:.0} physics ticks/s, \
-             grid {}, layout {})",
+             grid {})",
             wall.as_secs_f64() * 1e3,
             match spatial {
                 SpatialPolicy::Auto => "auto",
                 SpatialPolicy::ForceOn => "on",
                 SpatialPolicy::ForceOff => "off",
-            },
-            match layout {
-                swarm_sim::StateLayout::Auto => "auto",
-                swarm_sim::StateLayout::ForceAos => "aos",
-                swarm_sim::StateLayout::ForceSoa => "soa",
             },
         ),
     );

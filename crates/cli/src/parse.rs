@@ -11,7 +11,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 use swarm_sim::spoof::{SpoofDirection, WaveformSet};
-use swarm_sim::{SpatialPolicy, StateLayout};
+use swarm_sim::SpatialPolicy;
 use swarmfuzz::campaign::JournalSpec;
 
 use crate::args::{ArgError, Args};
@@ -87,7 +87,6 @@ pub struct CampaignOpts {
     pub journal: Option<JournalSpec>,
     pub max_retries: usize,
     pub snapshot: bool,
-    pub batch: bool,
     pub attacks: WaveformSet,
     pub telemetry: TelemetryMode,
     pub trace: TraceMode,
@@ -135,7 +134,6 @@ pub struct StressOpts {
     pub seed: u64,
     pub duration: f64,
     pub spatial: SpatialPolicy,
-    pub layout: StateLayout,
     pub telemetry: TelemetryMode,
 }
 
@@ -284,7 +282,6 @@ fn parse_campaign(args: &Args) -> Result<CampaignOpts, ParseError> {
             "resume",
             "retries",
             "snapshot",
-            "batch",
             "attacks",
             "telemetry",
             "trace",
@@ -302,15 +299,6 @@ fn parse_campaign(args: &Args) -> Result<CampaignOpts, ParseError> {
         Some(other) => {
             return Err(ParseError::Invalid(format!(
                 "--snapshot must be 'on' or 'off', got {other:?}"
-            )))
-        }
-    };
-    let batch = match args.raw("batch") {
-        None | Some("off") => false,
-        Some("on") => true,
-        Some(other) => {
-            return Err(ParseError::Invalid(format!(
-                "--batch must be 'on' or 'off', got {other:?}"
             )))
         }
     };
@@ -349,7 +337,6 @@ fn parse_campaign(args: &Args) -> Result<CampaignOpts, ParseError> {
         journal,
         max_retries: args.get_or("retries", 1)?,
         snapshot,
-        batch,
         attacks,
         telemetry: telemetry_mode(args)?,
         trace,
@@ -410,11 +397,7 @@ fn parse_replay(args: &Args) -> Result<ReplayOpts, ParseError> {
 }
 
 fn parse_stress(args: &Args) -> Result<StressOpts, ParseError> {
-    reject_unknown_flags(
-        args,
-        "stress",
-        &["drones", "seed", "duration", "grid", "layout", "telemetry"],
-    )?;
+    reject_unknown_flags(args, "stress", &["drones", "seed", "duration", "grid", "telemetry"])?;
     let spatial = match args.raw("grid") {
         None | Some("auto") => SpatialPolicy::Auto,
         Some("on") => SpatialPolicy::ForceOn,
@@ -425,22 +408,11 @@ fn parse_stress(args: &Args) -> Result<StressOpts, ParseError> {
             )))
         }
     };
-    let layout = match args.raw("layout") {
-        None | Some("auto") => StateLayout::Auto,
-        Some("aos") => StateLayout::ForceAos,
-        Some("soa") => StateLayout::ForceSoa,
-        Some(other) => {
-            return Err(ParseError::Invalid(format!(
-                "--layout must be 'auto', 'aos' or 'soa', got {other:?}"
-            )))
-        }
-    };
     Ok(StressOpts {
         drones: args.get_or("drones", 100)?,
         seed: args.get_or("seed", 0)?,
         duration: args.get_or("duration", 20.0)?,
         spatial,
-        layout,
         telemetry: telemetry_mode(args)?,
     })
 }
@@ -629,22 +601,6 @@ mod tests {
         assert!(!opts.snapshot);
         let err = parse("campaign --snapshot maybe").unwrap_err();
         assert_eq!(err.to_string(), "--snapshot must be 'on' or 'off', got \"maybe\"");
-    }
-
-    #[test]
-    fn campaign_batch_flag_values() {
-        let Ok(Command::Campaign(opts)) = parse("campaign") else { panic!("campaign must parse") };
-        assert!(!opts.batch, "lockstep probe batching defaults to off");
-        let Ok(Command::Campaign(opts)) = parse("campaign --batch on") else {
-            panic!("--batch on must parse")
-        };
-        assert!(opts.batch);
-        let Ok(Command::Campaign(opts)) = parse("campaign --batch off") else {
-            panic!("--batch off must parse")
-        };
-        assert!(!opts.batch);
-        let err = parse("campaign --batch maybe").unwrap_err();
-        assert_eq!(err.to_string(), "--batch must be 'on' or 'off', got \"maybe\"");
     }
 
     #[test]
@@ -839,24 +795,6 @@ mod tests {
         assert_eq!(opts.duration, 20.0);
         let err = parse("stress --grid maybe").unwrap_err();
         assert_eq!(err.to_string(), "--grid must be 'auto', 'on' or 'off', got \"maybe\"");
-    }
-
-    #[test]
-    fn stress_layout_policy_values() {
-        for (value, layout) in [
-            ("auto", StateLayout::Auto),
-            ("aos", StateLayout::ForceAos),
-            ("soa", StateLayout::ForceSoa),
-        ] {
-            let Ok(Command::Stress(opts)) = parse(&format!("stress --layout {value}")) else {
-                panic!("--layout {value} must parse")
-            };
-            assert_eq!(opts.layout, layout);
-        }
-        let Ok(Command::Stress(opts)) = parse("stress") else { panic!("stress must parse") };
-        assert_eq!(opts.layout, StateLayout::Auto);
-        let err = parse("stress --layout columns").unwrap_err();
-        assert_eq!(err.to_string(), "--layout must be 'auto', 'aos' or 'soa', got \"columns\"");
     }
 
     #[test]

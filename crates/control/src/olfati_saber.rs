@@ -12,12 +12,11 @@
 //! controller interface commands velocities, the acceleration is integrated
 //! over one control horizon (`v_cmd = v + u·τ`), a standard discretization.
 
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
-use swarm_sim::{ControlBatch, ControlContext, SwarmController};
+use swarm_sim::{ControlContext, SwarmController};
 
 /// Tuning parameters of the Olfati-Saber controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OlfatiSaberParams {
     /// Desired inter-agent distance `d` (m).
     pub d: f64,
@@ -120,7 +119,7 @@ fn phi(z: f64, a: f64, b: f64) -> f64 {
 }
 
 /// The Olfati-Saber flocking controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OlfatiSaberController {
     params: OlfatiSaberParams,
 }
@@ -198,15 +197,6 @@ impl SwarmController for OlfatiSaberController {
         let horizontal = (ctx.self_state.velocity.horizontal() + u * p.tau).clamp_norm(p.v_max);
         let altitude = Vec3::Z * (p.k_alt * (ctx.destination.z - ctx.self_state.position.z));
         horizontal + altitude
-    }
-
-    fn desired_velocity_batch(&self, batch: &ControlBatch<'_>, out: &mut [Vec3]) {
-        assert_eq!(out.len(), batch.lanes.len(), "output must have one slot per lane");
-        // One tight loop over the CSR lanes, evaluating the exact scalar
-        // control law per lane (bit-identity is load-bearing).
-        for (lane, slot) in batch.lanes.iter().zip(out) {
-            *slot = self.desired_velocity(&batch.context(lane));
-        }
     }
 }
 
@@ -328,55 +318,5 @@ mod tests {
             controller().desired_velocity(&ctx(Vec3::new(0.0, 0.0, 10.0), Vec3::ZERO, &n, &world));
         assert!(cmd.horizontal().norm() <= p.v_max + 1e-9);
         assert!(cmd.is_finite());
-    }
-
-    #[test]
-    fn batched_commands_match_scalar_dispatch_bitwise() {
-        use swarm_sim::ControlLane;
-
-        let world = World::with_obstacles(vec![Obstacle::Cylinder {
-            center: V2::new(12.0, -1.0),
-            radius: 3.0,
-        }]);
-        let pool = [
-            neighbor(1, Vec3::new(4.0, 3.0, 10.0), Vec3::new(0.5, 0.0, 0.0)),
-            neighbor(2, Vec3::new(-6.0, 1.0, 9.8), Vec3::new(1.5, -0.2, 0.0)),
-        ];
-        let lanes = [
-            ControlLane {
-                id: DroneId(0),
-                self_state: PerceivedSelf {
-                    position: Vec3::new(0.0, 0.0, 10.0),
-                    velocity: Vec3::new(1.0, 0.3, 0.0),
-                },
-                neighbors_start: 0,
-                neighbors_len: 2,
-            },
-            ControlLane {
-                id: DroneId(1),
-                self_state: PerceivedSelf {
-                    position: Vec3::new(5.0, -2.0, 10.1),
-                    velocity: Vec3::ZERO,
-                },
-                neighbors_start: 2,
-                neighbors_len: 0,
-            },
-        ];
-        let batch = ControlBatch {
-            lanes: &lanes,
-            neighbors: &pool,
-            world: &world,
-            destination: Vec3::new(233.5, 0.0, 10.0),
-            time: 2.0,
-        };
-        let c = controller();
-        let mut out = [Vec3::ZERO; 2];
-        c.desired_velocity_batch(&batch, &mut out);
-        for (lane, got) in lanes.iter().zip(&out) {
-            let want = c.desired_velocity(&batch.context(lane));
-            assert_eq!(want.x.to_bits(), got.x.to_bits());
-            assert_eq!(want.y.to_bits(), got.y.to_bits());
-            assert_eq!(want.z.to_bits(), got.z.to_bits());
-        }
     }
 }

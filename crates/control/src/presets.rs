@@ -99,27 +99,4 @@ mod tests {
         assert_ne!(paper(), aggressive());
         assert_ne!(hardened(), aggressive());
     }
-
-    #[test]
-    fn every_preset_is_layout_invariant() {
-        use swarm_sim::{SimConfig, StateLayout};
-        // The batched (SoA) mission path must reproduce the scalar record
-        // bit-for-bit regardless of which parameter regime is flying.
-        for params in [paper(), hardened(), aggressive()] {
-            let mut spec = MissionSpec::paper_delivery(6, 42);
-            spec.duration = 15.0;
-            let controller = VasarhelyiController::new(params);
-            let aos = Simulation::new(spec.clone(), controller)
-                .unwrap()
-                .with_config(SimConfig { layout: StateLayout::ForceAos, ..Default::default() })
-                .run(None)
-                .unwrap();
-            let soa = Simulation::new(spec, controller)
-                .unwrap()
-                .with_config(SimConfig { layout: StateLayout::ForceSoa, ..Default::default() })
-                .run(None)
-                .unwrap();
-            assert_eq!(aos.record, soa.record);
-        }
-    }
 }

@@ -6,12 +6,11 @@
 //! generalization experiments: the SwarmFuzz pipeline makes no assumption
 //! beyond the shared three goals, so it must work here too.
 
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
-use swarm_sim::{ControlBatch, ControlContext, SwarmController};
+use swarm_sim::{ControlContext, SwarmController};
 
 /// Tuning parameters of the Reynolds controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReynoldsParams {
     /// Perception radius: neighbors beyond this are ignored (m).
     pub perception: f64,
@@ -53,7 +52,7 @@ impl Default for ReynoldsParams {
 }
 
 /// The Reynolds boids controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReynoldsController {
     params: ReynoldsParams,
 }
@@ -129,15 +128,6 @@ impl SwarmController for ReynoldsController {
         let horizontal =
             (seek + separation + alignment + cohesion + avoid).horizontal().clamp_norm(p.v_max);
         horizontal + Vec3::Z * (p.k_alt * (ctx.destination.z - pos.z))
-    }
-
-    fn desired_velocity_batch(&self, batch: &ControlBatch<'_>, out: &mut [Vec3]) {
-        assert_eq!(out.len(), batch.lanes.len(), "output must have one slot per lane");
-        // One tight loop over the CSR lanes, evaluating the exact scalar
-        // control law per lane (bit-identity is load-bearing).
-        for (lane, slot) in batch.lanes.iter().zip(out) {
-            *slot = self.desired_velocity(&batch.context(lane));
-        }
     }
 }
 
@@ -256,56 +246,5 @@ mod tests {
         let last = out.record.len() - 1;
         let progress = out.record.positions_at(last)[0].x - out.record.positions_at(0)[0].x;
         assert!(progress > 40.0, "progress {progress}");
-    }
-
-    #[test]
-    fn batched_commands_match_scalar_dispatch_bitwise() {
-        use swarm_sim::ControlLane;
-
-        let world = World::with_obstacles(vec![Obstacle::Cylinder {
-            center: V2::new(8.0, 0.5),
-            radius: 2.0,
-        }]);
-        let pool = [
-            neighbor(1, Vec3::new(2.0, 2.0, 10.0), Vec3::new(1.0, 0.0, 0.0)),
-            neighbor(2, Vec3::new(-3.0, 4.0, 10.0), Vec3::new(0.0, 1.0, 0.0)),
-            neighbor(0, Vec3::new(1.0, -1.0, 10.0), Vec3::new(2.0, 0.5, 0.0)),
-        ];
-        let lanes = [
-            ControlLane {
-                id: DroneId(0),
-                self_state: PerceivedSelf {
-                    position: Vec3::new(0.0, 0.0, 10.0),
-                    velocity: Vec3::new(1.5, 0.0, 0.0),
-                },
-                neighbors_start: 0,
-                neighbors_len: 2,
-            },
-            ControlLane {
-                id: DroneId(1),
-                self_state: PerceivedSelf {
-                    position: Vec3::new(4.0, 1.0, 9.9),
-                    velocity: Vec3::new(0.0, -0.5, 0.0),
-                },
-                neighbors_start: 2,
-                neighbors_len: 1,
-            },
-        ];
-        let batch = ControlBatch {
-            lanes: &lanes,
-            neighbors: &pool,
-            world: &world,
-            destination: Vec3::new(233.5, 0.0, 10.0),
-            time: 0.5,
-        };
-        let c = ReynoldsController::default();
-        let mut out = [Vec3::ZERO; 2];
-        c.desired_velocity_batch(&batch, &mut out);
-        for (lane, got) in lanes.iter().zip(&out) {
-            let want = c.desired_velocity(&batch.context(lane));
-            assert_eq!(want.x.to_bits(), got.x.to_bits());
-            assert_eq!(want.y.to_bits(), got.y.to_bits());
-            assert_eq!(want.z.to_bits(), got.z.to_bits());
-        }
     }
 }

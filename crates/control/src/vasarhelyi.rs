@@ -23,9 +23,8 @@
 //! Vulnerability Graph decides whether a neighbor's spoofed displacement
 //! drags a drone toward the obstacle).
 
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
-use swarm_sim::{ControlBatch, ControlContext, SwarmController};
+use swarm_sim::{ControlContext, SwarmController};
 
 use crate::braking::braking_curve;
 
@@ -34,7 +33,7 @@ use crate::braking::braking_curve;
 /// Defaults are tuned for the reproduction's mission scale (233.5 m corridor,
 /// 5–15 drones starting in a 50 m box, equilibrium spacing ≈ 10–15 m) such
 /// that unattacked missions are collision-free, mirroring the paper's setup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VasarhelyiParams {
     /// Preferred flocking speed toward the destination (m/s).
     pub v_flock: f64,
@@ -120,7 +119,7 @@ impl Default for VasarhelyiParams {
 }
 
 /// The per-goal decomposition of one control command.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VelocityTerms {
     /// Goal 1 (mission-driven): self-propulsion toward the destination.
     pub self_propulsion: Vec3,
@@ -155,7 +154,7 @@ impl VelocityTerms {
 /// Stateless: the command is a pure function of the [`ControlContext`], which
 /// is what allows the fuzzer's SVG construction to replay controller
 /// responses on recorded mission snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VasarhelyiController {
     params: VasarhelyiParams,
 }
@@ -259,16 +258,6 @@ impl VasarhelyiController {
 impl SwarmController for VasarhelyiController {
     fn desired_velocity(&self, ctx: &ControlContext<'_>) -> Vec3 {
         self.compute_terms(ctx).total
-    }
-
-    fn desired_velocity_batch(&self, batch: &ControlBatch<'_>, out: &mut [Vec3]) {
-        assert_eq!(out.len(), batch.lanes.len(), "output must have one slot per lane");
-        // One tight loop over the CSR lanes, evaluating the exact scalar
-        // control law per lane — bit-identity to per-drone dispatch is
-        // load-bearing (see tests/soa_equivalence.rs).
-        for (lane, slot) in batch.lanes.iter().zip(out) {
-            *slot = self.compute_terms(&batch.context(lane)).total;
-        }
     }
 }
 
@@ -441,58 +430,6 @@ mod tests {
         ));
         assert_eq!(terms.collision_avoidance(), terms.repulsion + terms.obstacle);
         assert_eq!(terms.cohesion(), terms.friction + terms.attraction);
-    }
-
-    #[test]
-    fn batched_commands_match_scalar_dispatch_bitwise() {
-        use swarm_sim::ControlLane;
-
-        let world = World::with_obstacles(vec![Obstacle::Cylinder {
-            center: V2::new(15.0, 2.0),
-            radius: 4.0,
-        }]);
-        // Shared CSR pool: lane 0 sees two neighbors, lane 1 sees one.
-        let pool = [
-            neighbor(1, Vec3::new(0.0, 6.0, 10.0), Vec3::new(1.0, -0.5, 0.0)),
-            neighbor(2, Vec3::new(0.0, 30.0, 10.0), Vec3::ZERO),
-            neighbor(0, Vec3::new(3.0, -2.0, 9.5), Vec3::new(2.0, 0.0, 0.1)),
-        ];
-        let lanes = [
-            ControlLane {
-                id: DroneId(0),
-                self_state: PerceivedSelf {
-                    position: Vec3::new(0.0, 0.0, 10.0),
-                    velocity: Vec3::new(2.0, 0.1, 0.0),
-                },
-                neighbors_start: 0,
-                neighbors_len: 2,
-            },
-            ControlLane {
-                id: DroneId(1),
-                self_state: PerceivedSelf {
-                    position: Vec3::new(1.0, 4.0, 10.2),
-                    velocity: Vec3::new(-1.0, 0.0, 0.0),
-                },
-                neighbors_start: 2,
-                neighbors_len: 1,
-            },
-        ];
-        let batch = ControlBatch {
-            lanes: &lanes,
-            neighbors: &pool,
-            world: &world,
-            destination: Vec3::new(233.5, 0.0, 10.0),
-            time: 1.5,
-        };
-        let c = controller();
-        let mut out = [Vec3::ZERO; 2];
-        c.desired_velocity_batch(&batch, &mut out);
-        for (lane, got) in lanes.iter().zip(&out) {
-            let want = c.desired_velocity(&batch.context(lane));
-            assert_eq!(want.x.to_bits(), got.x.to_bits());
-            assert_eq!(want.y.to_bits(), got.y.to_bits());
-            assert_eq!(want.z.to_bits(), got.z.to_bits());
-        }
     }
 
     #[test]

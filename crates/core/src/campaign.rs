@@ -9,7 +9,6 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 
-use serde::{Deserialize, Serialize};
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::SwarmController;
 
@@ -23,7 +22,7 @@ use crate::trace::{Trace, TraceEvent, TraceKey};
 use crate::FuzzError;
 
 /// One swarm configuration of the evaluation grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwarmConfig {
     /// Number of drones.
     pub swarm_size: usize,
@@ -38,7 +37,7 @@ impl std::fmt::Display for SwarmConfig {
 }
 
 /// Campaign-level options.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// The configuration grid (the paper uses {5,10,15} × {5 m,10 m}).
     pub configs: Vec<SwarmConfig>,
@@ -66,7 +65,7 @@ impl CampaignConfig {
 }
 
 /// Per-mission fuzzing outcome within a campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionResult {
     /// The configuration the mission belongs to.
     pub config: SwarmConfig,
@@ -86,7 +85,7 @@ pub struct MissionResult {
 
 /// A mission that exhausted its retries: quarantined as a `failed` row
 /// instead of aborting the campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionFailure {
     /// The configuration the mission belongs to.
     pub config: SwarmConfig,
@@ -99,7 +98,7 @@ pub struct MissionFailure {
 }
 
 /// All results of one campaign.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CampaignReport {
     /// One entry per fuzzed mission.
     pub missions: Vec<MissionResult>,
@@ -251,27 +250,11 @@ pub struct CampaignRunOptions {
     /// spoofing start instead of re-simulating the prefix. Bit-identical to
     /// running with it off — only faster (`tests/snapshot_equivalence.rs`).
     pub snapshot: bool,
-    /// Route constant-offset seeds through the `AttackModel` trait object
-    /// instead of the legacy concrete spoof path. Bit-identical either way
-    /// (`tests/attack_zoo_equivalence.rs`); like `snapshot`, an execution
-    /// detail that never perturbs the journal fingerprint.
-    pub constant_via_trait: bool,
-    /// Run each gradient iteration's two finite-difference probes as one
-    /// lockstep mission batch (`Fuzzer::with_batch`). Report-identical to
-    /// sequential probing (`tests/soa_equivalence.rs`); like `snapshot`, an
-    /// execution detail that never perturbs the journal fingerprint.
-    pub batch: bool,
 }
 
 impl Default for CampaignRunOptions {
     fn default() -> Self {
-        CampaignRunOptions {
-            journal: None,
-            max_retries: 1,
-            snapshot: true,
-            constant_via_trait: false,
-            batch: false,
-        }
+        CampaignRunOptions { journal: None, max_retries: 1, snapshot: true }
     }
 }
 
@@ -395,11 +378,7 @@ where
         &make_fuzzer,
         telemetry.clone(),
         trace.clone(),
-        ExecutionProfile {
-            max_retries: options.max_retries,
-            constant_via_trait: options.constant_via_trait,
-            batch: options.batch,
-        },
+        ExecutionProfile { max_retries: options.max_retries },
         snapshot_cache,
     );
 

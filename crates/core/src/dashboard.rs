@@ -414,7 +414,6 @@ mod tests {
                     value: 5.0,
                     success: false,
                     fork: Some(true),
-                    batched: Some(true),
                 },
             },
             TraceRecord {
@@ -426,7 +425,6 @@ mod tests {
                     value: f64::INFINITY,
                     success: false,
                     fork: None,
-                    batched: None,
                 },
             },
             TraceRecord {
@@ -438,7 +436,6 @@ mod tests {
                     value: -0.5,
                     success: true,
                     fork: Some(false),
-                    batched: None,
                 },
             },
             TraceRecord {

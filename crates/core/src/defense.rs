@@ -15,7 +15,6 @@
 //! defenses tuned for `τ ≈ 10 m` miss the paper's 5 m and (marginally) 10 m
 //! attacks, as the `defense_evasion` bench demonstrates.
 
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
 
 /// An innovation-based GPS spoofing monitor for a single drone.
@@ -23,7 +22,7 @@ use swarm_math::Vec3;
 /// Feed it the drone's GPS fixes in order; it dead-reckons each fix from the
 /// last one and raises an alarm when the prediction error ("innovation")
 /// exceeds the threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InnovationMonitor {
     /// Alarm threshold in metres. Real deployments use ~10 m to stay below
     /// the false-positive budget under standard GPS error.
@@ -87,7 +86,7 @@ impl InnovationMonitor {
 }
 
 /// Result of screening one attacked mission with an [`InnovationMonitor`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionOutcome {
     /// Whether the monitor alarmed at least once.
     pub detected: bool,

@@ -71,15 +71,11 @@ pub trait MissionExecutor: Send + Sync {
 pub struct ExecutionProfile {
     /// Retries per mission before it is quarantined as a `failed` row.
     pub max_retries: usize,
-    /// Route constant-offset seeds through the `AttackModel` trait object.
-    pub constant_via_trait: bool,
-    /// Lockstep finite-difference probe pairs (`Fuzzer::with_batch`).
-    pub batch: bool,
 }
 
 impl Default for ExecutionProfile {
     fn default() -> Self {
-        ExecutionProfile { max_retries: 1, constant_via_trait: false, batch: false }
+        ExecutionProfile { max_retries: 1 }
     }
 }
 
@@ -135,9 +131,7 @@ where
         let mut fuzzer = (self.make_fuzzer)(config.deviation)
             .with_telemetry(self.telemetry.clone())
             .with_trace(mission_trace.clone())
-            .with_snapshots(self.snapshot_cache.is_some())
-            .with_constant_via_trait(self.profile.constant_via_trait)
-            .with_batch(self.profile.batch);
+            .with_snapshots(self.snapshot_cache.is_some());
         if let Some(cache) = &self.snapshot_cache {
             fuzzer = fuzzer.with_snapshot_cache(cache.clone());
         }

@@ -21,21 +21,19 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use swarm_math::rng::{rng_for, streams};
-use swarm_sim::dynamics::PointMass;
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::recorder::MissionRecord;
 use swarm_sim::spoof::{Waveform, WaveformKind, WaveformSet};
-use swarm_sim::{DroneId, MissionOutcome, SimObserver, SimSnapshot, Simulation, SwarmController};
+use swarm_sim::{DroneId, MissionOutcome, SimObserver, Simulation, SwarmController};
 
-use crate::objective::Objective;
+use crate::objective::{Evaluation, Objective};
 use crate::schedule::{
     expand_waveforms, random_schedule, svg_schedule_instrumented, trace_schedule,
 };
 use crate::search::{
     gradient_search_traced, random_search, shaped_gradient_search_traced, shaped_random_search,
-    GradientConfig, PairedEvaluator, ProbeEvaluator, SearchResult, ShapeBounds,
+    GradientConfig, SearchResult, ShapeBounds,
 };
 use crate::seed::Seed;
 use crate::snapshot::{cache_key, MissionCache, SnapshotCache, SnapshotRing};
@@ -44,13 +42,8 @@ use crate::telemetry::{Counter, Phase, Telemetry};
 use crate::trace::{Trace, TraceEvent};
 use crate::FuzzError;
 
-/// A resolved fork for one lane of a batched probe pair: the admitting
-/// snapshot plus its reconstructed prefix record (when a snapshot admits
-/// the probe's start time), and the probe's fork trace annotation.
-type LaneFork<'a> = (Option<(&'a SimSnapshot<PointMass>, MissionRecord)>, Option<bool>);
-
 /// How seeds are ordered for fuzzing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeedStrategy {
     /// Swarm Vulnerability Graph + PageRank + VDO ordering (the paper's).
     Svg,
@@ -59,7 +52,7 @@ pub enum SeedStrategy {
 }
 
 /// How the spoofing window is searched for each seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchStrategy {
     /// Gradient-guided optimization (the paper's).
     Gradient,
@@ -68,7 +61,7 @@ pub enum SearchStrategy {
 }
 
 /// Configuration of a fuzzing run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FuzzerConfig {
     /// Seed-scheduling strategy.
     pub seed_strategy: SeedStrategy,
@@ -160,7 +153,7 @@ impl FuzzerConfig {
 }
 
 /// A successfully discovered Swarm Propagation Vulnerability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpvFinding {
     /// The seed that produced the collision.
     pub seed: Seed,
@@ -213,8 +206,6 @@ pub struct Fuzzer<C> {
     trace: Trace,
     snapshots: bool,
     snapshot_cache: Option<SnapshotCache>,
-    constant_via_trait: bool,
-    batch: bool,
 }
 
 impl<C: SwarmController + Clone> Fuzzer<C> {
@@ -229,8 +220,6 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
             trace: Trace::off(),
             snapshots: true,
             snapshot_cache: None,
-            constant_via_trait: false,
-            batch: false,
         }
     }
 
@@ -273,44 +262,9 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
         self
     }
 
-    /// Routes constant-offset seeds through the [`AttackModel`] trait
-    /// object instead of the legacy concrete spoof path. Both paths are
-    /// bit-identical (`tests/attack_zoo_equivalence.rs`); like
-    /// [`Fuzzer::with_snapshots`] this is an execution detail and
-    /// deliberately not part of [`FuzzerConfig`].
-    ///
-    /// [`AttackModel`]: swarm_sim::spoof::AttackModel
-    pub fn with_constant_via_trait(mut self, via_trait: bool) -> Self {
-        self.constant_via_trait = via_trait;
-        self
-    }
-
-    /// Routes the gradient search's finite-difference probe pairs through
-    /// the lockstep [`BatchRunner`](swarm_sim::BatchRunner): both missions
-    /// of a pair advance through the batched SoA kernels together. Reports
-    /// and canonical traces are identical either way (the batched pair is
-    /// bit-identical per mission, and a pair whose first probe collides
-    /// discards the second without counting it). Like
-    /// [`Fuzzer::with_snapshots`] this is an execution detail and
-    /// deliberately not part of [`FuzzerConfig`].
-    ///
-    /// Admission rules: only the unshaped (constant/drift) gradient fd pair
-    /// batches. Shaped searches stay sequential (their three-axis probes are
-    /// not a fixed pair), and random search is excluded because it draws
-    /// windows from an RNG stream — batching must not change draw order.
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// `true` when snapshot-and-fork execution is enabled.
     pub fn snapshots_enabled(&self) -> bool {
         self.snapshots
-    }
-
-    /// `true` when fd probe pairs run through the lockstep batch runner.
-    pub fn batch_enabled(&self) -> bool {
-        self.batch
     }
 
     /// The fuzzer configuration.
@@ -513,8 +467,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
         t_mission: f64,
         rng: &mut StdRng,
     ) -> Result<SeedSearch, FuzzError> {
-        let mut objective = Objective::new(sim, seed, self.config.deviation)
-            .with_constant_via_trait(self.constant_via_trait);
+        let mut objective = Objective::new(sim, seed, self.config.deviation);
         if self.telemetry.is_enabled() {
             objective = objective.with_observer(&self.telemetry);
         }
@@ -551,7 +504,6 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                     value: e.value,
                     success: e.is_success(),
                     fork: fork_flag,
-                    batched: None,
                 });
             }
             result
@@ -598,83 +550,14 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                 // window with the remaining budget.
                 let ts1 = (t_close - 1.6 * self.config.lead_time).max(0.0);
                 let dt1 = 1.5 * self.config.initial_duration;
-                if self.batch {
-                    // Per-probe fork admission, identical to the sequential
-                    // path's: each lane of the pair resolves its own
-                    // snapshot and prefix record.
-                    let resolve = |ts: f64| -> Result<LaneFork<'_>, FuzzError> {
-                        let Some(cache) = fork else { return Ok((None, None)) };
-                        match cache.newest_admitting(ts.max(0.0)) {
-                            Some(snap) => {
-                                telemetry.incr(Counter::ForkHits);
-                                telemetry
-                                    .add(Counter::PrefixStepsSaved, snap.stats().physics_steps);
-                                let prefix = {
-                                    let _span = telemetry.span(Phase::PrefixSim);
-                                    sim.prefix_record(snap, cache.baseline())?
-                                };
-                                Ok((Some((snap, prefix)), Some(true)))
-                            }
-                            None => {
-                                telemetry.incr(Counter::ForkMisses);
-                                Ok((None, Some(false)))
-                            }
-                        }
-                    };
-                    let pair = |a: (f64, f64), b: (f64, f64)| {
-                        telemetry.incr(Counter::BatchedPairs);
-                        let (fork_a, flag_a) = resolve(a.0)?;
-                        let (fork_b, flag_b) = resolve(b.0)?;
-                        let (first, second) = {
-                            let phase = if flag_a == Some(true) && flag_b == Some(true) {
-                                Phase::ForkedSim
-                            } else {
-                                Phase::MissionSim
-                            };
-                            let _span = telemetry.span(phase);
-                            objective.evaluate_pair_batched((a, fork_a), (b, fork_b), None)?
-                        };
-                        trace.emit(TraceEvent::Probe {
-                            ts: a.0,
-                            dt: a.1,
-                            shape: None,
-                            value: first.value,
-                            success: first.is_success(),
-                            fork: flag_a,
-                            batched: Some(true),
-                        });
-                        match &second {
-                            Some(e) => trace.emit(TraceEvent::Probe {
-                                ts: b.0,
-                                dt: b.1,
-                                shape: None,
-                                value: e.value,
-                                success: e.is_success(),
-                                fork: flag_b,
-                                batched: Some(true),
-                            }),
-                            None => telemetry.incr(Counter::BatchedDiscards),
-                        }
-                        Ok((first, second))
-                    };
-                    gradient_multi_start(
-                        || PairedEvaluator::new(|ts: f64, dt: f64| eval3(ts, dt, None), &pair),
-                        (ts0, dt0),
-                        (ts1, dt1),
-                        budget,
-                        t_mission,
-                        &self.trace,
-                    )?
-                } else {
-                    gradient_multi_start(
-                        || |ts: f64, dt: f64| eval3(ts, dt, None),
-                        (ts0, dt0),
-                        (ts1, dt1),
-                        budget,
-                        t_mission,
-                        &self.trace,
-                    )?
-                }
+                gradient_multi_start(
+                    |ts: f64, dt: f64| eval3(ts, dt, None),
+                    (ts0, dt0),
+                    (ts1, dt1),
+                    budget,
+                    t_mission,
+                    &self.trace,
+                )?
             }
             SearchStrategy::Random => {
                 let _span = self.telemetry.span(Phase::RandomSearch);
@@ -700,22 +583,17 @@ struct SeedSearch {
 
 /// The paper's two-start gradient search: one run from the VDO-led guess,
 /// and — unless it succeeded or exhausted the budget — a restart from the
-/// second window with what remains. `make` builds a fresh evaluator per
-/// start, which is what lets the batched and sequential paths share this
-/// logic (their evaluator types differ).
-fn gradient_multi_start<E>(
-    mut make: impl FnMut() -> E,
+/// second window with what remains.
+fn gradient_multi_start(
+    mut probe: impl FnMut(f64, f64) -> Result<Evaluation, FuzzError>,
     first_start: (f64, f64),
     second_start: (f64, f64),
     budget: usize,
     t_mission: f64,
     trace: &Trace,
-) -> Result<SearchResult, FuzzError>
-where
-    E: ProbeEvaluator,
-{
+) -> Result<SearchResult, FuzzError> {
     let first = gradient_search_traced(
-        make(),
+        &mut probe,
         first_start,
         budget,
         t_mission,
@@ -726,7 +604,7 @@ where
         return Ok(first);
     }
     let second = gradient_search_traced(
-        make(),
+        &mut probe,
         second_start,
         budget - first.evaluations,
         t_mission,

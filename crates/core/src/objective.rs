@@ -8,10 +8,8 @@
 
 use swarm_sim::dynamics::Dynamics;
 use swarm_sim::recorder::MissionRecord;
-use swarm_sim::spoof::{AttackModel, AttackSpec, SpoofingAttack, Waveform, WaveformKind};
-use swarm_sim::{
-    BatchJob, DroneId, MissionOutcome, SimObserver, SimSnapshot, Simulation, SwarmController,
-};
+use swarm_sim::spoof::{AttackSpec, SpoofingAttack, Waveform, WaveformKind};
+use swarm_sim::{DroneId, MissionOutcome, SimObserver, SimSnapshot, Simulation, SwarmController};
 
 use crate::seed::Seed;
 use crate::FuzzError;
@@ -65,7 +63,6 @@ pub struct Objective<'a, C, D> {
     seed: Seed,
     deviation: f64,
     observer: Option<&'a dyn SimObserver>,
-    constant_via_trait: bool,
 }
 
 impl<C, D> std::fmt::Debug for Objective<'_, C, D> {
@@ -81,16 +78,7 @@ impl<C, D> std::fmt::Debug for Objective<'_, C, D> {
 impl<'a, C: SwarmController, D: Dynamics> Objective<'a, C, D> {
     /// Creates an evaluator bound to one simulation and seed.
     pub fn new(sim: &'a Simulation<C, D>, seed: Seed, deviation: f64) -> Self {
-        Objective { sim, seed, deviation, observer: None, constant_via_trait: false }
-    }
-
-    /// Routes constant-offset attacks through [`AttackSpec`] instead of the
-    /// legacy [`SpoofingAttack`] value. Both paths are bit-identical — this
-    /// toggle exists so the differential gate can prove it at every level;
-    /// it is an execution detail, never part of a campaign's identity.
-    pub fn with_constant_via_trait(mut self, via_trait: bool) -> Self {
-        self.constant_via_trait = via_trait;
-        self
+        Objective { sim, seed, deviation, observer: None }
     }
 
     /// Attaches a [`SimObserver`] receiving each evaluated mission's run
@@ -144,9 +132,9 @@ impl<'a, C: SwarmController, D: Dynamics> Objective<'a, C, D> {
     }
 
     /// The paper's constant-offset seeds keep flowing through the original
-    /// [`SpoofingAttack`] value unless the caller opted into the trait path.
+    /// [`SpoofingAttack`] value; every other class goes through [`AttackSpec`].
     fn uses_legacy_path(&self) -> bool {
-        self.seed.waveform == WaveformKind::Constant && !self.constant_via_trait
+        self.seed.waveform == WaveformKind::Constant
     }
 
     /// Builds the seed's attack for a (pre-clamped) window.
@@ -262,65 +250,6 @@ impl<C: SwarmController, D: Dynamics + Clone> Objective<'_, C, D> {
         };
         Ok(self.classify(&outcome, start, duration))
     }
-
-    /// Evaluates two *independent* probes by simulating both attacked
-    /// missions in lockstep through [`swarm_sim::BatchRunner`]. Each probe
-    /// may fork from its own snapshot. Every evaluation is bit-identical to
-    /// the corresponding sequential [`Objective::evaluate_shaped`] /
-    /// [`Objective::evaluate_shaped_forked`] call.
-    ///
-    /// Per the [`crate::search::ProbeEvaluator::eval_pair`] contract, the
-    /// second evaluation is returned as `None` when the first probe found a
-    /// collision — its mission was still simulated (the lockstep sweep runs
-    /// both lanes to completion, and the attached observer sees both runs),
-    /// but its result is discarded so search reports match sequential
-    /// evaluation, which never runs it.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Objective::evaluate_shaped`] (fresh probes) and
-    /// [`Objective::evaluate_shaped_forked`] (forked probes).
-    #[allow(clippy::type_complexity)]
-    pub fn evaluate_pair_batched(
-        &self,
-        a: ((f64, f64), Option<(&SimSnapshot<D>, MissionRecord)>),
-        b: ((f64, f64), Option<(&SimSnapshot<D>, MissionRecord)>),
-        shape: Option<f64>,
-    ) -> Result<(Evaluation, Option<Evaluation>), FuzzError> {
-        let ((ts_a, dt_a), fork_a) = a;
-        let ((ts_b, dt_b), fork_b) = b;
-        let (ts_a, dt_a) = (ts_a.max(0.0), dt_a.max(0.0));
-        let (ts_b, dt_b) = (ts_b.max(0.0), dt_b.max(0.0));
-        let build = |start: f64, duration: f64| -> Result<Box<dyn AttackModel>, FuzzError> {
-            Ok(if self.uses_legacy_path() {
-                Box::new(self.attack(start, duration)?)
-            } else {
-                Box::new(self.attack_spec(start, duration, shape)?)
-            })
-        };
-        let attack_a = build(ts_a, dt_a)?;
-        let attack_b = build(ts_b, dt_b)?;
-        let jobs = vec![
-            match fork_a {
-                Some((snap, prefix)) => BatchJob::forked(Some(&*attack_a), snap, prefix),
-                None => BatchJob::fresh(Some(&*attack_a)),
-            },
-            match fork_b {
-                Some((snap, prefix)) => BatchJob::forked(Some(&*attack_b), snap, prefix),
-                None => BatchJob::fresh(Some(&*attack_b)),
-            },
-        ];
-        let mut outcomes = self.sim.batch().run_observed(jobs, self.observer)?.into_iter();
-        let (oa, ob) = match (outcomes.next(), outcomes.next()) {
-            (Some(oa), Some(ob)) => (oa, ob),
-            _ => unreachable!("two jobs in, two outcomes out"),
-        };
-        let first = self.classify(&oa, ts_a, dt_a);
-        if first.is_success() {
-            return Ok((first, None));
-        }
-        Ok((first, Some(self.classify(&ob, ts_b, dt_b))))
-    }
 }
 
 #[cfg(test)]
@@ -422,19 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_via_trait_is_bit_identical_to_legacy() {
-        let sim = Simulation::new(spec(), FollowY).unwrap();
-        let legacy = Objective::new(&sim, seed(), 10.0);
-        let zoo = Objective::new(&sim, seed(), 10.0).with_constant_via_trait(true);
-        for (ts, dt) in [(0.0, 0.0), (10.0, 70.0), (20.0, 2.0), (33.3, 12.0)] {
-            let a = legacy.evaluate(ts, dt).unwrap();
-            let b = zoo.evaluate(ts, dt).unwrap();
-            assert_eq!(a, b, "window ({ts}, {dt})");
-            assert_eq!(a.value.to_bits(), b.value.to_bits(), "window ({ts}, {dt})");
-        }
-    }
-
-    #[test]
     fn shaped_evaluation_runs_every_class() {
         let sim = Simulation::new(spec(), FollowY).unwrap();
         for kind in WaveformKind::ALL {
@@ -460,39 +376,6 @@ mod tests {
             d.value,
             c.value
         );
-    }
-
-    #[test]
-    fn batched_pair_is_bit_identical_to_sequential() {
-        let sim = Simulation::new(spec(), FollowY).unwrap();
-        let obj = Objective::new(&sim, seed(), 10.0);
-        // Non-colliding pair: both evaluations come back, bit-identical to
-        // sequential from-scratch probes.
-        let (a, b) =
-            obj.evaluate_pair_batched(((20.0, 2.0), None), ((20.0, 3.0), None), None).unwrap();
-        assert_eq!(a, obj.evaluate(20.0, 2.0).unwrap());
-        assert_eq!(b.unwrap(), obj.evaluate(20.0, 3.0).unwrap());
-        // Colliding first probe: the second lane still simulates, but its
-        // result is discarded per the eval_pair contract.
-        let (a, b) =
-            obj.evaluate_pair_batched(((10.0, 70.0), None), ((20.0, 2.0), None), None).unwrap();
-        assert!(a.is_success());
-        assert_eq!(a, obj.evaluate(10.0, 70.0).unwrap());
-        assert!(b.is_none());
-    }
-
-    #[test]
-    fn batched_pair_forks_per_probe() {
-        let sim = Simulation::new(spec(), FollowY).unwrap();
-        let obj = Objective::new(&sim, seed(), 10.0);
-        let (snap, source) = sim.run_to(10.0).unwrap();
-        let prefix = sim.prefix_record(&snap, &source).unwrap();
-        // Mixed lanes — one forked, one fresh — match their sequential twins.
-        let (a, b) = obj
-            .evaluate_pair_batched(((20.0, 2.0), Some((&snap, prefix))), ((20.0, 3.0), None), None)
-            .unwrap();
-        assert_eq!(a, obj.evaluate(20.0, 2.0).unwrap());
-        assert_eq!(b.unwrap(), obj.evaluate(20.0, 3.0).unwrap());
     }
 
     #[test]

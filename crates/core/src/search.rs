@@ -67,99 +67,6 @@ pub struct SearchResult {
     pub best_value: f64,
 }
 
-/// A source of objective evaluations for the window search.
-///
-/// The search calls [`eval`](ProbeEvaluator::eval) for single probes and
-/// [`eval_pair`](ProbeEvaluator::eval_pair) for the two independent
-/// finite-difference probes of each gradient iteration. The default
-/// `eval_pair` runs them sequentially; batched implementations (the fuzzer's
-/// lockstep [`BatchRunner`](swarm_sim::BatchRunner) evaluator) may simulate
-/// both missions at once. Every closure `FnMut(f64, f64) ->
-/// Result<Evaluation, FuzzError>` is an evaluator via the blanket impl.
-pub trait ProbeEvaluator {
-    /// Evaluates the objective at one window `(t_s, Δt)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying simulation/objective failure.
-    fn eval(&mut self, ts: f64, dt: f64) -> Result<Evaluation, FuzzError>;
-
-    /// Evaluates two *independent* probes (neither depends on the other's
-    /// result).
-    ///
-    /// Contract: the second evaluation is `None` **iff** the first probe
-    /// found a collision — the search stops at the first success, so a
-    /// batched implementation that simulated both missions anyway must
-    /// discard the second result (and not count it) to keep reports
-    /// identical to sequential evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying simulation/objective failure.
-    fn eval_pair(
-        &mut self,
-        a: (f64, f64),
-        b: (f64, f64),
-    ) -> Result<(Evaluation, Option<Evaluation>), FuzzError> {
-        let first = self.eval(a.0, a.1)?;
-        if matches!(first.outcome, EvalOutcome::SpvCollision { .. }) {
-            return Ok((first, None));
-        }
-        let second = self.eval(b.0, b.1)?;
-        Ok((first, Some(second)))
-    }
-}
-
-impl<F> ProbeEvaluator for F
-where
-    F: FnMut(f64, f64) -> Result<Evaluation, FuzzError>,
-{
-    fn eval(&mut self, ts: f64, dt: f64) -> Result<Evaluation, FuzzError> {
-        self(ts, dt)
-    }
-}
-
-/// An evaluator assembled from two closures: `eval` for single probes and
-/// `pair` for the gradient's finite-difference pairs. This is how the fuzzer
-/// routes fd pairs through the lockstep [`BatchRunner`] while single probes
-/// keep the sequential path — the `pair` closure owns the batch dispatch and
-/// must honor the [`ProbeEvaluator::eval_pair`] discard contract.
-///
-/// [`BatchRunner`]: swarm_sim::BatchRunner
-pub struct PairedEvaluator<F, G> {
-    eval: F,
-    pair: G,
-}
-
-impl<F, G> PairedEvaluator<F, G>
-where
-    F: FnMut(f64, f64) -> Result<Evaluation, FuzzError>,
-    G: FnMut((f64, f64), (f64, f64)) -> Result<(Evaluation, Option<Evaluation>), FuzzError>,
-{
-    /// Bundles the two closures into one evaluator.
-    pub fn new(eval: F, pair: G) -> Self {
-        PairedEvaluator { eval, pair }
-    }
-}
-
-impl<F, G> ProbeEvaluator for PairedEvaluator<F, G>
-where
-    F: FnMut(f64, f64) -> Result<Evaluation, FuzzError>,
-    G: FnMut((f64, f64), (f64, f64)) -> Result<(Evaluation, Option<Evaluation>), FuzzError>,
-{
-    fn eval(&mut self, ts: f64, dt: f64) -> Result<Evaluation, FuzzError> {
-        (self.eval)(ts, dt)
-    }
-
-    fn eval_pair(
-        &mut self,
-        a: (f64, f64),
-        b: (f64, f64),
-    ) -> Result<(Evaluation, Option<Evaluation>), FuzzError> {
-        (self.pair)(a, b)
-    }
-}
-
 /// Projects a window onto the feasible region `t_s ≥ 0`, `Δt ≥ 0`,
 /// `t_s + Δt < t_mission`: first pulls `t_s` back inside the mission, then
 /// shortens `Δt` to fit the remainder.
@@ -193,15 +100,15 @@ fn success_of(e: &Evaluation) -> Option<SearchSuccess> {
 /// # Errors
 ///
 /// Propagates the first [`FuzzError`] returned by `objective`.
-pub fn gradient_search<E>(
-    objective: E,
+pub fn gradient_search<F>(
+    objective: F,
     initial: (f64, f64),
     budget: usize,
     t_mission: f64,
     config: &GradientConfig,
 ) -> Result<SearchResult, FuzzError>
 where
-    E: ProbeEvaluator,
+    F: FnMut(f64, f64) -> Result<Evaluation, FuzzError>,
 {
     gradient_search_traced(objective, initial, budget, t_mission, config, &Trace::off())
 }
@@ -214,8 +121,8 @@ where
 /// # Errors
 ///
 /// Propagates the first [`FuzzError`] returned by `objective`.
-pub fn gradient_search_traced<E>(
-    mut objective: E,
+pub fn gradient_search_traced<F>(
+    mut objective: F,
     initial: (f64, f64),
     budget: usize,
     t_mission: f64,
@@ -223,7 +130,7 @@ pub fn gradient_search_traced<E>(
     trace: &Trace,
 ) -> Result<SearchResult, FuzzError>
 where
-    E: ProbeEvaluator,
+    F: FnMut(f64, f64) -> Result<Evaluation, FuzzError>,
 {
     let (mut ts, mut dt) = initial;
     clamp_window(&mut ts, &mut dt, t_mission);
@@ -247,19 +154,13 @@ where
         }};
     }
 
-    let mut current = fold!(objective.eval(ts, dt)?);
+    let mut current = fold!(objective(ts, dt)?);
 
     while evals + 2 <= budget {
-        // Forward finite differences (each probe is one mission). The two
-        // probes are independent, so a batched evaluator may simulate both
-        // missions in lockstep; the fold order below keeps the report
-        // identical to sequential evaluation either way.
+        // Forward finite differences (each probe is one mission).
         let h = config.fd_step;
-        let (first, second) = objective.eval_pair((ts + h, dt), (ts, dt + h))?;
-        let e_ts = fold!(first);
-        let e_dt = fold!(second.expect(
-            "eval_pair contract: second probe present whenever the first found no collision"
-        ));
+        let e_ts = fold!(objective(ts + h, dt)?);
+        let e_dt = fold!(objective(ts, dt + h)?);
         let g_ts = (e_ts.value - current.value) / h;
         let g_dt = (e_dt.value - current.value) / h;
 
@@ -287,7 +188,7 @@ where
         if evals >= budget {
             break;
         }
-        let next = fold!(objective.eval(ts, dt)?);
+        let next = fold!(objective(ts, dt)?);
 
         let improvement = current.value - next.value;
         current = next;
@@ -862,70 +763,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(calls, r.evaluations);
-    }
-
-    #[test]
-    fn default_eval_pair_skips_second_probe_after_collision() {
-        let mut calls = Vec::new();
-        let mut evaluator = |ts: f64, dt: f64| {
-            calls.push((ts, dt));
-            bowl(-50.0)(ts, dt) // collides everywhere near the bowl centre
-        };
-        let (first, second) = evaluator.eval_pair((20.0, 10.0), (21.0, 10.0)).unwrap();
-        assert!(matches!(first.outcome, EvalOutcome::SpvCollision { .. }));
-        assert!(second.is_none(), "second probe must be skipped after a collision");
-        assert_eq!(calls, vec![(20.0, 10.0)]);
-    }
-
-    /// A paired evaluator that always simulates both probes (as the lockstep
-    /// batch runner does) but honors the discard contract. The search report
-    /// must be indistinguishable from the sequential closure path.
-    struct PairedBowl<'a> {
-        floor: f64,
-        pairs: &'a std::cell::Cell<usize>,
-    }
-
-    impl ProbeEvaluator for PairedBowl<'_> {
-        fn eval(&mut self, ts: f64, dt: f64) -> Result<Evaluation, FuzzError> {
-            bowl(self.floor)(ts, dt)
-        }
-
-        fn eval_pair(
-            &mut self,
-            a: (f64, f64),
-            b: (f64, f64),
-        ) -> Result<(Evaluation, Option<Evaluation>), FuzzError> {
-            self.pairs.set(self.pairs.get() + 1);
-            let first = self.eval(a.0, a.1)?;
-            let second = self.eval(b.0, b.1)?; // always simulated
-            if matches!(first.outcome, EvalOutcome::SpvCollision { .. }) {
-                return Ok((first, None)); // ...but discarded on first success
-            }
-            Ok((first, Some(second)))
-        }
-    }
-
-    #[test]
-    fn paired_evaluator_reports_identically_to_sequential() {
-        for floor in [-2.0, 1.5, 0.5] {
-            for initial in [(5.0, 3.0), (18.0, 9.0), (100.0, 60.0)] {
-                let pairs = std::cell::Cell::new(0usize);
-                let batched = gradient_search(
-                    PairedBowl { floor, pairs: &pairs },
-                    initial,
-                    40,
-                    200.0,
-                    &GradientConfig::default(),
-                )
-                .unwrap();
-                let sequential =
-                    gradient_search(bowl(floor), initial, 40, 200.0, &GradientConfig::default())
-                        .unwrap();
-                assert_eq!(batched, sequential, "floor={floor} initial={initial:?}");
-                if batched.evaluations >= 3 {
-                    assert!(pairs.get() > 0, "fd probes must route through eval_pair");
-                }
-            }
-        }
     }
 }

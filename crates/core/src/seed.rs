@@ -4,12 +4,11 @@
 //! and the spoofing direction `<T-V, θ>`. The continuous spoofing window
 //! `(t_s, Δt)` is found per seed by the search stage.
 
-use serde::{Deserialize, Serialize};
 use swarm_sim::spoof::{SpoofDirection, WaveformKind};
 use swarm_sim::DroneId;
 
 /// One fuzzing seed `<T-V, θ>`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Seed {
     /// The drone whose GPS will be spoofed.
     pub target: DroneId,
@@ -50,7 +49,7 @@ impl std::fmt::Display for Seed {
 }
 
 /// An ordered pool of seeds, most promising first.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Seedpool {
     seeds: Vec<Seed>,
 }

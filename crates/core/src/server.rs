@@ -799,15 +799,11 @@ pub struct ExecutorOptions {
     pub max_retries: usize,
     /// Snapshot-and-fork execution (fresh cache per job, as a direct run).
     pub snapshot: bool,
-    /// Constant-offset seeds through the `AttackModel` trait object.
-    pub constant_via_trait: bool,
-    /// Lockstep finite-difference probe pairs.
-    pub batch: bool,
 }
 
 impl Default for ExecutorOptions {
     fn default() -> Self {
-        ExecutorOptions { max_retries: 1, snapshot: true, constant_via_trait: false, batch: false }
+        ExecutorOptions { max_retries: 1, snapshot: true }
     }
 }
 
@@ -829,11 +825,7 @@ where
         let controller = controller.clone();
         let base_seed = spec.campaign.base_seed;
         let cache = options.snapshot.then(SnapshotCache::new);
-        let profile = ExecutionProfile {
-            max_retries: options.max_retries,
-            constant_via_trait: options.constant_via_trait,
-            batch: options.batch,
-        };
+        let profile = ExecutionProfile { max_retries: options.max_retries };
         Arc::new(InProcessExecutor::new(
             base_seed,
             move |deviation| Fuzzer::new(controller.clone(), spec.fuzzer_config(deviation)),

@@ -20,7 +20,6 @@
 //!    influence many others); PageRank on the transposed SVG scores
 //!    *victims* (drones influenced by many others).
 
-use serde::{Deserialize, Serialize};
 use swarm_graph::centrality::{eigenvector, pagerank, weighted_degree, Direction, PageRankConfig};
 use swarm_graph::paths::{betweenness, closeness};
 use swarm_graph::DiGraph;
@@ -44,7 +43,7 @@ pub const INFLUENCE_EPSILON: f64 = 1e-4;
 /// The paper chooses PageRank (§IV-B) for its handling of multi-hop
 /// influence; the alternatives exist for the centrality-ablation experiment
 /// that backs that choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CentralityKind {
     /// PageRank via power iteration (the paper's choice).
     #[default]

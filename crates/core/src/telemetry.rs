@@ -123,17 +123,11 @@ pub enum Counter {
     /// Physics steps *not* re-simulated thanks to forking (the prefix length
     /// of every fork hit).
     PrefixStepsSaved,
-    /// Finite-difference probe pairs simulated in lockstep through the
-    /// batch runner (two missions each).
-    BatchedPairs,
-    /// Batched second-probe missions whose result was discarded because the
-    /// first probe of the pair already found a collision.
-    BatchedDiscards,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 16] = [
         Counter::MissionsRun,
         Counter::Evaluations,
         Counter::SpvFound,
@@ -150,8 +144,6 @@ impl Counter {
         Counter::ForkHits,
         Counter::ForkMisses,
         Counter::PrefixStepsSaved,
-        Counter::BatchedPairs,
-        Counter::BatchedDiscards,
     ];
 
     /// Stable snake_case name used in reports.
@@ -173,8 +165,6 @@ impl Counter {
             Counter::ForkHits => "fork_hits",
             Counter::ForkMisses => "fork_misses",
             Counter::PrefixStepsSaved => "prefix_steps_saved",
-            Counter::BatchedPairs => "batched_pairs",
-            Counter::BatchedDiscards => "batched_discards",
         }
     }
 }

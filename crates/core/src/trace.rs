@@ -182,10 +182,6 @@ pub enum TraceEvent {
         /// `None` = snapshots off — execution detail, stripped by
         /// [`TraceEvent::strip_execution`].
         fork: Option<bool>,
-        /// `Some(true)` = simulated as one lane of a lockstep probe pair
-        /// (`--batch on`), `None` = standalone mission — execution detail,
-        /// stripped by [`TraceEvent::strip_execution`].
-        batched: Option<bool>,
     },
     /// One projected gradient-descent update (after clamping).
     GradientStep {
@@ -275,10 +271,7 @@ impl TraceEvent {
     /// Everything else is pure search semantics and must be identical.
     pub fn strip_execution(&mut self) {
         match self {
-            TraceEvent::Probe { fork, batched, .. } => {
-                *fork = None;
-                *batched = None;
-            }
+            TraceEvent::Probe { fork, .. } => *fork = None,
             TraceEvent::BaselineDone { snapshots, stride, .. } => {
                 *snapshots = 0;
                 *stride = 0;
@@ -349,7 +342,7 @@ pub fn encode_record(record: &TraceRecord) -> String {
             store::push_json_string(&mut out, waveform);
             out.push_str(&format!(",\"budget\":{budget}"));
         }
-        TraceEvent::Probe { ts, dt, shape, value, success, fork, batched } => {
+        TraceEvent::Probe { ts, dt, shape, value, success, fork } => {
             store::push_field_f64(&mut out, "ts", *ts);
             store::push_field_f64(&mut out, "dt", *dt);
             if let Some(shape) = shape {
@@ -359,9 +352,6 @@ pub fn encode_record(record: &TraceRecord) -> String {
             out.push_str(&format!(",\"success\":{success}"));
             if let Some(fork) = fork {
                 out.push_str(&format!(",\"fork\":{fork}"));
-            }
-            if let Some(batched) = batched {
-                out.push_str(&format!(",\"batched\":{batched}"));
             }
         }
         TraceEvent::GradientStep { g_ts, g_dt, ts, dt } => {
@@ -491,7 +481,6 @@ pub fn decode_record(line: &str) -> Result<TraceRecord, String> {
             value: need_f64(&v, "value")?,
             success: need_bool(&v, "success")?,
             fork: v.get("fork").and_then(Json::boolean),
-            batched: v.get("batched").and_then(Json::boolean),
         },
         "gradient_step" => TraceEvent::GradientStep {
             g_ts: need_f64(&v, "g_ts")?,
@@ -1058,7 +1047,6 @@ mod tests {
                 value: f64::INFINITY,
                 success: false,
                 fork: Some(true),
-                batched: Some(true),
             },
             TraceEvent::Probe {
                 ts: 0.0,
@@ -1067,7 +1055,6 @@ mod tests {
                 value: -0.5,
                 success: true,
                 fork: None,
-                batched: None,
             },
             TraceEvent::GradientStep { g_ts: -0.25, g_dt: 0.5, ts: 11.0, dt: 9.5 },
             TraceEvent::SeedDone {
@@ -1127,7 +1114,6 @@ mod tests {
         let text: String = records.iter().map(encode_record).collect();
         let canonical = canonical_ndjson(&text).unwrap();
         assert!(!canonical.contains("\"fork\""));
-        assert!(!canonical.contains("\"batched\""));
         assert!(canonical.contains("\"snapshots\":0,\"stride\":0"));
         // Canonicalizing is idempotent.
         assert_eq!(canonical_ndjson(&canonical).unwrap(), canonical);

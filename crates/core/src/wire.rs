@@ -218,15 +218,12 @@ pub fn serve_connection(
         };
         match msg {
             ClientMsg::Submit { tenant, weight, spec } => {
-                let submitted = server.submit(&tenant, &spec).or_else(|e| {
-                    if matches!(e, ServerError::UnknownTenant(_)) {
-                        // First contact: register, then retry once.
-                        server.register_tenant(&tenant, weight)?;
-                        server.submit(&tenant, &spec)
-                    } else {
-                        Err(e)
-                    }
-                });
+                // Register before submitting: a known tenant keeps its weight,
+                // and concurrent first contacts cannot refuse one another.
+                let submitted = match server.register_tenant(&tenant, weight) {
+                    Ok(()) | Err(ServerError::DuplicateTenant(_)) => server.submit(&tenant, &spec),
+                    Err(e) => Err(e),
+                };
                 match submitted {
                     Ok(job) => match server.status(job) {
                         Ok(status) => write_line(&mut writer, &encode_accepted(job, &status))?,

@@ -1,12 +1,10 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node in a [`DiGraph`] (dense, `0..node_count`).
 pub type NodeId = usize;
 
 /// A weighted directed edge `from -> to`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Source node.
     pub from: NodeId,
@@ -52,7 +50,7 @@ impl std::error::Error for GraphError {}
 /// Nodes are created up front (`DiGraph::new(n)`) because the SVG always has
 /// exactly one node per swarm member. Parallel edges are merged by summing
 /// weights, matching how repeated influence accumulates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiGraph {
     node_count: usize,
     /// Outgoing adjacency: `out[u]` = list of `(v, w)` for edges `u -> v`.

@@ -5,8 +5,6 @@
 //! rate curves of Fig. 6a–c, and the online trackers feed the mission
 //! recorder in `swarm-sim`.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean of a slice. Returns `None` for an empty slice.
 ///
 /// ```
@@ -84,7 +82,7 @@ pub fn min_max(xs: &[f64]) -> Option<(f64, f64)> {
 /// assert_eq!(cdf.eval(2.0), 0.5);
 /// assert_eq!(cdf.eval(100.0), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -169,7 +167,7 @@ pub fn cumulative_rate_by_threshold(
 
 /// Incrementally tracks the minimum of a stream of values and the time at
 /// which it occurred. Used for VDO (victim's closest distance to obstacle).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineMin {
     best: f64,
     at: f64,
@@ -210,7 +208,7 @@ impl Default for OnlineMin {
 
 /// Incrementally tracks the mean of a stream (Welford-free: simple sum/count,
 /// fine for the magnitudes involved here).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineMean {
     sum: f64,
     count: u64,
@@ -276,7 +274,7 @@ pub fn log_bucket_bounds(index: usize) -> (u64, u64) {
 /// and count, and quantile estimates good to a factor of two — the standard
 /// shape for telemetry, where tail *magnitude* matters and 5% precision does
 /// not.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     counts: [u64; LOG_HISTOGRAM_BUCKETS],
     total: u128,

@@ -2,8 +2,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A 2-dimensional vector of `f64` for planar geometry (the paper's missions
 /// and spoofing offsets are horizontal).
 ///
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// let v = Vec2::new(1.0, 0.0);
 /// assert_eq!(v.perp(), Vec2::new(0.0, 1.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// Component along the mission axis.
     pub x: f64,

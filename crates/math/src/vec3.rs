@@ -2,8 +2,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Index, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::Vec2;
 
 /// A 3-dimensional vector of `f64`, used throughout the workspace for
@@ -19,7 +17,7 @@ use crate::Vec2;
 /// assert_eq!(v.norm(), 5.0);
 /// assert_eq!(v.normalized().norm(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// Component along the mission axis.
     pub x: f64,

@@ -16,14 +16,13 @@ use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
 
 use crate::spatial::SpatialGrid;
 use crate::{DroneId, SimError};
 
 /// Configuration of the communication bus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommsConfig {
     /// Delivery delay in whole control ticks (0 = delivered the same tick).
     pub delay_ticks: usize,
@@ -40,7 +39,7 @@ impl Default for CommsConfig {
 }
 
 /// A state broadcast from one swarm member.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateMessage {
     /// The broadcasting drone.
     pub sender: DroneId,

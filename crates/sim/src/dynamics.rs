@@ -16,16 +16,14 @@
 //! Both implement [`Dynamics`], so the simulation runner is generic over the
 //! model.
 
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
 
 use crate::pid::{Pid, PidConfig};
-use crate::soa::SoaState;
 
 /// Physical parameters shared by all dynamics models.
 ///
 /// Defaults match SwarmLab's stock quadcopter (mass 0.296 kg).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DroneParams {
     /// Vehicle mass in kilograms.
     pub mass: f64,
@@ -55,7 +53,7 @@ impl Default for DroneParams {
 }
 
 /// Full kinematic state of a drone.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DroneState {
     /// Position in metres (world frame).
     pub position: Vec3,
@@ -79,39 +77,6 @@ pub trait Dynamics {
 
     /// Clears internal controller state (integrators, filters).
     fn reset(&mut self);
-
-    /// Advances every *alive* drone one physics step over SoA columns
-    /// (`models[d]` owns drone `d`'s internal state). Also records the
-    /// realized acceleration `(v' − v) / dt` in the scratch columns.
-    ///
-    /// The default implementation gathers each drone's state from the
-    /// columns, delegates to [`Dynamics::step`] and scatters the result back
-    /// in index order — bit-identical to the scalar loop by construction, and
-    /// correct for any stateful model. Models with closed-form per-drone
-    /// arithmetic (see [`PointMass`]) override it with a dense column kernel
-    /// that evaluates the *same expression tree*, which is what keeps the
-    /// override bit-identical (pinned by `batch_kernel_matches_scalar_step`).
-    fn step_batch(
-        models: &mut [Self],
-        soa: &mut SoaState,
-        commanded: &[Vec3],
-        alive: &[bool],
-        dt: f64,
-    ) where
-        Self: Sized,
-    {
-        for (d, model) in models.iter_mut().enumerate() {
-            if !alive[d] {
-                continue;
-            }
-            let prev_velocity = soa.velocity(d);
-            let next = model.step(&soa.drone_state(d), commanded[d], dt);
-            soa.set_drone_state(d, next);
-            soa.accx[d] = (next.velocity.x - prev_velocity.x) / dt;
-            soa.accy[d] = (next.velocity.y - prev_velocity.y) / dt;
-            soa.accz[d] = (next.velocity.z - prev_velocity.z) / dt;
-        }
-    }
 }
 
 /// Velocity-tracking point-mass dynamics (SwarmLab's default model).
@@ -119,7 +84,7 @@ pub trait Dynamics {
 /// Acceleration is `(v_cmd − v) / τ`, clamped at `max_accel`, with linear
 /// drag; velocity is clamped at `max_speed`. Integration is semi-implicit
 /// Euler (see [`swarm_math::integrate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointMass {
     params: DroneParams,
 }
@@ -154,45 +119,10 @@ impl Dynamics for PointMass {
     }
 
     fn reset(&mut self) {}
-
-    /// Dense column kernel: stateless per drone, so the whole swarm advances
-    /// in one pass over the columns with no AoS gather/scatter. The body is
-    /// the exact expression tree of [`PointMass::step`], drone by drone in
-    /// index order — see the trait doc for why that guarantees bit-identity.
-    fn step_batch(
-        models: &mut [Self],
-        soa: &mut SoaState,
-        commanded: &[Vec3],
-        alive: &[bool],
-        dt: f64,
-    ) {
-        for d in 0..soa.len() {
-            if !alive[d] {
-                continue;
-            }
-            let p = models[d].params;
-            let state_velocity = soa.velocity(d);
-            let cmd = commanded[d].clamp_norm(p.max_speed);
-            let accel = ((cmd - state_velocity) / p.velocity_time_constant).clamp_norm(p.max_accel)
-                - state_velocity * p.drag;
-            let velocity = (state_velocity + accel * dt).clamp_norm(p.max_speed);
-            let position = soa.position(d) + velocity * dt;
-            soa.set_position(d, position);
-            soa.vx[d] = velocity.x;
-            soa.vy[d] = velocity.y;
-            soa.vz[d] = velocity.z;
-            soa.attx[d] = 0.0;
-            soa.atty[d] = 0.0;
-            soa.attz[d] = 0.0;
-            soa.accx[d] = (velocity.x - state_velocity.x) / dt;
-            soa.accy[d] = (velocity.y - state_velocity.y) / dt;
-            soa.accz[d] = (velocity.z - state_velocity.z) / dt;
-        }
-    }
 }
 
 /// Parameters specific to the cascaded quadrotor model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuadrotorParams {
     /// Shared physical parameters.
     pub drone: DroneParams,
@@ -228,7 +158,7 @@ impl Default for QuadrotorParams {
 /// roll/pitch (yaw held at zero). The attitude follows the command through a
 /// first-order lag, and the realized thrust (body-z) plus gravity drives the
 /// translation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quadrotor {
     params: QuadrotorParams,
     pid_x: Pid,
@@ -381,90 +311,6 @@ mod tests {
             assert!(s.attitude.x.abs() <= m.params().max_tilt + 1e-9);
             assert!(s.attitude.y.abs() <= m.params().max_tilt + 1e-9);
         }
-    }
-
-    #[test]
-    fn batch_kernel_matches_scalar_step_bitwise() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = StdRng::seed_from_u64(0xBA7C);
-        let v3 = |rng: &mut StdRng, scale: f64| {
-            Vec3::new(
-                rng.gen_range(-scale..scale),
-                rng.gen_range(-scale..scale),
-                rng.gen_range(-scale..scale),
-            )
-        };
-        for case in 0..64 {
-            let n = rng.gen_range(1usize..40);
-            let states: Vec<DroneState> = (0..n)
-                .map(|_| DroneState {
-                    position: v3(&mut rng, 100.0),
-                    velocity: v3(&mut rng, 10.0),
-                    attitude: Vec3::ZERO,
-                })
-                .collect();
-            let commanded: Vec<Vec3> = (0..n).map(|_| v3(&mut rng, 20.0)).collect();
-            let alive: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.85)).collect();
-            let dt = 0.01;
-
-            // Scalar reference: the AoS per-drone loop.
-            let mut scalar = states.clone();
-            let mut model = PointMass::default();
-            for d in 0..n {
-                if alive[d] {
-                    scalar[d] = model.step(&scalar[d], commanded[d], dt);
-                }
-            }
-
-            // Column kernel over the same inputs.
-            let gps = vec![crate::sensors::GpsReceiver::new(Default::default()); n];
-            let mut soa = SoaState::load(&states, &gps);
-            let mut models = vec![PointMass::default(); n];
-            PointMass::step_batch(&mut models, &mut soa, &commanded, &alive, dt);
-
-            for (d, expected) in scalar.iter().enumerate() {
-                let got = soa.drone_state(d);
-                assert_eq!(
-                    got.position.x.to_bits(),
-                    expected.position.x.to_bits(),
-                    "case {case} drone {d} position.x diverged"
-                );
-                assert_eq!(got, *expected, "case {case} drone {d} state diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn default_step_batch_advances_stateful_models_like_the_scalar_loop() {
-        // The quadrotor uses the default gather/scatter path; its PID
-        // internals must evolve exactly as in the per-drone loop.
-        let n = 4;
-        let states: Vec<DroneState> =
-            (0..n).map(|d| DroneState::at(Vec3::new(d as f64, 0.0, 10.0))).collect();
-        let commanded: Vec<Vec3> = (0..n).map(|d| Vec3::new(1.0 + d as f64, -0.5, 0.2)).collect();
-        let alive = vec![true, true, false, true];
-        let dt = 0.01;
-
-        let mut scalar = states.clone();
-        let mut scalar_models: Vec<Quadrotor> = (0..n).map(|_| Quadrotor::default()).collect();
-        let gps = vec![crate::sensors::GpsReceiver::new(Default::default()); n];
-        let mut soa = SoaState::load(&states, &gps);
-        let mut batch_models: Vec<Quadrotor> = (0..n).map(|_| Quadrotor::default()).collect();
-
-        for _ in 0..50 {
-            for d in 0..n {
-                if alive[d] {
-                    scalar[d] = scalar_models[d].step(&scalar[d], commanded[d], dt);
-                }
-            }
-            Quadrotor::step_batch(&mut batch_models, &mut soa, &commanded, &alive, dt);
-        }
-        for (d, expected) in scalar.iter().enumerate() {
-            assert_eq!(soa.drone_state(d), *expected, "drone {d} state diverged");
-        }
-        assert_eq!(scalar_models, batch_models, "PID internals diverged");
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! is exactly the innovation monitor of `swarmfuzz::defense` acting on the
 //! estimate instead of raising an alarm.
 
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
 
 /// Gains and gating for the α-β tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorConfig {
     /// Position correction gain α ∈ (0, 1].
     pub alpha: f64,
@@ -31,7 +30,7 @@ impl Default for EstimatorConfig {
 }
 
 /// An α-β position/velocity tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaBeta {
     config: EstimatorConfig,
     position: Vec3,
@@ -96,25 +95,6 @@ impl AlphaBeta {
     /// Number of gated-out measurements.
     pub fn rejected(&self) -> usize {
         self.rejected
-    }
-
-    /// Feeds one measurement per tracker in fixed index order, writing the
-    /// filtered position estimates into `out`.
-    ///
-    /// This is the column-sweep companion to [`AlphaBeta::update`] for
-    /// batched (structure-of-arrays) stepping: each lane runs the exact
-    /// scalar update, so results are bit-identical to per-tracker calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ, or if `time` is not strictly
-    /// increasing for any tracker.
-    pub fn update_batch(filters: &mut [AlphaBeta], measured: &[Vec3], time: f64, out: &mut [Vec3]) {
-        assert_eq!(filters.len(), measured.len(), "one measurement per tracker");
-        assert_eq!(filters.len(), out.len(), "one output slot per tracker");
-        for ((f, &m), slot) in filters.iter_mut().zip(measured).zip(out) {
-            *slot = f.update(m, time);
-        }
     }
 }
 
@@ -183,27 +163,6 @@ mod tests {
         }
         assert!(f.position().y > 2.5, "small spoof converges into the estimate");
         assert_eq!(f.rejected(), 0);
-    }
-
-    #[test]
-    fn batched_update_matches_sequential_bitwise() {
-        let cfg = EstimatorConfig { gate: Some(5.0), ..Default::default() };
-        let mut batched: Vec<AlphaBeta> = (0..4).map(|_| AlphaBeta::new(cfg)).collect();
-        let mut sequential = batched.clone();
-        let mut out = vec![Vec3::ZERO; 4];
-        for i in 0..60 {
-            let t = i as f64 * 0.1;
-            let measured: Vec<Vec3> =
-                (0..4).map(|d| Vec3::new(2.0 * t + d as f64, (d as f64) * t * 0.3, 10.0)).collect();
-            AlphaBeta::update_batch(&mut batched, &measured, t, &mut out);
-            for (d, f) in sequential.iter_mut().enumerate() {
-                let want = f.update(measured[d], t);
-                assert_eq!(want.x.to_bits(), out[d].x.to_bits());
-                assert_eq!(want.y.to_bits(), out[d].y.to_bits());
-                assert_eq!(want.z.to_bits(), out[d].z.to_bits());
-            }
-        }
-        assert_eq!(batched, sequential);
     }
 
     #[test]

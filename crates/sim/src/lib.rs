@@ -58,7 +58,6 @@ pub mod render;
 pub mod runner;
 pub mod scenario;
 pub mod sensors;
-pub mod soa;
 pub mod spatial;
 pub mod spoof;
 pub mod wind;
@@ -66,21 +65,18 @@ pub mod world;
 
 pub use error::SimError;
 pub use runner::{
-    BatchJob, BatchRunner, ControlBatch, ControlContext, ControlLane, MissionOutcome,
-    NeighborState, PerceivedSelf, RunStats, SimConfig, SimObserver, SimSnapshot, Simulation,
-    StateLayout, SwarmController,
+    ControlContext, MissionOutcome, NeighborState, PerceivedSelf, RunStats, SimConfig, SimObserver,
+    SimSnapshot, Simulation, SwarmController,
 };
-pub use soa::SoaState;
 pub use spatial::{SpatialGrid, SpatialPolicy, GRID_AUTO_THRESHOLD};
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a drone within a swarm (dense, `0..swarm_size`).
 ///
 /// A newtype rather than a bare `usize` so drone ids, graph node ids and
 /// array indices cannot be silently confused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DroneId(pub usize);
 
 impl DroneId {
@@ -103,7 +99,7 @@ impl fmt::Display for DroneId {
 }
 
 /// A collision observed during a mission.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollisionEvent {
     /// Simulation time of the collision in seconds.
     pub time: f64,
@@ -112,7 +108,7 @@ pub struct CollisionEvent {
 }
 
 /// The kind of collision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CollisionKind {
     /// A drone hit an obstacle.
     DroneObstacle {

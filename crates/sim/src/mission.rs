@@ -9,7 +9,6 @@
 //! from a 0–50 m box.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use swarm_math::rng::{derive_seed, rng_for, streams};
 use swarm_math::{Vec2, Vec3};
 
@@ -46,7 +45,7 @@ pub fn ticks_per(span: f64, physics_dt: f64) -> usize {
 pub const CRUISE_ALTITUDE: f64 = 10.0;
 
 /// A complete description of one swarm mission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionSpec {
     /// Number of drones in the swarm.
     pub swarm_size: usize,

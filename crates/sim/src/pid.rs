@@ -3,10 +3,8 @@
 //! SwarmLab's drones track commanded velocities through PID loops; the
 //! [`crate::dynamics`] models reuse this implementation per axis.
 
-use serde::{Deserialize, Serialize};
-
 /// PID gains and output limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PidConfig {
     /// Proportional gain.
     pub kp: f64,
@@ -35,7 +33,7 @@ impl Default for PidConfig {
 /// let u = pid.update(1.5, 0.01);
 /// assert_eq!(u, 3.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pid {
     config: PidConfig,
     integral: f64,

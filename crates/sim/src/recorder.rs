@@ -7,14 +7,13 @@
 //! needs the time `t_clo` of the smallest average inter-drone distance, where
 //! the SVG is constructed.
 
-use serde::{Deserialize, Serialize};
 use swarm_math::stats::{OnlineMean, OnlineMin};
 use swarm_math::Vec3;
 
 use crate::{CollisionEvent, DroneId};
 
 /// A full recording of one mission, sampled at the control rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionRecord {
     swarm_size: usize,
     /// Sampling period of the recording in seconds (= control period).

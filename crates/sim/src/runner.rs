@@ -29,8 +29,7 @@ use crate::comms::{CommsBus, StateMessage};
 use crate::dynamics::{DroneState, Dynamics, PointMass};
 use crate::mission::MissionSpec;
 use crate::recorder::MissionRecord;
-use crate::sensors::{sample_fix, GpsReceiver};
-use crate::soa::SoaState;
+use crate::sensors::GpsReceiver;
 use crate::spatial::{SpatialGrid, SpatialPolicy};
 use crate::spoof::AttackModel;
 use crate::wind::Wind;
@@ -79,57 +78,6 @@ pub struct ControlContext<'a> {
     pub time: f64,
 }
 
-/// One drone's slot in a batched control evaluation: its perceived self
-/// state plus a window into the tick's shared neighbor pool.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ControlLane {
-    /// The drone being controlled.
-    pub id: DroneId,
-    /// Its own perceived (GPS-derived) state.
-    pub self_state: PerceivedSelf,
-    /// Start of this lane's neighbor window in [`ControlBatch::neighbors`].
-    pub neighbors_start: usize,
-    /// Length of this lane's neighbor window.
-    pub neighbors_len: usize,
-}
-
-/// One control tick's worth of per-drone contexts in CSR layout: all lanes'
-/// neighbor lists live back-to-back in one pool, so a batched controller
-/// kernel walks two dense arrays instead of chasing per-drone buffers.
-///
-/// A batch is semantically exactly the sequence of [`ControlContext`]s the
-/// scalar loop would have built, in drone index order (dead drones and
-/// drones without a GPS fix have no lane, matching the scalar loop's
-/// `continue`s).
-#[derive(Debug)]
-pub struct ControlBatch<'a> {
-    /// One lane per alive, fix-holding drone, in drone index order.
-    pub lanes: &'a [ControlLane],
-    /// The shared neighbor pool; each lane owns a contiguous window.
-    pub neighbors: &'a [NeighborState],
-    /// The static environment.
-    pub world: &'a World,
-    /// Mission destination.
-    pub destination: Vec3,
-    /// Current simulation time in seconds.
-    pub time: f64,
-}
-
-impl ControlBatch<'_> {
-    /// Reconstructs the scalar [`ControlContext`] of one lane.
-    pub fn context(&self, lane: &ControlLane) -> ControlContext<'_> {
-        ControlContext {
-            id: lane.id,
-            self_state: lane.self_state,
-            neighbors: &self.neighbors
-                [lane.neighbors_start..lane.neighbors_start + lane.neighbors_len],
-            world: self.world,
-            destination: self.destination,
-            time: self.time,
-        }
-    }
-}
-
 /// A decentralized swarm control algorithm.
 ///
 /// Implementations must be pure functions of the context (all mutable state,
@@ -138,37 +86,11 @@ impl ControlBatch<'_> {
 pub trait SwarmController: Sync {
     /// The velocity command for one drone at one control tick.
     fn desired_velocity(&self, ctx: &ControlContext<'_>) -> Vec3;
-
-    /// Evaluates a whole control tick of lanes into `out` (one command per
-    /// lane, lane order).
-    ///
-    /// The default walks the lanes through the scalar entry point in one
-    /// monomorphized loop — correct for every controller and bit-identical
-    /// to per-drone calls by construction. Overrides may restructure the
-    /// loop (hoist parameter loads, keep term accumulators in registers) but
-    /// MUST evaluate the same floating-point expression tree per lane in
-    /// lane order; `tests/soa_equivalence.rs` enforces this differentially
-    /// against the scalar path over whole missions.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may assume (and the default asserts) that `out` has
-    /// exactly one slot per lane.
-    fn desired_velocity_batch(&self, batch: &ControlBatch<'_>, out: &mut [Vec3]) {
-        assert_eq!(out.len(), batch.lanes.len(), "output must have one slot per lane");
-        for (lane, slot) in batch.lanes.iter().zip(out) {
-            *slot = self.desired_velocity(&batch.context(lane));
-        }
-    }
 }
 
 impl<T: SwarmController + ?Sized> SwarmController for &T {
     fn desired_velocity(&self, ctx: &ControlContext<'_>) -> Vec3 {
         (**self).desired_velocity(ctx)
-    }
-
-    fn desired_velocity_batch(&self, batch: &ControlBatch<'_>, out: &mut [Vec3]) {
-        (**self).desired_velocity_batch(batch, out)
     }
 }
 
@@ -209,32 +131,6 @@ pub trait SimObserver: Sync {
     fn on_run_end(&self, stats: &RunStats);
 }
 
-/// Hot-state storage selection for the mission loop.
-///
-/// Both layouts are bit-identical (see `tests/soa_equivalence.rs`); the
-/// choice is purely about speed, exactly like [`SpatialPolicy`]. The AoS
-/// loop remains the semantic reference — per-step snapshot hooks
-/// ([`Simulation::run_observed_with_snapshots`]) always run on it because
-/// they observe the live AoS state, so `ForceSoa` quietly falls back to AoS
-/// for hooked runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StateLayout {
-    /// Structure-of-arrays columns whenever admissible (no per-step hook).
-    #[default]
-    Auto,
-    /// Always the array-of-structs scalar loop.
-    ForceAos,
-    /// Structure-of-arrays columns (still AoS for hooked runs — see above).
-    ForceSoa,
-}
-
-impl StateLayout {
-    /// `true` when un-hooked runs should use the SoA column kernels.
-    pub(crate) fn soa_enabled(self) -> bool {
-        !matches!(self, StateLayout::ForceAos)
-    }
-}
-
 /// Runtime options of the simulation loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -248,9 +144,6 @@ pub struct SimConfig {
     /// on the exact code path the reproduction has always used and switches
     /// large swarms to the (bit-identical) grid pipeline.
     pub spatial: SpatialPolicy,
-    /// Hot-state layout: AoS scalar loop vs SoA column kernels
-    /// (bit-identical; see [`StateLayout`]).
-    pub layout: StateLayout,
 }
 
 impl Default for SimConfig {
@@ -259,7 +152,6 @@ impl Default for SimConfig {
             stop_on_collision: true,
             stop_when_all_arrived: true,
             spatial: SpatialPolicy::Auto,
-            layout: StateLayout::Auto,
         }
     }
 }
@@ -427,8 +319,7 @@ struct SimState<D> {
     broad_anchor: Vec<Vec3>,
 }
 
-/// Per-run constants of the mission loop, hoisted once per run (and shared
-/// across every lane of a [`BatchRunner`]).
+/// Per-run constants of the mission loop, hoisted once per run.
 #[derive(Clone, Copy)]
 struct LoopParams {
     n: usize,
@@ -475,8 +366,8 @@ impl LoopParams {
     }
 }
 
-/// Scratch of the scalar (AoS) step: staging buffers recomputed before every
-/// use plus the two spatial-grid indexes.
+/// Scratch of the mission step: staging buffers recomputed before every use
+/// plus the two spatial-grid indexes.
 ///
 /// The two indexes have different cell sizes and rebuild cadences: the comms
 /// grid (cell = radio range, rebuilt per control tick) accelerates message
@@ -488,7 +379,7 @@ impl LoopParams {
 /// correct for fresh and forked runs alike; the lazy broad phase's
 /// *candidate list* does carry across steps and therefore lives in
 /// [`SimState`].
-struct AosScratch {
+struct StepScratch {
     true_positions: Vec<Vec3>,
     true_velocities: Vec<Vec3>,
     obstacle_distances: Vec<f64>,
@@ -498,41 +389,20 @@ struct AosScratch {
     position_buf: Vec<Vec3>,
 }
 
-/// Scratch of the SoA step: the hot-state columns plus staging buffers and
-/// grids (same roles as in [`AosScratch`]) and the CSR lane buffers fed to
-/// [`SwarmController::desired_velocity_batch`].
-struct SoaScratch {
-    soa: SoaState,
-    true_positions: Vec<Vec3>,
-    true_velocities: Vec<Vec3>,
-    obstacle_distances: Vec<f64>,
-    lanes: Vec<ControlLane>,
-    neighbor_pool: Vec<NeighborState>,
-    lane_out: Vec<Vec3>,
-    comms_grid: Option<SpatialGrid>,
-    proximity_grid: Option<SpatialGrid>,
-    position_buf: Vec<Vec3>,
-}
-
-/// The layout-specific working set of one run.
-///
-/// The variants differ in size (the SoA side carries the column mirror),
-/// but a scratch is allocated once per run/lane and never stored in bulk,
-/// so boxing the large variant would only add a pointer chase to the hot
-/// loop.
-#[allow(clippy::large_enum_variant)]
-enum RunScratch {
-    Aos(AosScratch),
-    Soa(SoaScratch),
-}
-
-impl RunScratch {
-    /// Writes column state back into the canonical AoS state. Must run at
-    /// every loop exit of a SoA-backed run (no-op for AoS) so snapshots and
-    /// final states are layout-independent.
-    fn store_back<D>(&self, st: &mut SimState<D>) {
-        if let RunScratch::Soa(s) = self {
-            s.soa.store(&mut st.states, &mut st.gps);
+impl StepScratch {
+    fn new(p: &LoopParams) -> Self {
+        StepScratch {
+            true_positions: vec![Vec3::ZERO; p.n],
+            true_velocities: vec![Vec3::ZERO; p.n],
+            obstacle_distances: vec![f64::INFINITY; p.n],
+            neighbor_buf: Vec::with_capacity(p.n),
+            comms_grid: p
+                .comms_range
+                .filter(|_| p.grid_on)
+                .map(|range| SpatialGrid::build(&[], range)),
+            proximity_grid: (p.grid_on && p.collision_diameter > 0.0)
+                .then(|| SpatialGrid::build(&[], p.broad_radius)),
+            position_buf: Vec::new(),
         }
     }
 }
@@ -676,7 +546,6 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
     /// not executed and `st.done` stays `false`). `on_step`, when present, is
     /// invoked at the top of every executed iteration — before the step's
     /// GPS sampling — which is exactly the state a [`SimSnapshot`] captures.
-    /// A hook's presence forces the AoS layout (see [`StateLayout`]).
     ///
     /// # Errors
     ///
@@ -695,92 +564,37 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
             return Ok(());
         }
         let p = LoopParams::of(&self.spec, &self.config);
-        let use_soa = on_step.is_none() && self.config.layout.soa_enabled();
-        let mut scratch = self.make_scratch(st, &p, use_soa);
-        let result = loop {
+        let mut scratch = StepScratch::new(&p);
+        loop {
             let step = st.next_step;
             if step > p.steps {
                 st.done = true;
-                break Ok(());
+                return Ok(());
             }
             if let Some(stop) = stop_before {
                 if step >= stop {
-                    break Ok(());
+                    return Ok(());
                 }
             }
             if let Some(hook) = on_step.as_deref_mut() {
                 hook(st, record);
             }
-            match self.step_once(st, record, attack, &mut scratch, &p) {
-                Ok(true) => break Ok(()),
-                Ok(false) => {}
-                Err(e) => break Err(e),
+            if self.step(st, record, attack, &mut scratch, &p)? {
+                return Ok(());
             }
-        };
-        // SoA-backed runs keep the hot state in columns; every exit path
-        // must write them back before the state is observed or snapshotted.
-        scratch.store_back(st);
-        result
-    }
-
-    /// Builds the per-run scratch for the chosen layout, seeding the SoA
-    /// columns from the current (possibly resumed) AoS state.
-    fn make_scratch(&self, st: &SimState<D>, p: &LoopParams, use_soa: bool) -> RunScratch {
-        let comms_grid =
-            p.comms_range.filter(|_| p.grid_on).map(|range| SpatialGrid::build(&[], range));
-        let proximity_grid = (p.grid_on && p.collision_diameter > 0.0)
-            .then(|| SpatialGrid::build(&[], p.broad_radius));
-        if use_soa {
-            RunScratch::Soa(SoaScratch {
-                soa: SoaState::load(&st.states, &st.gps),
-                true_positions: vec![Vec3::ZERO; p.n],
-                true_velocities: vec![Vec3::ZERO; p.n],
-                obstacle_distances: vec![f64::INFINITY; p.n],
-                lanes: Vec::with_capacity(p.n),
-                neighbor_pool: Vec::with_capacity(p.n),
-                lane_out: Vec::with_capacity(p.n),
-                comms_grid,
-                proximity_grid,
-                position_buf: Vec::new(),
-            })
-        } else {
-            RunScratch::Aos(AosScratch {
-                true_positions: vec![Vec3::ZERO; p.n],
-                true_velocities: vec![Vec3::ZERO; p.n],
-                obstacle_distances: vec![f64::INFINITY; p.n],
-                neighbor_buf: Vec::with_capacity(p.n),
-                comms_grid,
-                proximity_grid,
-                position_buf: Vec::new(),
-            })
         }
     }
 
-    /// Executes exactly one physics step (GPS → comms/control → integrate →
-    /// collide) on the layout `scratch` was built for. Returns `Ok(true)`
-    /// when the mission terminated inside the step (`st.done` is set).
-    fn step_once(
+    /// Executes exactly one physics step: GPS sampling, then (at the control
+    /// rate) broadcast, neighbor gather, control and recording, then
+    /// integration and collision detection. Returns `Ok(true)` when the
+    /// mission terminated inside the step (`st.done` is set).
+    fn step(
         &self,
         st: &mut SimState<D>,
         record: &mut MissionRecord,
         attack: Option<&dyn AttackModel>,
-        scratch: &mut RunScratch,
-        p: &LoopParams,
-    ) -> Result<bool, SimError> {
-        match scratch {
-            RunScratch::Aos(s) => self.step_aos(st, record, attack, s, p),
-            RunScratch::Soa(s) => self.step_soa(st, record, attack, s, p),
-        }
-    }
-
-    /// One physics step of the scalar array-of-structs loop — the semantic
-    /// reference every other path must match bit for bit.
-    fn step_aos(
-        &self,
-        st: &mut SimState<D>,
-        record: &mut MissionRecord,
-        attack: Option<&dyn AttackModel>,
-        s: &mut AosScratch,
+        s: &mut StepScratch,
         p: &LoopParams,
     ) -> Result<bool, SimError> {
         let spec = &self.spec;
@@ -796,7 +610,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
             broad_radius,
             ..
         } = p;
-        let AosScratch {
+        let StepScratch {
             true_positions,
             true_velocities,
             obstacle_distances,
@@ -805,289 +619,45 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
             proximity_grid,
             position_buf,
         } = s;
-        {
-            let step = st.next_step;
-            let t = step as f64 * dt;
-            st.stats.sim_time = t;
+        let step = st.next_step;
+        let t = step as f64 * dt;
+        st.stats.sim_time = t;
 
-            // (1) Sensor reads at the GPS rate.
-            if step.is_multiple_of(steps_per_gps) {
-                st.stats.gps_rounds += 1;
-                for d in 0..n {
-                    if !st.alive[d] {
-                        continue;
-                    }
-                    let offset =
-                        attack.and_then(|a| a.offset_at(t, DroneId(d), axis)).unwrap_or(Vec3::ZERO);
-                    st.gps[d].sample(
-                        st.states[d].position,
-                        st.states[d].velocity,
-                        offset,
-                        t,
-                        &mut st.rng_gps,
-                    );
-                }
-            }
-
-            // (2)–(4) Communication and control at the control rate.
-            if step.is_multiple_of(steps_per_control) {
-                st.stats.control_ticks += 1;
-                for d in 0..n {
-                    true_positions[d] = st.states[d].position;
-                    true_velocities[d] = st.states[d].velocity;
-                    obstacle_distances[d] = spec
-                        .world
-                        .nearest_obstacle(st.states[d].position)
-                        .map_or(f64::INFINITY, |(_, dist)| dist);
-                }
-
-                let broadcasts: Vec<StateMessage> = (0..n)
-                    .filter(|&d| st.alive[d])
-                    .filter_map(|d| {
-                        st.gps[d].fix().map(|fix| StateMessage {
-                            sender: DroneId(d),
-                            position: fix.position,
-                            velocity: fix.velocity,
-                            time: t,
-                        })
-                    })
-                    .collect();
-                match (comms_grid, comms_range) {
-                    (Some(grid), Some(range)) => {
-                        grid.rebuild(true_positions, range);
-                        st.stats.grid_rebuilds += 1;
-                        st.stats.grid_cells_scanned += st.bus.step_indexed(
-                            broadcasts,
-                            true_positions,
-                            Some(grid),
-                            &mut st.rng_comms,
-                        )?;
-                    }
-                    _ => {
-                        st.bus.step(broadcasts, true_positions, &mut st.rng_comms)?;
-                    }
-                }
-
-                for d in 0..n {
-                    if !st.alive[d] {
-                        st.commanded[d] = Vec3::ZERO;
-                        continue;
-                    }
-                    let Some(fix) = st.gps[d].fix() else { continue };
-                    neighbor_buf.clear();
-                    for msg in st.bus.neighbors_of(DroneId(d)) {
-                        let age = t - msg.time;
-                        if age <= spec.max_neighbor_age {
-                            neighbor_buf.push(NeighborState {
-                                id: msg.sender,
-                                position: msg.position,
-                                velocity: msg.velocity,
-                                age,
-                            });
-                        }
-                    }
-                    let ctx = ControlContext {
-                        id: DroneId(d),
-                        self_state: PerceivedSelf {
-                            position: fix.position,
-                            velocity: fix.velocity,
-                        },
-                        neighbors: neighbor_buf,
-                        world: &spec.world,
-                        destination: spec.destination,
-                        time: t,
-                    };
-                    st.commanded[d] = self.controller.desired_velocity(&ctx);
-                }
-
-                record.push_sample(t, true_positions, true_velocities, obstacle_distances);
-
-                for d in 0..n {
-                    if st.alive[d]
-                        && st.states[d].position.distance(spec.destination) <= spec.arrival_radius
-                    {
-                        record.mark_arrival(DroneId(d), t);
-                    }
-                }
-                if self.config.stop_when_all_arrived && record.all_arrived() {
-                    st.done = true;
-                    return Ok(true);
-                }
-            }
-
-            // Physics integration (plus kinematic wind drift, if any).
-            let wind_velocity =
-                if spec.wind.is_calm() { Vec3::ZERO } else { st.wind.sample(dt, &mut st.rng_wind) };
-            st.stats.physics_steps += 1;
-            for d in 0..n {
-                if st.alive[d] {
-                    st.states[d] = st.dynamics[d].step(&st.states[d], st.commanded[d], dt);
-                    if wind_velocity != Vec3::ZERO {
-                        st.states[d].position += wind_velocity * dt;
-                    }
-                }
-            }
-
-            // Collision detection on true states.
-            let t_next = t + dt;
-            let mut collided = false;
+        // (1) Sensor reads at the GPS rate.
+        if step.is_multiple_of(steps_per_gps) {
+            st.stats.gps_rounds += 1;
             for d in 0..n {
                 if !st.alive[d] {
                     continue;
                 }
-                if let Some((obstacle, dist)) = spec.world.nearest_obstacle(st.states[d].position) {
-                    if dist <= spec.drone.radius {
-                        record.push_collision(CollisionEvent {
-                            time: t_next,
-                            kind: CollisionKind::DroneObstacle { drone: DroneId(d), obstacle },
-                        });
-                        st.alive[d] = false;
-                        collided = true;
-                    }
-                }
-            }
-            // Drone–drone collisions. The grid broad phase yields the
-            // lex-sorted superset of candidate pairs, so the exact 3-D
-            // narrow-phase test below visits passing pairs in the same
-            // (i, j) order as the brute-force scan — including the mid-scan
-            // `alive` mutations.
-            let states = &st.states;
-            let check_pair = |i: usize,
-                              j: usize,
-                              alive: &mut [bool],
-                              record: &mut MissionRecord,
-                              collided: &mut bool| {
-                if alive[i]
-                    && alive[j]
-                    && states[i].position.distance(states[j].position) <= collision_diameter
-                {
-                    record.push_collision(CollisionEvent {
-                        time: t_next,
-                        kind: CollisionKind::DroneDrone { first: DroneId(i), second: DroneId(j) },
-                    });
-                    alive[i] = false;
-                    alive[j] = false;
-                    *collided = true;
-                }
-            };
-            if let Some(grid) = proximity_grid {
-                // Lazy broad phase: re-index only once some drone has
-                // drifted more than slack/2 from its indexed position; the
-                // inflated query radius keeps the cached candidate list a
-                // superset of all truly colliding pairs until then (for any
-                // dynamics model or wind — the guard measures actual
-                // displacement). The narrow-phase check always uses current
-                // positions, so results match a per-step rebuild exactly.
-                let guard = broad_slack * broad_slack / 4.0;
-                let stale = st.broad_anchor.len() != n
-                    || states
-                        .iter()
-                        .zip(&st.broad_anchor)
-                        .any(|(s, a)| s.position.distance_squared(*a) > guard);
-                if stale {
-                    position_buf.clear();
-                    position_buf.extend(states.iter().map(|s| s.position));
-                    grid.rebuild(position_buf, broad_radius);
-                    st.stats.grid_rebuilds += 1;
-                    st.stats.grid_cells_scanned += grid.close_pairs(broad_radius, &mut st.pair_buf);
-                    st.broad_anchor.clear();
-                    st.broad_anchor.extend_from_slice(position_buf);
-                }
-                for &(a, b) in &st.pair_buf {
-                    check_pair(a.index(), b.index(), &mut st.alive, record, &mut collided);
-                }
-            } else {
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        check_pair(i, j, &mut st.alive, record, &mut collided);
-                    }
-                }
-            }
-            if collided && self.config.stop_on_collision {
-                st.done = true;
-                return Ok(true);
-            }
-            st.next_step = step + 1;
-            Ok(false)
-        }
-    }
-
-    /// One physics step over the SoA columns — the batched mirror of
-    /// [`Simulation::step_aos`]. Every phase evaluates the same
-    /// floating-point expression tree as the scalar step in the same drone
-    /// order, so records, RNG positions and stats are bit-identical (see
-    /// `tests/soa_equivalence.rs`).
-    fn step_soa(
-        &self,
-        st: &mut SimState<D>,
-        record: &mut MissionRecord,
-        attack: Option<&dyn AttackModel>,
-        s: &mut SoaScratch,
-        p: &LoopParams,
-    ) -> Result<bool, SimError> {
-        let spec = &self.spec;
-        let step = st.next_step;
-        let t = step as f64 * p.dt;
-        st.stats.sim_time = t;
-
-        // (1) Sensor reads at the GPS rate, over the fix columns.
-        if step.is_multiple_of(p.steps_per_gps) {
-            st.stats.gps_rounds += 1;
-            if attack.is_none() && spec.gps.is_noise_free() && st.alive.iter().all(|&a| a) {
-                // Column fast path: no attack offsets, no noise draws (so the
-                // GPS RNG stays put, like the scalar guards), every receiver
-                // samples. It still evaluates the scalar sampler's
-                // `truth + noise + offset` sums with zero terms rather than
-                // copying the columns: IEEE addition maps -0.0 to +0.0
-                // exactly as the scalar path does.
-                for d in 0..p.n {
-                    s.soa.fpx[d] = s.soa.px[d] + 0.0 + 0.0;
-                    s.soa.fpy[d] = s.soa.py[d] + 0.0 + 0.0;
-                    s.soa.fpz[d] = s.soa.pz[d] + 0.0 + 0.0;
-                }
-                for d in 0..p.n {
-                    s.soa.fvx[d] = s.soa.vx[d] + 0.0;
-                    s.soa.fvy[d] = s.soa.vy[d] + 0.0;
-                    s.soa.fvz[d] = s.soa.vz[d] + 0.0;
-                }
-                s.soa.ftime.fill(t);
-                s.soa.finit.fill(true);
-            } else {
-                for d in 0..p.n {
-                    if !st.alive[d] {
-                        continue;
-                    }
-                    let offset = attack
-                        .and_then(|a| a.offset_at(t, DroneId(d), p.axis))
-                        .unwrap_or(Vec3::ZERO);
-                    let fix = sample_fix(
-                        &spec.gps,
-                        s.soa.position(d),
-                        s.soa.velocity(d),
-                        offset,
-                        t,
-                        &mut st.rng_gps,
-                    );
-                    s.soa.set_fix(d, fix);
-                }
+                let offset =
+                    attack.and_then(|a| a.offset_at(t, DroneId(d), axis)).unwrap_or(Vec3::ZERO);
+                st.gps[d].sample(
+                    st.states[d].position,
+                    st.states[d].velocity,
+                    offset,
+                    t,
+                    &mut st.rng_gps,
+                );
             }
         }
 
         // (2)–(4) Communication and control at the control rate.
-        if step.is_multiple_of(p.steps_per_control) {
+        if step.is_multiple_of(steps_per_control) {
             st.stats.control_ticks += 1;
-            for d in 0..p.n {
-                let pos = s.soa.position(d);
-                s.true_positions[d] = pos;
-                s.true_velocities[d] = s.soa.velocity(d);
-                s.obstacle_distances[d] =
-                    spec.world.nearest_obstacle(pos).map_or(f64::INFINITY, |(_, dist)| dist);
+            for d in 0..n {
+                true_positions[d] = st.states[d].position;
+                true_velocities[d] = st.states[d].velocity;
+                obstacle_distances[d] = spec
+                    .world
+                    .nearest_obstacle(st.states[d].position)
+                    .map_or(f64::INFINITY, |(_, dist)| dist);
             }
 
-            let broadcasts: Vec<StateMessage> = (0..p.n)
+            let broadcasts: Vec<StateMessage> = (0..n)
                 .filter(|&d| st.alive[d])
                 .filter_map(|d| {
-                    s.soa.fix(d).map(|fix| StateMessage {
+                    st.gps[d].fix().map(|fix| StateMessage {
                         sender: DroneId(d),
                         position: fix.position,
                         velocity: fix.velocity,
@@ -1095,38 +665,33 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
                     })
                 })
                 .collect();
-            match (&mut s.comms_grid, p.comms_range) {
+            match (comms_grid, comms_range) {
                 (Some(grid), Some(range)) => {
-                    grid.rebuild(&s.true_positions, range);
+                    grid.rebuild(true_positions, range);
                     st.stats.grid_rebuilds += 1;
                     st.stats.grid_cells_scanned += st.bus.step_indexed(
                         broadcasts,
-                        &s.true_positions,
+                        true_positions,
                         Some(grid),
                         &mut st.rng_comms,
                     )?;
                 }
                 _ => {
-                    st.bus.step(broadcasts, &s.true_positions, &mut st.rng_comms)?;
+                    st.bus.step(broadcasts, true_positions, &mut st.rng_comms)?;
                 }
             }
 
-            // Gather the control lanes (CSR) in drone index order — exactly
-            // the per-drone contexts the scalar loop builds, including its
-            // dead / no-fix skips.
-            s.lanes.clear();
-            s.neighbor_pool.clear();
-            for d in 0..p.n {
+            for d in 0..n {
                 if !st.alive[d] {
                     st.commanded[d] = Vec3::ZERO;
                     continue;
                 }
-                let Some(fix) = s.soa.fix(d) else { continue };
-                let start = s.neighbor_pool.len();
+                let Some(fix) = st.gps[d].fix() else { continue };
+                neighbor_buf.clear();
                 for msg in st.bus.neighbors_of(DroneId(d)) {
                     let age = t - msg.time;
                     if age <= spec.max_neighbor_age {
-                        s.neighbor_pool.push(NeighborState {
+                        neighbor_buf.push(NeighborState {
                             id: msg.sender,
                             position: msg.position,
                             velocity: msg.velocity,
@@ -1134,32 +699,22 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
                         });
                     }
                 }
-                s.lanes.push(ControlLane {
+                let ctx = ControlContext {
                     id: DroneId(d),
                     self_state: PerceivedSelf { position: fix.position, velocity: fix.velocity },
-                    neighbors_start: start,
-                    neighbors_len: s.neighbor_pool.len() - start,
-                });
-            }
-            s.lane_out.clear();
-            s.lane_out.resize(s.lanes.len(), Vec3::ZERO);
-            let batch = ControlBatch {
-                lanes: &s.lanes,
-                neighbors: &s.neighbor_pool,
-                world: &spec.world,
-                destination: spec.destination,
-                time: t,
-            };
-            self.controller.desired_velocity_batch(&batch, &mut s.lane_out);
-            for (lane, &cmd) in s.lanes.iter().zip(&s.lane_out) {
-                st.commanded[lane.id.index()] = cmd;
+                    neighbors: neighbor_buf,
+                    world: &spec.world,
+                    destination: spec.destination,
+                    time: t,
+                };
+                st.commanded[d] = self.controller.desired_velocity(&ctx);
             }
 
-            record.push_sample(t, &s.true_positions, &s.true_velocities, &s.obstacle_distances);
+            record.push_sample(t, true_positions, true_velocities, obstacle_distances);
 
-            for d in 0..p.n {
+            for d in 0..n {
                 if st.alive[d]
-                    && s.true_positions[d].distance(spec.destination) <= spec.arrival_radius
+                    && st.states[d].position.distance(spec.destination) <= spec.arrival_radius
                 {
                     record.mark_arrival(DroneId(d), t);
                 }
@@ -1170,30 +725,27 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
             }
         }
 
-        // Physics integration over the columns (plus kinematic wind drift).
+        // Physics integration (plus kinematic wind drift, if any).
         let wind_velocity =
-            if spec.wind.is_calm() { Vec3::ZERO } else { st.wind.sample(p.dt, &mut st.rng_wind) };
+            if spec.wind.is_calm() { Vec3::ZERO } else { st.wind.sample(dt, &mut st.rng_wind) };
         st.stats.physics_steps += 1;
-        D::step_batch(&mut st.dynamics, &mut s.soa, &st.commanded, &st.alive, p.dt);
-        if wind_velocity != Vec3::ZERO {
-            let drift = wind_velocity * p.dt;
-            for d in 0..p.n {
-                if st.alive[d] {
-                    s.soa.px[d] += drift.x;
-                    s.soa.py[d] += drift.y;
-                    s.soa.pz[d] += drift.z;
+        for d in 0..n {
+            if st.alive[d] {
+                st.states[d] = st.dynamics[d].step(&st.states[d], st.commanded[d], dt);
+                if wind_velocity != Vec3::ZERO {
+                    st.states[d].position += wind_velocity * dt;
                 }
             }
         }
 
-        // Collision detection on true states (columns).
-        let t_next = t + p.dt;
+        // Collision detection on true states.
+        let t_next = t + dt;
         let mut collided = false;
-        for d in 0..p.n {
+        for d in 0..n {
             if !st.alive[d] {
                 continue;
             }
-            if let Some((obstacle, dist)) = spec.world.nearest_obstacle(s.soa.position(d)) {
+            if let Some((obstacle, dist)) = spec.world.nearest_obstacle(st.states[d].position) {
                 if dist <= spec.drone.radius {
                     record.push_collision(CollisionEvent {
                         time: t_next,
@@ -1204,7 +756,12 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
                 }
             }
         }
-        let soa = &s.soa;
+        // Drone–drone collisions. The grid broad phase yields the
+        // lex-sorted superset of candidate pairs, so the exact 3-D
+        // narrow-phase test below visits passing pairs in the same
+        // (i, j) order as the brute-force scan — including the mid-scan
+        // `alive` mutations.
+        let states = &st.states;
         let check_pair = |i: usize,
                           j: usize,
                           alive: &mut [bool],
@@ -1212,7 +769,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
                           collided: &mut bool| {
             if alive[i]
                 && alive[j]
-                && soa.position(i).distance(soa.position(j)) <= p.collision_diameter
+                && states[i].position.distance(states[j].position) <= collision_diameter
             {
                 record.push_collision(CollisionEvent {
                     time: t_next,
@@ -1223,34 +780,35 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
                 *collided = true;
             }
         };
-        if let Some(grid) = &mut s.proximity_grid {
-            let guard = p.broad_slack * p.broad_slack / 4.0;
-            // Branch-free max-drift fold over the columns; `worst > guard`
-            // fires iff the scalar `any(drift² > guard)` early-exit scan
-            // would (squared distances of finite positions are never NaN),
-            // so the rebuild cadence — and thus the grid stats — match.
-            let stale = st.broad_anchor.len() != p.n || {
-                let mut worst = f64::NEG_INFINITY;
-                for d in 0..p.n {
-                    worst = worst.max(soa.position(d).distance_squared(st.broad_anchor[d]));
-                }
-                worst > guard
-            };
+        if let Some(grid) = proximity_grid {
+            // Lazy broad phase: re-index only once some drone has
+            // drifted more than slack/2 from its indexed position; the
+            // inflated query radius keeps the cached candidate list a
+            // superset of all truly colliding pairs until then (for any
+            // dynamics model or wind — the guard measures actual
+            // displacement). The narrow-phase check always uses current
+            // positions, so results match a per-step rebuild exactly.
+            let guard = broad_slack * broad_slack / 4.0;
+            let stale = st.broad_anchor.len() != n
+                || states
+                    .iter()
+                    .zip(&st.broad_anchor)
+                    .any(|(s, a)| s.position.distance_squared(*a) > guard);
             if stale {
-                s.position_buf.clear();
-                s.position_buf.extend((0..p.n).map(|d| soa.position(d)));
-                grid.rebuild(&s.position_buf, p.broad_radius);
+                position_buf.clear();
+                position_buf.extend(states.iter().map(|s| s.position));
+                grid.rebuild(position_buf, broad_radius);
                 st.stats.grid_rebuilds += 1;
-                st.stats.grid_cells_scanned += grid.close_pairs(p.broad_radius, &mut st.pair_buf);
+                st.stats.grid_cells_scanned += grid.close_pairs(broad_radius, &mut st.pair_buf);
                 st.broad_anchor.clear();
-                st.broad_anchor.extend_from_slice(&s.position_buf);
+                st.broad_anchor.extend_from_slice(position_buf);
             }
             for &(a, b) in &st.pair_buf {
                 check_pair(a.index(), b.index(), &mut st.alive, record, &mut collided);
             }
         } else {
-            for i in 0..p.n {
-                for j in (i + 1)..p.n {
+            for i in 0..n {
+                for j in (i + 1)..n {
                     check_pair(i, j, &mut st.alive, record, &mut collided);
                 }
             }
@@ -1551,161 +1109,6 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         }
         Ok(MissionOutcome { record })
     }
-
-    /// A lockstep [`BatchRunner`] over this simulation.
-    pub fn batch(&self) -> BatchRunner<'_, C, D> {
-        BatchRunner { sim: self }
-    }
-}
-
-/// One mission of a lockstep batch: an optional attack plus an optional
-/// snapshot fork point.
-pub struct BatchJob<'a, D> {
-    /// Attack driving this mission (`None` = baseline).
-    pub attack: Option<&'a dyn AttackModel>,
-    /// Fork point: resume from this snapshot with its reconstructed prefix
-    /// record (from [`Simulation::prefix_record`]) instead of simulating the
-    /// prefix again.
-    pub fork: Option<(&'a SimSnapshot<D>, MissionRecord)>,
-}
-
-impl<'a, D> BatchJob<'a, D> {
-    /// A from-scratch mission.
-    pub fn fresh(attack: Option<&'a dyn AttackModel>) -> Self {
-        BatchJob { attack, fork: None }
-    }
-
-    /// A mission forked from `snapshot`, with `prefix` the record returned
-    /// by [`Simulation::prefix_record`] for that snapshot.
-    pub fn forked(
-        attack: Option<&'a dyn AttackModel>,
-        snapshot: &'a SimSnapshot<D>,
-        prefix: MissionRecord,
-    ) -> Self {
-        BatchJob { attack, fork: Some((snapshot, prefix)) }
-    }
-}
-
-/// Lockstep executor of several near-identical missions of one
-/// [`Simulation`].
-///
-/// All lanes share one set of hoisted loop constants and advance round-robin
-/// — one physics step per live lane per sweep — through the same
-/// [`Simulation::step_once`] kernels the single-mission loop uses. Each lane
-/// owns its full mission state and scratch, so every outcome is bit-identical
-/// to running its job alone through [`Simulation::run_observed`] /
-/// [`Simulation::resume_record_observed`] (enforced by the in-crate tests and
-/// `tests/soa_equivalence.rs`); the win is instruction-cache and
-/// branch-predictor locality across missions that execute the same code with
-/// slightly different data, e.g. the fuzzer's finite-difference probe pairs.
-pub struct BatchRunner<'s, C, D = PointMass> {
-    sim: &'s Simulation<C, D>,
-}
-
-struct BatchLane<'j, D> {
-    st: SimState<D>,
-    record: MissionRecord,
-    attack: Option<&'j dyn AttackModel>,
-    scratch: RunScratch,
-}
-
-impl<C: SwarmController, D: Dynamics + Clone> BatchRunner<'_, C, D> {
-    /// Runs every job to completion in lockstep and returns the outcomes in
-    /// job order. `observer` (if any) receives one [`RunStats`] per job, in
-    /// job order, after all lanes finish.
-    ///
-    /// All jobs are validated before any lane starts, so an invalid job
-    /// costs no simulation work.
-    ///
-    /// # Errors
-    ///
-    /// Per job, the same conditions as [`Simulation::run_observed`] (fresh
-    /// jobs) and [`Simulation::resume_record_observed`] (forked jobs).
-    pub fn run_observed<'j>(
-        &self,
-        jobs: Vec<BatchJob<'j, D>>,
-        observer: Option<&dyn SimObserver>,
-    ) -> Result<Vec<MissionOutcome>, SimError> {
-        let sim = self.sim;
-        for job in &jobs {
-            sim.check_attack(job.attack)?;
-            if let Some((snapshot, prefix)) = &job.fork {
-                sim.check_snapshot(snapshot)?;
-                if prefix.swarm_size() != sim.spec.swarm_size
-                    || prefix.len() != snapshot.record_ticks
-                {
-                    return Err(SimError::SnapshotMismatch(format!(
-                        "prefix record holds {} ticks, snapshot cursor is {}",
-                        prefix.len(),
-                        snapshot.record_ticks
-                    )));
-                }
-                if let Some(a) = job.attack {
-                    if !snapshot.done && !snapshot.admits_attack_start(a.start()) {
-                        return Err(SimError::SnapshotMismatch(format!(
-                            "attack starting at t={} opens inside the simulated prefix \
-                             (snapshot at t={:.4})",
-                            a.start(),
-                            snapshot.time()
-                        )));
-                    }
-                }
-            }
-        }
-        let p = LoopParams::of(&sim.spec, &sim.config);
-        let use_soa = sim.config.layout.soa_enabled();
-        let mut lanes: Vec<BatchLane<'j, D>> = jobs
-            .into_iter()
-            .map(|job| {
-                let (st, record) = match job.fork {
-                    Some((snapshot, prefix)) => (sim.state_of(snapshot), prefix),
-                    None => (
-                        sim.init_state(),
-                        MissionRecord::new(sim.spec.swarm_size, sim.spec.control_period),
-                    ),
-                };
-                let scratch = sim.make_scratch(&st, &p, use_soa);
-                BatchLane { st, record, attack: job.attack, scratch }
-            })
-            .collect();
-        // Round-robin lockstep: one physics step per live lane per sweep,
-        // until every lane has terminated.
-        loop {
-            let mut live = false;
-            for lane in &mut lanes {
-                if lane.st.done {
-                    continue;
-                }
-                if lane.st.next_step > p.steps {
-                    lane.st.done = true;
-                    continue;
-                }
-                live = true;
-                sim.step_once(&mut lane.st, &mut lane.record, lane.attack, &mut lane.scratch, &p)?;
-            }
-            if !live {
-                break;
-            }
-        }
-        let mut outcomes = Vec::with_capacity(lanes.len());
-        for mut lane in lanes {
-            lane.scratch.store_back(&mut lane.st);
-            if let Some(obs) = observer {
-                obs.on_run_end(&lane.st.stats);
-            }
-            outcomes.push(MissionOutcome { record: lane.record });
-        }
-        Ok(outcomes)
-    }
-
-    /// [`BatchRunner::run_observed`] without an observer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchRunner::run_observed`].
-    pub fn run(&self, jobs: Vec<BatchJob<'_, D>>) -> Result<Vec<MissionOutcome>, SimError> {
-        self.run_observed(jobs, None)
-    }
 }
 
 #[cfg(test)]
@@ -1989,107 +1392,11 @@ mod tests {
     }
 
     #[test]
-    fn soa_layout_matches_forced_aos_bitwise() {
-        // Noisy GPS exercises the RNG-consuming sampler path as well.
-        let mut spec = short_spec(5);
-        spec.gps.position_noise_std = 0.4;
-        spec.gps.velocity_noise_std = 0.1;
-        let aos = Simulation::new(spec.clone(), BeeLine)
-            .unwrap()
-            .with_config(SimConfig { layout: StateLayout::ForceAos, ..Default::default() });
-        let soa = Simulation::new(spec, BeeLine)
-            .unwrap()
-            .with_config(SimConfig { layout: StateLayout::ForceSoa, ..Default::default() });
-        assert_eq!(aos.run(None).unwrap().record, soa.run(None).unwrap().record);
-    }
-
-    #[test]
-    fn default_auto_layout_matches_forced_aos_under_attack() {
-        let spec = short_spec(4);
-        let attack = SpoofingAttack::new(DroneId(0), SpoofDirection::Left, 3.0, 5.0, 15.0).unwrap();
-        let auto = Simulation::new(spec.clone(), BeeLine).unwrap();
-        let aos = Simulation::new(spec, BeeLine)
-            .unwrap()
-            .with_config(SimConfig { layout: StateLayout::ForceAos, ..Default::default() });
-        assert_eq!(auto.run(Some(&attack)).unwrap().record, aos.run(Some(&attack)).unwrap().record);
-    }
-
-    #[test]
-    fn force_soa_with_step_hook_falls_back_to_aos_and_matches() {
-        let sim = Simulation::new(short_spec(2), Hover)
-            .unwrap()
-            .with_config(SimConfig { layout: StateLayout::ForceSoa, ..Default::default() });
-        let plain = sim.run(None).unwrap();
-        let mut captured = 0usize;
-        let hooked = sim
-            .run_observed_with_snapshots(None, None, |step| step % 700 == 0, |_| captured += 1)
-            .unwrap();
-        assert_eq!(plain.record, hooked.record, "hooked AoS fallback must match the SoA run");
-        assert!(captured > 0, "hook must have fired");
-    }
-
-    #[test]
     fn resume_from_corrupted_snapshot_is_a_typed_error_not_a_panic() {
         let sim = Simulation::new(short_spec(3), BeeLine).unwrap();
         let (mut snap, source) = sim.run_to(4.0).unwrap();
         snap.bus.corrupt_in_flight_for_test();
         let err = sim.resume(&snap, &source, None).unwrap_err();
         assert!(matches!(err, SimError::CommsInvariant(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn batch_runner_matches_sequential_runs() {
-        let sim = Simulation::new(short_spec(3), BeeLine).unwrap();
-        let attack = SpoofingAttack::new(DroneId(0), SpoofDirection::Left, 5.0, 4.0, 12.0).unwrap();
-        let seq_baseline = sim.run(None).unwrap();
-        let seq_attacked = sim.run(Some(&attack)).unwrap();
-        let (snap, source) = sim.run_to(5.0).unwrap();
-        let prefix = sim.prefix_record(&snap, &source).unwrap();
-        let seq_forked =
-            sim.resume_record_observed(&snap, prefix.clone(), Some(&attack), None).unwrap();
-
-        let out = sim
-            .batch()
-            .run(vec![
-                BatchJob::fresh(None),
-                BatchJob::fresh(Some(&attack)),
-                BatchJob::forked(Some(&attack), &snap, prefix),
-            ])
-            .unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].record, seq_baseline.record);
-        assert_eq!(out[1].record, seq_attacked.record);
-        assert_eq!(out[2].record, seq_forked.record);
-    }
-
-    #[test]
-    fn batch_runner_validates_every_job_before_running_any() {
-        let sim = Simulation::new(short_spec(2), BeeLine).unwrap();
-        let bad = SpoofingAttack::new(DroneId(9), SpoofDirection::Left, 0.0, 5.0, 10.0).unwrap();
-        let err =
-            sim.batch().run(vec![BatchJob::fresh(None), BatchJob::fresh(Some(&bad))]).unwrap_err();
-        assert!(matches!(err, SimError::UnknownTarget { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn batch_runner_observer_stats_match_sequential_observers() {
-        use std::sync::Mutex;
-
-        struct CaptureAll(Mutex<Vec<RunStats>>);
-        impl SimObserver for CaptureAll {
-            fn on_run_end(&self, stats: &RunStats) {
-                self.0.lock().unwrap().push(*stats);
-            }
-        }
-
-        let sim = Simulation::new(short_spec(2), BeeLine).unwrap();
-        let seq = CaptureAll(Mutex::new(Vec::new()));
-        sim.run_observed(None, Some(&seq)).unwrap();
-        sim.run_observed(None, Some(&seq)).unwrap();
-        let batched = CaptureAll(Mutex::new(Vec::new()));
-        sim.batch()
-            .run_observed(vec![BatchJob::fresh(None), BatchJob::fresh(None)], Some(&batched))
-            .unwrap();
-        assert_eq!(*seq.0.lock().unwrap(), *batched.0.lock().unwrap());
     }
 }

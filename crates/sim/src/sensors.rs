@@ -13,11 +13,10 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
 
 /// Configuration of the GPS receiver model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsConfig {
     /// Sampling rate in Hz (SwarmLab default: 100).
     pub rate_hz: f64,
@@ -43,20 +42,10 @@ impl GpsConfig {
         assert!(self.rate_hz > 0.0, "GPS rate must be positive, got {}", self.rate_hz);
         1.0 / self.rate_hz
     }
-
-    /// `true` when sampling never draws from the noise RNG — the condition
-    /// under which the SoA GPS kernel may fill whole fix columns without
-    /// consulting per-drone receiver state.
-    pub fn is_noise_free(&self) -> bool {
-        // Written via a helper so NaN stds (rejected by validation anyway)
-        // keep counting as noise-free, exactly as `!(std > 0.0)` would.
-        let noisy = |std: f64| std > 0.0;
-        !noisy(self.position_noise_std) && !noisy(self.velocity_noise_std)
-    }
 }
 
 /// A GPS fix: position and velocity as perceived by the receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GpsFix {
     /// Perceived position (true + noise + spoofing offset).
     pub position: Vec3,
@@ -108,25 +97,12 @@ impl GpsReceiver {
     pub fn fix(&self) -> Option<GpsFix> {
         self.initialized.then_some(self.last_fix)
     }
-
-    /// The raw fix state (last fix, initialized flag) — used by the SoA
-    /// column store to load/restore receiver state losslessly.
-    pub(crate) fn fix_state(&self) -> (GpsFix, bool) {
-        (self.last_fix, self.initialized)
-    }
-
-    /// Restores the raw fix state captured by [`GpsReceiver::fix_state`].
-    pub(crate) fn restore_fix_state(&mut self, fix: GpsFix, initialized: bool) {
-        self.last_fix = fix;
-        self.initialized = initialized;
-    }
 }
 
-/// The measurement law shared by the per-receiver scalar path
-/// ([`GpsReceiver::sample`]) and the SoA column kernel: one expression tree,
-/// so the two paths cannot drift apart bit-wise. Noise draws are guarded by
-/// strict `> 0.0` comparisons so a zero-noise config consumes no RNG state.
-pub(crate) fn sample_fix(
+/// The measurement law behind [`GpsReceiver::sample`]. Noise draws are
+/// guarded by strict `> 0.0` comparisons so a zero-noise config consumes no
+/// RNG state.
+fn sample_fix(
     config: &GpsConfig,
     true_position: Vec3,
     true_velocity: Vec3,
@@ -248,9 +224,9 @@ mod tests {
 
     #[test]
     fn noise_free_predicate_matches_rng_consumption() {
-        // The SoA fast path is admissible exactly when sampling leaves the
-        // RNG untouched; the predicate must agree with `sample`'s guards,
-        // including for NaN stds (which the `> 0.0` guards treat as no noise).
+        // Sampling leaves the RNG untouched exactly when neither std is
+        // positive, including NaN stds (which the `> 0.0` guards treat as no
+        // noise).
         for (p, v, free) in [
             (0.0, 0.0, true),
             (0.5, 0.0, false),
@@ -260,7 +236,6 @@ mod tests {
         ] {
             let cfg =
                 GpsConfig { position_noise_std: p, velocity_noise_std: v, ..Default::default() };
-            assert_eq!(cfg.is_noise_free(), free, "std=({p},{v})");
             let mut a = rng();
             let mut b = a.clone();
             sample_fix(&cfg, Vec3::X, Vec3::ZERO, Vec3::ZERO, 0.0, &mut a);

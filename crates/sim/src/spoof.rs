@@ -11,7 +11,6 @@
 //! exactly how the paper injects spoofing in SwarmLab ("manipulating the GPS
 //! reading to GPS + d at the GPS sampling rate").
 
-use serde::{Deserialize, Serialize};
 use swarm_math::{Vec2, Vec3};
 
 use crate::{DroneId, SimError};
@@ -21,7 +20,7 @@ use crate::{DroneId, SimError};
 /// With the mission flying along +x, [`SpoofDirection::Left`] displaces the
 /// perceived position toward +y and [`SpoofDirection::Right`] toward −y. The
 /// paper encodes these as θ = −1 (left) and θ = +1 (right).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpoofDirection {
     /// Displace perceived position to the left of the mission axis (θ = −1).
     Left,
@@ -71,7 +70,7 @@ impl std::fmt::Display for SpoofDirection {
 }
 
 /// A fully specified GPS spoofing attack against one swarm member.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpoofingAttack {
     /// The drone whose GPS is spoofed (the paper's *target* drone).
     pub target: DroneId,
@@ -199,7 +198,7 @@ impl AttackModel for SpoofingAttack {
 
 /// The attack classes of the zoo, without their shape parameters — the unit
 /// a seed scheduler ranks and a CLI flag selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WaveformKind {
     /// The paper's horizontal constant-offset spoof.
     Constant,
@@ -243,7 +242,7 @@ impl std::fmt::Display for WaveformKind {
 /// Kept `Copy` and defaulting to constant-only so fuzzer configurations that
 /// never mention waveforms behave — and fingerprint — exactly as before the
 /// zoo existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WaveformSet {
     bits: u8,
 }
@@ -322,7 +321,7 @@ impl std::fmt::Display for WaveformSet {
 
 /// A waveform together with its shape parameter — the typed, serializable
 /// parameter space the search optimizes and the journal persists.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Waveform {
     /// Constant offset; no shape parameter.
     Constant,
@@ -378,7 +377,7 @@ fn validate_non_negative(name: &str, v: f64) -> Result<(), SimError> {
 /// [`SpoofingAttack`], expressed through [`AttackModel`]. The offset math is
 /// the very same float operations, so the two paths are bit-identical — the
 /// property `tests/attack_zoo_equivalence.rs` enforces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantOffset {
     /// The spoofed drone.
     pub target: DroneId,
@@ -436,7 +435,7 @@ impl AttackModel for ConstantOffset {
 /// Linear ramp-in drift: the offset grows from zero to the full deviation
 /// over `ramp` seconds, then holds — the "slow drag" waveform GPS spoofers
 /// use to stay under innovation monitors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RampDrift {
     /// The spoofed drone.
     pub target: DroneId,
@@ -504,7 +503,7 @@ impl AttackModel for RampDrift {
 /// Circular orbit: the perceived position circles the true fix with radius
 /// `d` at angular rate ω, starting at the θ-side extreme so ω = 0
 /// degenerates to the constant offset exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Circular {
     /// The spoofed drone.
     pub target: DroneId,
@@ -569,7 +568,7 @@ impl AttackModel for Circular {
 /// Periodic teleport: the full offset appears during even half-cycles of
 /// `period` seconds and vanishes during odd ones — the discontinuous
 /// waveform that stresses estimator gating.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Jump {
     /// The spoofed drone.
     pub target: DroneId,
@@ -638,7 +637,7 @@ impl AttackModel for Jump {
 
 /// A fully specified attack from any class of the zoo — the closed sum the
 /// fuzzer searches over and the journal serializes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackSpec {
     /// The paper's constant-offset spoof.
     Constant(ConstantOffset),

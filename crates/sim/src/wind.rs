@@ -8,11 +8,10 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
 
 /// Wind model configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindConfig {
     /// Constant mean wind velocity (m/s, world frame).
     pub mean: Vec3,

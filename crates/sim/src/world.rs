@@ -1,13 +1,12 @@
 //! The mission environment: obstacles and helpers for distance queries.
 
-use serde::{Deserialize, Serialize};
 use swarm_math::{Vec2, Vec3};
 
 /// An obstacle in the environment.
 ///
 /// SwarmLab's environments use vertical cylinders; spheres are provided for
 /// test variety.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Obstacle {
     /// A vertical cylinder of infinite height (SwarmLab-style).
     Cylinder {
@@ -92,7 +91,7 @@ impl Obstacle {
 }
 
 /// The static environment a mission is flown in.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct World {
     /// All obstacles, indexed by position in this list.
     pub obstacles: Vec<Obstacle>,

@@ -2,16 +2,15 @@
 //!
 //! The refactor of `swarm_sim::spoof` into `AttackModel` trait objects is
 //! only admissible because the paper's attack is *bit-identical* through
-//! either path. This suite pins that claim at three levels:
+//! either path. This suite pins that claim at the record level — a mission
+//! attacked by the legacy [`SpoofingAttack`] equals one attacked by
+//! [`AttackSpec::Constant`] over randomized `(swarm size, seed, window)`
+//! cases, across all three spatial-grid policies — and checks that the
+//! constant-offset fuzzer's reports do not depend on how they are executed:
 //!
-//! * record level — a mission attacked by the legacy [`SpoofingAttack`]
-//!   equals one attacked by [`AttackSpec::Constant`] over randomized
-//!   `(swarm size, seed, window)` cases, across all three spatial-grid
-//!   policies;
-//! * fuzz-report level — [`Fuzzer::with_constant_via_trait`] on vs off,
-//!   with snapshot-and-fork execution on vs off;
-//! * campaign-report level — `CampaignRunOptions::constant_via_trait` on vs
-//!   off across worker counts, with and without snapshots.
+//! * fuzz-report level — snapshot-and-fork execution on vs off;
+//! * campaign-report level — across worker counts, with and without
+//!   snapshots.
 //!
 //! Plus the per-waveform metamorphic oracles: a zero-amplitude attack of
 //! *any* class is indistinguishable from no attack at all; flipping the
@@ -109,7 +108,7 @@ fn zoo_specs(case: &ZooCase, deviation: f64) -> Vec<AttackSpec> {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn constant_via_trait_is_bit_identical_to_legacy_across_grid_policies() {
+fn constant_spec_is_bit_identical_to_legacy_across_grid_policies() {
     check_budgeted("attack_zoo_constant_record", (cases() / 8).max(12), &zoo_case(), |case| {
         let sim = sim_for(case)?;
         let legacy =
@@ -340,19 +339,18 @@ fn circular_at_omega_zero_is_identical_to_the_constant_offset() {
 }
 
 // ---------------------------------------------------------------------------
-// Level 2: fuzz-report bit-identity, trait path vs legacy path.
+// Level 2: fuzz-report bit-identity across execution modes.
 // ---------------------------------------------------------------------------
 
-fn fuzzer_with(budget: usize, snapshots: bool, via_trait: bool) -> Fuzzer<VasarhelyiController> {
+fn fuzzer_with(budget: usize, snapshots: bool) -> Fuzzer<VasarhelyiController> {
     let config = FuzzerConfig { eval_budget: budget, ..FuzzerConfig::swarmfuzz(10.0) };
-    Fuzzer::new(controller(), config).with_snapshots(snapshots).with_constant_via_trait(via_trait)
+    Fuzzer::new(controller(), config).with_snapshots(snapshots)
 }
 
 #[test]
 fn fuzz_reports_are_bit_identical_trait_vs_legacy_across_snapshots() {
-    // Whole-pipeline differential: the constant-offset campaign evaluated
-    // through AttackSpec dispatch must reproduce the legacy path's report
-    // exactly, with and without snapshot-and-fork execution.
+    // Whole-pipeline differential: the constant-offset fuzzer must report
+    // exactly the same result with and without snapshot-and-fork execution.
     let gen = zip2(&u64_in(0..=50), &one_of(vec![2usize, 5, 20]));
     check_budgeted(
         "attack_zoo_fuzz_report_toggle",
@@ -360,15 +358,12 @@ fn fuzz_reports_are_bit_identical_trait_vs_legacy_across_snapshots() {
         &gen,
         |&(seed, budget)| {
             let spec = MissionSpec::paper_delivery(5, seed);
-            let legacy = fuzzer_with(budget, false, false).fuzz(&spec);
-            for (snapshots, via_trait) in [(false, true), (true, false), (true, true)] {
-                let other = fuzzer_with(budget, snapshots, via_trait).fuzz(&spec);
-                tk_ensure!(
-                    format!("{legacy:?}") == format!("{other:?}"),
-                    "trait/snapshot toggle changed the fuzz result \
-                     (seed {seed}, budget {budget}, snapshots {snapshots}, via_trait {via_trait})"
-                );
-            }
+            let fresh = fuzzer_with(budget, false).fuzz(&spec);
+            let forked = fuzzer_with(budget, true).fuzz(&spec);
+            tk_ensure!(
+                format!("{fresh:?}") == format!("{forked:?}"),
+                "snapshot toggle changed the fuzz result (seed {seed}, budget {budget})"
+            );
             Ok(())
         },
     );
@@ -424,25 +419,16 @@ fn campaign_reports_are_bit_identical_trait_vs_legacy_across_workers() {
         let config = FuzzerConfig { eval_budget: 4, ..FuzzerConfig::swarmfuzz(deviation) };
         Fuzzer::new(controller(), config)
     };
-    let run = |workers: usize, snapshot: bool, constant_via_trait: bool| {
-        let options = CampaignRunOptions { snapshot, constant_via_trait, ..Default::default() };
+    let run = |workers: usize, snapshot: bool| {
+        let options = CampaignRunOptions { snapshot, ..Default::default() };
         run_campaign_with_options(&tiny_campaign(workers), make, &Telemetry::off(), &options)
             .expect("campaign must run")
     };
-    let reference = run(1, false, false);
+    let reference = run(1, false);
     assert_eq!(reference.missions.len(), 4);
     for workers in [1usize, 4] {
         for snapshot in [false, true] {
-            assert_eq!(
-                reference,
-                run(workers, snapshot, true),
-                "workers={workers}, snapshot={snapshot}, constant via trait"
-            );
-            assert_eq!(
-                reference,
-                run(workers, snapshot, false),
-                "workers={workers}, snapshot={snapshot}, legacy path"
-            );
+            assert_eq!(reference, run(workers, snapshot), "workers={workers}, snapshot={snapshot}");
         }
     }
 }

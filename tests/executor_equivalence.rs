@@ -4,14 +4,14 @@
 //! `run_scheduled` + `InProcessExecutor` path the multi-tenant
 //! [`CampaignServer`] drives. That refactor is only admissible because it is
 //! *bit-identical*: this suite pins served reports against direct runs
-//! across the worker × snapshot × batch matrix, through shard-journal resume
+//! across the worker × snapshot matrix, through shard-journal resume
 //! (instant, partial, and mid-shutdown), through panic quarantine on both
 //! paths, and end-to-end over the TCP wire protocol.
 
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_testkit::gens::{u64_in, usize_in, zip4};
@@ -23,7 +23,7 @@ use swarmfuzz::campaign::{
 use swarmfuzz::server::{
     in_process_factory, merge_shard_rows, shard_path, ExecutorFactory, ExecutorOptions,
 };
-use swarmfuzz::wire::{serve, Client, WireError};
+use swarmfuzz::wire::{serve, serve_connection, Client, ClientMsg, WireError};
 use swarmfuzz::{
     CampaignServer, CampaignSpec, ExecutionProfile, Fuzzer, FuzzerConfig, InProcessExecutor,
     JobPhase, ServerConfig, Telemetry, Trace,
@@ -102,18 +102,15 @@ fn serve_report(
 fn served_reports_match_direct_runs_across_workers_and_toggles() {
     let spec = tiny_spec(21);
     for snapshot in [true, false] {
-        for batch in [true, false] {
-            let direct =
-                direct_report(&spec, &CampaignRunOptions { snapshot, batch, ..Default::default() });
-            assert_eq!(direct.missions.len() + direct.failures.len(), 4);
-            for workers in [1usize, 4] {
-                let options = ExecutorOptions { snapshot, batch, ..Default::default() };
-                let served = serve_report(&spec, workers, options, None);
-                assert_eq!(
-                    served, direct,
-                    "served report diverged (workers={workers}, snapshot={snapshot}, batch={batch})"
-                );
-            }
+        let direct = direct_report(&spec, &CampaignRunOptions { snapshot, ..Default::default() });
+        assert_eq!(direct.missions.len() + direct.failures.len(), 4);
+        for workers in [1usize, 4] {
+            let options = ExecutorOptions { snapshot, ..Default::default() };
+            let served = serve_report(&spec, workers, options, None);
+            assert_eq!(
+                served, direct,
+                "served report diverged (workers={workers}, snapshot={snapshot})"
+            );
         }
     }
 }
@@ -372,4 +369,47 @@ fn malformed_wire_lines_keep_the_connection_alive() {
         other => panic!("expected unknown-job after recovery, got {other:?}"),
     }
     server.shutdown();
+}
+
+#[test]
+fn concurrent_first_contact_accepts_every_connection() {
+    // Many connections submitting for the same unregistered tenant at once:
+    // each must be accepted, none refused because another connection
+    // registered the tenant first.
+    const CONNECTIONS: usize = 8;
+    let mut spec = tiny_spec(5);
+    spec.campaign.configs.truncate(1);
+    spec.campaign.missions_per_config = 1;
+    spec.eval_budget = Some(0);
+    let line =
+        format!("{}\n", ClientMsg::Submit { tenant: "newcomer".into(), weight: 3, spec }.encode());
+    for round in 0..12 {
+        let server = CampaignServer::start(
+            ServerConfig { workers: 1, queue_depth: 2 * CONNECTIONS, journal_dir: None },
+            in_process_factory(controller(), ExecutorOptions::default(), Telemetry::off()),
+            Telemetry::off(),
+        );
+        let barrier = Barrier::new(CONNECTIONS);
+        let replies: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..CONNECTIONS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut out = Vec::new();
+                        barrier.wait();
+                        serve_connection(&server, line.as_bytes(), &mut out)
+                            .expect("in-memory transport cannot fail");
+                        String::from_utf8(out).expect("replies are utf-8")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("connection thread")).collect()
+        });
+        server.shutdown();
+        for reply in &replies {
+            assert!(
+                reply.starts_with("{\"msg\":\"accepted\""),
+                "round {round}: first contact refused: {reply}"
+            );
+        }
+    }
 }
