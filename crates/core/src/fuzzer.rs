@@ -256,7 +256,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
     /// Shares a baseline snapshot cache with other fuzzers (the campaign
     /// layer hands every worker the same handle, so a mission's baseline is
     /// simulated once across all fuzzer variants). Only consulted while
-    /// snapshots are enabled.
+    /// snapshots are enabled and the evaluation budget is non-zero.
     pub fn with_snapshot_cache(mut self, cache: SnapshotCache) -> Self {
         self.snapshot_cache = Some(cache);
         self
@@ -295,10 +295,11 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
 
         // Step 1: initial no-attack test. With snapshots on, the baseline
         // run also captures a snapshot ring for the window search to fork
-        // from; a shared campaign cache may already hold both.
+        // from; a shared campaign cache may already hold both. A search
+        // without an evaluation budget never probes, so it builds no ring.
         let mut mission_cache: Option<Arc<MissionCache>> = None;
         let mut owned_baseline: Option<MissionOutcome> = None;
-        if self.snapshots {
+        if self.snapshots && self.config.eval_budget > 0 {
             let key = cache_key(spec, sim.config().spatial);
             let shared = self.snapshot_cache.as_ref();
             if let Some(hit) = shared.and_then(|c| c.get(&key)) {

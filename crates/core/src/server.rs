@@ -764,7 +764,10 @@ pub struct JobStatus {
 struct JobState {
     tenant: String,
     fingerprint: String,
-    executor: Arc<dyn MissionExecutor>,
+    /// The job's executor while missions are pending; dropped (with its
+    /// snapshot cache) when the job turns `Done` or `Failed`, so finished
+    /// jobs keep only their rows and report.
+    executor: Option<Arc<dyn MissionExecutor>>,
     total: usize,
     rows: Vec<JournalRow>,
     in_flight: usize,
@@ -951,7 +954,7 @@ impl CampaignServer {
             _ => None,
         };
 
-        let executor = (self.inner.factory)(spec);
+        let executor = (!pending.is_empty()).then(|| (self.inner.factory)(spec));
         let job = state.next_job;
         state.next_job += 1;
         let total = grid_jobs.len();
@@ -1154,19 +1157,19 @@ fn worker_loop(inner: &Inner, worker: usize) {
             state = inner.work.wait(state).unwrap_or_else(PoisonError::into_inner);
             continue;
         };
-        let executor = match state.jobs.get_mut(&job) {
-            Some(js) => {
-                js.in_flight += 1;
-                if js.phase == JobPhase::Queued {
-                    js.phase = JobPhase::Running;
-                }
-                Arc::clone(&js.executor)
-            }
-            // A cancelled job may leave a popped mission behind; skip it.
-            None => continue,
-        };
+        // A cancelled or failed job may leave a popped mission behind; it
+        // has no executor left, so skip it.
+        let Some(js) = state.jobs.get_mut(&job) else { continue };
+        let Some(executor) = js.executor.clone() else { continue };
+        js.in_flight += 1;
+        if js.phase == JobPhase::Queued {
+            js.phase = JobPhase::Running;
+        }
         drop(state);
         let row = executor.execute(&mission);
+        // Released before the row is booked, so a job's executor is gone by
+        // the time its waiters see it finish.
+        drop(executor);
         state = lock_unpoisoned(&inner.state);
         record_row(inner, &mut state, job, row, worker);
     }
@@ -1193,6 +1196,7 @@ fn record_row(inner: &Inner, state: &mut ServerState, job: u64, row: JournalRow,
     let total = js.total;
     let tenant = js.tenant.clone();
     if js.phase == JobPhase::Failed {
+        js.executor = None;
         let error = js.error.clone().unwrap_or_default();
         state.queue.cancel(job);
         let mut event = format!("{{\"msg\":\"job-failed\",\"job\":{job},\"tenant\":");
@@ -1205,6 +1209,7 @@ fn record_row(inner: &Inner, state: &mut ServerState, job: u64, row: JournalRow,
         return;
     }
     if done == total {
+        js.executor = None;
         js.report = Some(report_from_rows(js.rows.clone()));
         js.phase = JobPhase::Done;
         state.completed += 1;

@@ -26,6 +26,13 @@
 //! Transport is any `BufRead`/`Write` pair; [`serve`] binds the protocol
 //! to TCP with one thread per connection, and tests drive
 //! [`serve_connection`] over in-memory buffers.
+//!
+//! Framing: every message — a request, a reply, a watched event, and the
+//! whole `results` reply (header, rows and `end` marker) — leaves in one
+//! `write` call, and both ends of a TCP connection set `TCP_NODELAY`
+//! (`split_tcp`). A message split over several small writes on a Nagle
+//! socket waits for the peer's delayed ACK before its tail is sent: tens of
+//! milliseconds per reply on loopback, whatever the server does.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -183,10 +190,32 @@ fn decode_status(j: &Json) -> Result<JobStatus, String> {
 // Server side
 // ---------------------------------------------------------------------------
 
-fn write_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
+/// Hands `line` and its newline to `writer` as one buffer, so the message
+/// leaves in a single `write`.
+fn write_line(writer: &mut impl Write, mut line: String) -> io::Result<()> {
+    line.push('\n');
     writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
     writer.flush()
+}
+
+/// The `results` reply to `job`: header, one [`encode_row`] line per row
+/// and the `end` marker, as one newline-terminated block.
+fn encode_results(job: u64, rows: &[JournalRow]) -> String {
+    let mut out = format!("{{\"msg\":\"results\",\"job\":{job},\"rows\":{}}}\n", rows.len());
+    for row in rows {
+        // encode_row is already newline-terminated.
+        out.push_str(&encode_row(row));
+    }
+    out.push_str(&format!("{{\"msg\":\"end\",\"job\":{job}}}"));
+    out
+}
+
+/// Sets `TCP_NODELAY` on a connected stream and splits it into a buffered
+/// read half and a write half: the one place either end of the protocol
+/// decides its socket options.
+fn split_tcp(stream: TcpStream) -> io::Result<(BufReader<TcpStream>, TcpStream)> {
+    stream.set_nodelay(true)?;
+    Ok((BufReader::new(stream.try_clone()?), stream))
 }
 
 /// Serves one connection: reads request lines from `reader`, writes reply
@@ -212,7 +241,7 @@ pub fn serve_connection(
         let msg = match ClientMsg::decode(&line) {
             Ok(msg) => msg,
             Err(e) => {
-                write_line(&mut writer, &encode_error(&ServerError::Wire(e)))?;
+                write_line(&mut writer, encode_error(&ServerError::Wire(e)))?;
                 continue;
             }
         };
@@ -226,15 +255,15 @@ pub fn serve_connection(
                 };
                 match submitted {
                     Ok(job) => match server.status(job) {
-                        Ok(status) => write_line(&mut writer, &encode_accepted(job, &status))?,
-                        Err(e) => write_line(&mut writer, &encode_error(&e))?,
+                        Ok(status) => write_line(&mut writer, encode_accepted(job, &status))?,
+                        Err(e) => write_line(&mut writer, encode_error(&e))?,
                     },
-                    Err(e) => write_line(&mut writer, &encode_error(&e))?,
+                    Err(e) => write_line(&mut writer, encode_error(&e))?,
                 }
             }
             ClientMsg::Status { job } => match server.status(job) {
-                Ok(status) => write_line(&mut writer, &encode_status(&status))?,
-                Err(e) => write_line(&mut writer, &encode_error(&e))?,
+                Ok(status) => write_line(&mut writer, encode_status(&status))?,
+                Err(e) => write_line(&mut writer, encode_error(&e))?,
             },
             ClientMsg::Results { job, wait } => {
                 let rows = if wait {
@@ -243,31 +272,17 @@ pub fn serve_connection(
                     server.rows(job)
                 };
                 match rows {
-                    Ok(rows) => {
-                        write_line(
-                            &mut writer,
-                            &format!(
-                                "{{\"msg\":\"results\",\"job\":{job},\"rows\":{}}}",
-                                rows.len()
-                            ),
-                        )?;
-                        for row in &rows {
-                            // encode_row is already newline-terminated.
-                            writer.write_all(encode_row(row).as_bytes())?;
-                        }
-                        writer.flush()?;
-                        write_line(&mut writer, &format!("{{\"msg\":\"end\",\"job\":{job}}}"))?;
-                    }
-                    Err(e) => write_line(&mut writer, &encode_error(&e))?,
+                    Ok(rows) => write_line(&mut writer, encode_results(job, &rows))?,
+                    Err(e) => write_line(&mut writer, encode_error(&e))?,
                 }
             }
             ClientMsg::Watch => {
                 let events = server.subscribe();
-                write_line(&mut writer, "{\"msg\":\"watching\"}")?;
+                write_line(&mut writer, "{\"msg\":\"watching\"}".to_string())?;
                 // Stream until the subscriber is dropped (server shutdown)
                 // or the client hangs up (write error ends the connection).
                 for event in events.iter() {
-                    write_line(&mut writer, &event)?;
+                    write_line(&mut writer, event)?;
                 }
                 return Ok(());
             }
@@ -289,11 +304,9 @@ pub fn serve(server: CampaignServer, listener: TcpListener) -> std::thread::Join
             let Ok(stream) = stream else { continue };
             let server = server.clone();
             std::thread::spawn(move || {
-                let reader = match stream.try_clone() {
-                    Ok(read_half) => BufReader::new(read_half),
-                    Err(_) => return,
-                };
-                let _ = serve_connection(&server, reader, stream);
+                if let Ok((reader, writer)) = split_tcp(stream) {
+                    let _ = serve_connection(&server, reader, writer);
+                }
             });
         }
     })
@@ -358,14 +371,15 @@ pub struct Client<R, W> {
 }
 
 impl Client<BufReader<TcpStream>, TcpStream> {
-    /// Wraps a connected TCP stream.
+    /// Wraps a connected TCP stream (setting `TCP_NODELAY`).
     ///
     /// # Errors
     ///
-    /// When the stream cannot be cloned into a read half.
+    /// When the socket option cannot be set or the stream cannot be cloned
+    /// into a read half.
     pub fn over_tcp(stream: TcpStream) -> io::Result<Self> {
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client { reader, writer: stream })
+        let (reader, writer) = split_tcp(stream)?;
+        Ok(Client { reader, writer })
     }
 }
 
@@ -376,7 +390,7 @@ impl<R: BufRead, W: Write> Client<R, W> {
     }
 
     fn send(&mut self, msg: &ClientMsg) -> Result<(), WireError> {
-        write_line(&mut self.writer, &msg.encode())?;
+        write_line(&mut self.writer, msg.encode())?;
         Ok(())
     }
 
@@ -562,6 +576,18 @@ mod tests {
         let decoded = decode_status(&parse_json(&encode_status(&status)).expect("valid json"))
             .expect("decodes");
         assert_eq!(decoded, status);
+    }
+
+    #[test]
+    fn tcp_halves_set_nodelay_on_both_ends() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        for stream in [client, accepted] {
+            let (reader, writer) = split_tcp(stream).expect("split");
+            assert!(writer.nodelay().expect("write half"));
+            assert!(reader.get_ref().nodelay().expect("read half"));
+        }
     }
 
     #[test]

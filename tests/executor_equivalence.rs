@@ -11,7 +11,7 @@
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, Weak};
 
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_testkit::gens::{u64_in, usize_in, zip4};
@@ -26,7 +26,7 @@ use swarmfuzz::server::{
 use swarmfuzz::wire::{serve, serve_connection, Client, ClientMsg, WireError};
 use swarmfuzz::{
     CampaignServer, CampaignSpec, ExecutionProfile, Fuzzer, FuzzerConfig, InProcessExecutor,
-    JobPhase, ServerConfig, Telemetry, Trace,
+    JobPhase, MissionExecutor, ServerConfig, Telemetry, Trace,
 };
 
 fn controller() -> VasarhelyiController {
@@ -369,6 +369,138 @@ fn malformed_wire_lines_keep_the_connection_alive() {
         other => panic!("expected unknown-job after recovery, got {other:?}"),
     }
     server.shutdown();
+}
+
+/// A `Write` that keeps the bytes of each `write` call apart, so a test can
+/// see how a message was framed onto the transport.
+#[derive(Default)]
+struct WriteLog(Vec<Vec<u8>>);
+
+impl std::io::Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The lines of one `write` call, which must end in a newline.
+fn write_lines(write: &[u8]) -> Vec<&str> {
+    let text = std::str::from_utf8(write).expect("wire bytes are utf-8");
+    assert!(text.ends_with('\n'), "a write must end its message: {text:?}");
+    text.lines().collect()
+}
+
+#[test]
+fn every_wire_message_leaves_in_one_write() {
+    // A scripted session against the server side, then the same replies fed
+    // to a client: each reply and each request is exactly one `write` call
+    // holding one newline-terminated message; a `results` reply is its
+    // header, every row and the `end` marker in that one call.
+    let mut spec = tiny_spec(17);
+    spec.eval_budget = Some(0);
+    let requests = [
+        ClientMsg::Submit { tenant: "framing".into(), weight: 1, spec: spec.clone() }.encode(),
+        ClientMsg::Status { job: 0 }.encode(),
+        ClientMsg::Results { job: 0, wait: true }.encode(),
+        "this is not json".to_string(),
+        ClientMsg::Status { job: 99 }.encode(),
+    ];
+    let script: String = requests.iter().map(|line| format!("{line}\n")).collect();
+    let server = start_server(2, ExecutorOptions::default(), None);
+    let mut replies = WriteLog::default();
+    serve_connection(&server, script.as_bytes(), &mut replies).expect("in-memory transport");
+    server.shutdown();
+
+    let replies = replies.0;
+    assert_eq!(replies.len(), requests.len(), "one write per reply");
+    let kinds = ["accepted", "status", "results", "error", "error"];
+    for (write, kind) in replies.iter().zip(kinds) {
+        let lines = write_lines(write);
+        assert!(lines[0].starts_with(&format!("{{\"msg\":\"{kind}\"")), "{kind}: {lines:?}");
+        if kind != "results" {
+            assert_eq!(lines.len(), 1, "one message per write: {lines:?}");
+        }
+    }
+    let results = write_lines(&replies[2]);
+    assert_eq!(results.len(), 4 + 2, "header, every row and the end marker in one write");
+    assert_eq!(results[0], "{\"msg\":\"results\",\"job\":0,\"rows\":4}");
+    assert_eq!(results[5], "{\"msg\":\"end\",\"job\":0}");
+    assert!(String::from_utf8_lossy(&replies[3]).contains("\"code\":\"wire\""));
+    assert!(String::from_utf8_lossy(&replies[4]).contains("\"code\":\"unknown-job\""));
+
+    // The client side of the same exchange, minus the malformed line.
+    let transcript: Vec<u8> = [0, 1, 2, 4].iter().flat_map(|&i| replies[i].clone()).collect();
+    let mut sent = WriteLog::default();
+    let mut client = Client::new(transcript.as_slice(), &mut sent);
+    let accepted = client.submit("framing", 1, &spec).expect("accepted");
+    client.status(accepted.job).expect("status");
+    let rows = client.results_rows(accepted.job, true).expect("results");
+    assert_eq!(rows.len(), 4);
+    assert!(
+        matches!(client.status(99), Err(WireError::Server { code, .. }) if code == "unknown-job")
+    );
+    let sent = sent.0;
+    let expected: Vec<&String> = requests.iter().filter(|r| r.starts_with('{')).collect();
+    assert_eq!(sent.len(), expected.len(), "one write per request");
+    for (write, request) in sent.iter().zip(expected) {
+        assert_eq!(write_lines(write), [request.as_str()], "request framing");
+    }
+}
+
+/// The in-process factory, also keeping a `Weak` to every executor it
+/// makes so a test can see whether the server still holds them.
+fn tracking_factory(made: Arc<Mutex<Vec<Weak<dyn MissionExecutor>>>>) -> ExecutorFactory {
+    let factory = in_process_factory(controller(), ExecutorOptions::default(), Telemetry::off());
+    Box::new(move |spec: &CampaignSpec| {
+        let executor = factory(spec);
+        made.lock().expect("weak list").push(Arc::downgrade(&executor));
+        executor
+    })
+}
+
+#[test]
+fn finished_jobs_release_their_executors() {
+    let dir = temp_dir("executor-release");
+    let made = Arc::new(Mutex::new(Vec::new()));
+    let start = || {
+        CampaignServer::start(
+            ServerConfig { workers: 2, queue_depth: 8, journal_dir: Some(dir.clone()) },
+            tracking_factory(Arc::clone(&made)),
+            Telemetry::off(),
+        )
+    };
+    let specs = [tiny_spec(61), tiny_spec(62)];
+    let server = start();
+    server.register_tenant("tenant", 1).expect("register tenant");
+    let jobs: Vec<u64> =
+        specs.iter().map(|s| server.submit("tenant", s).expect("submit")).collect();
+    let reports: Vec<CampaignReport> =
+        jobs.iter().map(|&job| server.wait(job).expect("job completes")).collect();
+    {
+        let made = made.lock().expect("weak list");
+        assert_eq!(made.len(), specs.len(), "one executor per job with pending missions");
+        assert!(
+            made.iter().all(|weak| weak.strong_count() == 0),
+            "a finished job must not keep its executor"
+        );
+    }
+    server.shutdown();
+
+    // A fresh incarnation answers both specs from the shards alone: it needs
+    // no executor, so the factory is never called.
+    let server = start();
+    server.register_tenant("tenant", 1).expect("register tenant");
+    for (spec, report) in specs.iter().zip(&reports) {
+        let job = server.submit("tenant", spec).expect("resubmit");
+        assert_eq!(&server.wait(job).expect("resumed report"), report);
+    }
+    server.shutdown();
+    assert_eq!(made.lock().expect("weak list").len(), specs.len(), "resume built an executor");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -25,7 +25,7 @@ use swarm_testkit::{cases, check_budgeted, gens, tk_ensure, Gen};
 use swarmfuzz::campaign::{
     run_campaign_with_options, CampaignConfig, CampaignRunOptions, SwarmConfig,
 };
-use swarmfuzz::{Fuzzer, FuzzerConfig, Telemetry};
+use swarmfuzz::{Fuzzer, FuzzerConfig, SnapshotCache, Telemetry};
 
 fn controller() -> VasarhelyiController {
     VasarhelyiController::new(VasarhelyiParams::default())
@@ -203,6 +203,21 @@ fn eval_budget_is_conserved_under_forking() {
             telemetry.counter(swarmfuzz::telemetry::Counter::Evaluations),
             "fork accounting must cover every evaluation at budget {budget}"
         );
+    }
+}
+
+#[test]
+fn budget_zero_search_builds_no_fork_ring() {
+    // A search with no evaluation budget never probes, so a snapshot ring
+    // would never be read: the shared cache stays empty and the report is
+    // the snapshots-off report.
+    for seed in [3u64, 11, 29] {
+        let spec = MissionSpec::paper_delivery(5, seed);
+        let cache = SnapshotCache::new();
+        let on = fuzzer_with(10.0, 0, true).with_snapshot_cache(cache.clone()).fuzz(&spec);
+        let off = fuzzer_with(10.0, 0, false).fuzz(&spec);
+        assert!(cache.is_empty(), "budget-0 fuzz cached a ring (seed {seed})");
+        assert_eq!(format!("{on:?}"), format!("{off:?}"), "report diverged (seed {seed})");
     }
 }
 
