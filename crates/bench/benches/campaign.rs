@@ -28,12 +28,11 @@ use swarmfuzz_bench::{paper_campaign, results_dir, swarmfuzz_fuzzer};
 /// The honest structural bound for prefix skipping is
 /// `T_probe / (T_probe - t_s)`: a fork only saves the no-attack prefix
 /// `[0, t_s)`, and on the paper's delivery missions the seed schedule puts
-/// spoofing starts at `t_close - 20 s ≈ 12-16 s` while attacked probes run
-/// to the full 150 s timeout — an ~8 % prefix, bounding the speedup at
-/// ~1.09x (measured: ~1.07x; see DESIGN.md §10 and EXPERIMENTS.md). The
-/// floor sits below that bound with margin for CI noise; it exists to
-/// catch the fast path regressing into a slowdown (e.g. snapshot clones
-/// outweighing the skipped steps), not to certify a headline number.
+/// spoofing starts at `t_close - 20 s ≈ 12-16 s`; forks skip at least 19 %
+/// of probe steps there (measured: ~1.07x; see DESIGN.md §10 and
+/// EXPERIMENTS.md). The floor sits below that with margin for CI noise; it
+/// exists to catch the fast path regressing into a slowdown (e.g. snapshot
+/// clones outweighing the skipped steps), not to certify a headline number.
 const SMOKE_SPEEDUP_FLOOR: f64 = 1.02;
 
 struct Measured {
@@ -49,8 +48,9 @@ fn run(campaign: &CampaignConfig, snapshot: bool) -> Measured {
     let telemetry = Telemetry::enabled(campaign.workers.max(1));
     let options = CampaignRunOptions { snapshot, ..Default::default() };
     let start = Instant::now();
-    let report = run_campaign_with_options(campaign, swarmfuzz_fuzzer, &telemetry, &options)
-        .expect("campaign must run");
+    let report =
+        run_campaign_with_options(campaign, swarmfuzz_fuzzer, &options, &telemetry.trace())
+            .expect("campaign must run");
     let wall_s = start.elapsed().as_secs_f64();
     Measured {
         report,

@@ -1,7 +1,9 @@
 //! Micro-benchmarks for the hot paths of the reproduction: PageRank power
 //! iteration, one full simulated mission, SVG construction, a single
-//! objective evaluation (one fuzzing "search iteration"), and the overhead of
-//! the telemetry observer on the mission-step hot path (budget: < 5%).
+//! objective evaluation (one fuzzing "search iteration"), and two
+//! instrumentation overhead gates: a trace handle observing the
+//! mission-step hot path into a counting sink (budget: < 5%), and a ring
+//! sink recording every fuzzing event (budget: < 2%).
 //!
 //! Hand-rolled harness (median of timed batches) — no external benchmark
 //! dependency. Results are printed per benchmark and written to
@@ -16,23 +18,62 @@ use swarmfuzz::telemetry::Counter;
 use swarmfuzz::{SvgBuilder, Telemetry};
 use swarmfuzz_bench::{paper_controller, results_dir};
 
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Mean ns/iteration of one timed batch of `iters` calls.
+fn time_batch(iters: usize, f: &mut impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
 /// Median ns/iteration over `batches` timed batches of `iters` calls each.
 fn bench<F: FnMut()>(name: &str, batches: usize, iters: usize, mut f: F) -> f64 {
     // Warm-up.
     f();
-    let mut per_iter: Vec<f64> = (0..batches)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    per_iter.sort_by(f64::total_cmp);
-    let median = per_iter[per_iter.len() / 2];
+    let median = median((0..batches).map(|_| time_batch(iters, &mut f)).collect());
     println!("{name:<40} {:>12.0} ns/iter", median);
     median
+}
+
+/// Overhead of `on` over `off` in percent, as the median over `pairs`
+/// back-to-back batch pairs of the per-pair time ratio, plus each side's
+/// median ns/iteration. The side that runs first alternates every pair, so
+/// machine drift (clock frequency, other load) hits both sides alike
+/// instead of one block of batches.
+fn paired_overhead(
+    name: &str,
+    pairs: usize,
+    iters: usize,
+    mut off: impl FnMut(),
+    mut on: impl FnMut(),
+) -> (f64, f64, f64) {
+    // Warm-up.
+    off();
+    on();
+    let (mut offs, mut ons, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (a, b) = if pair % 2 == 0 {
+            let a = time_batch(iters, &mut off);
+            (a, time_batch(iters, &mut on))
+        } else {
+            let b = time_batch(iters, &mut on);
+            (time_batch(iters, &mut off), b)
+        };
+        offs.push(a);
+        ons.push(b);
+        ratios.push(b / a);
+    }
+    let (off_ns, on_ns) = (median(offs), median(ons));
+    let overhead = (median(ratios) - 1.0) * 100.0;
+    println!("{:<40} {off_ns:>12.0} ns/iter", format!("{name}/off"));
+    println!("{:<40} {on_ns:>12.0} ns/iter", format!("{name}/on"));
+    (off_ns, on_ns, overhead)
 }
 
 fn main() {
@@ -102,32 +143,35 @@ fn main() {
         push("attack_eval/5d-10m-full-mission", ns);
     }
 
-    // Telemetry observer overhead on the mission-step hot path: the same
-    // truncated mission with and without an enabled observer. Budget: < 5%.
+    // Observer overhead on the mission-step hot path: the same truncated
+    // mission with and without a trace handle forwarding its run stats to a
+    // counting sink. Budget: < 5%.
     {
         let mut spec = MissionSpec::paper_delivery(5, 1);
         spec.duration = 30.0;
         let sim = Simulation::new(spec, paper_controller()).unwrap();
-        let plain = bench("observer_overhead/off", 7, 5, || {
-            std::hint::black_box(sim.run(None).unwrap());
-        });
         let telemetry = Telemetry::enabled(1);
-        let observer: &dyn SimObserver = &telemetry;
-        let observed = bench("observer_overhead/on", 7, 5, || {
-            std::hint::black_box(sim.run_observed(None, Some(observer)).unwrap());
-        });
-        let overhead = (observed - plain) / plain * 100.0;
+        let trace = telemetry.trace();
+        let observer: &dyn SimObserver = &trace;
+        let (plain, observed, overhead) = paired_overhead(
+            "observer_overhead",
+            21,
+            5,
+            || {
+                std::hint::black_box(sim.run(None).unwrap());
+            },
+            || {
+                std::hint::black_box(sim.run_observed(None, Some(observer)).unwrap());
+            },
+        );
         println!(
-            "observer overhead: {overhead:+.2}% ({} physics steps batched per run)",
+            "observer overhead: {overhead:+.2}% ({} physics steps counted)",
             telemetry.counter(Counter::SimPhysicsSteps)
         );
         push("observer_overhead/off", plain);
         push("observer_overhead/on", observed);
         rows.push(vec!["observer_overhead_pct".into(), format!("{overhead:.2}")]);
-        assert!(
-            overhead < 5.0,
-            "telemetry observer exceeded the 5% hot-path budget: {overhead:.2}%"
-        );
+        assert!(overhead < 5.0, "observer exceeded the 5% hot-path budget: {overhead:.2}%");
     }
 
     // Trace overhead on the fuzzing hot path: the same mission fuzzed with
@@ -140,22 +184,23 @@ fn main() {
 
         let spec = MissionSpec::paper_delivery(5, 1);
         let config = FuzzerConfig { eval_budget: 4, ..FuzzerConfig::swarmfuzz(10.0) };
-        let plain = bench("trace_overhead/off", 9, 1, || {
-            let fuzzer = Fuzzer::new(paper_controller(), config);
-            std::hint::black_box(fuzzer.fuzz(&spec).unwrap());
-        });
         let ring = Arc::new(RingSink::new(1 << 14));
         let sink = ring.clone();
-        let traced = bench("trace_overhead/ring", 9, 1, move || {
-            let fuzzer =
-                Fuzzer::new(paper_controller(), config).with_trace(Trace::new(sink.clone()));
-            std::hint::black_box(fuzzer.fuzz(&spec).unwrap());
-        });
-        let overhead = (traced - plain) / plain * 100.0;
-        println!(
-            "trace overhead: {overhead:+.2}% ({} events recorded per run batch)",
-            ring.total()
+        let (plain, traced, overhead) = paired_overhead(
+            "trace_overhead",
+            21,
+            1,
+            || {
+                let fuzzer = Fuzzer::new(paper_controller(), config);
+                std::hint::black_box(fuzzer.fuzz(&spec).unwrap());
+            },
+            || {
+                let fuzzer =
+                    Fuzzer::new(paper_controller(), config).with_trace(Trace::new(sink.clone()));
+                std::hint::black_box(fuzzer.fuzz(&spec).unwrap());
+            },
         );
+        println!("trace overhead: {overhead:+.2}% ({} events recorded)", ring.total());
         rows.push(vec!["trace_overhead/off".into(), format!("{plain:.0}")]);
         rows.push(vec!["trace_overhead/ring".into(), format!("{traced:.0}")]);
         rows.push(vec!["trace_overhead_pct".into(), format!("{overhead:.2}")]);

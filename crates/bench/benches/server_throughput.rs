@@ -23,9 +23,7 @@
 
 use std::time::Instant;
 
-use swarmfuzz::campaign::{
-    run_campaign_with_options, CampaignConfig, CampaignReport, CampaignRunOptions, SwarmConfig,
-};
+use swarmfuzz::campaign::{run_campaign, CampaignConfig, CampaignReport, SwarmConfig};
 use swarmfuzz::server::{in_process_factory, ExecutorOptions};
 use swarmfuzz::{CampaignServer, CampaignSpec, Fuzzer, ServerConfig, ServerError, Telemetry};
 use swarmfuzz_bench::results_dir;
@@ -58,12 +56,9 @@ fn specs() -> Vec<CampaignSpec> {
 }
 
 fn direct_report(spec: &CampaignSpec) -> CampaignReport {
-    run_campaign_with_options(
-        &spec.campaign,
-        |deviation| Fuzzer::new(controller(), spec.fuzzer_config(deviation)),
-        &Telemetry::off(),
-        &CampaignRunOptions::default(),
-    )
+    run_campaign(&spec.campaign, |deviation| {
+        Fuzzer::new(controller(), spec.fuzzer_config(deviation))
+    })
     .expect("direct campaign must run")
 }
 

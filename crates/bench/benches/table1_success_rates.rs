@@ -19,9 +19,9 @@
 //! and skipping the full Table I campaign.
 
 use swarm_sim::spoof::{WaveformKind, WaveformSet};
-use swarmfuzz::campaign::{run_campaign_with_telemetry, CampaignConfig, SwarmConfig};
+use swarmfuzz::campaign::{run_campaign, CampaignConfig, SwarmConfig};
 use swarmfuzz::report::{success_rate_table, write_csv};
-use swarmfuzz::{Fuzzer, FuzzerConfig, Telemetry};
+use swarmfuzz::{Fuzzer, FuzzerConfig};
 use swarmfuzz_bench::{
     cached_paper_campaign, missions_per_config, paper_configs, paper_controller, percent,
     print_table, results_dir, workers,
@@ -107,8 +107,7 @@ fn attack_class_table(smoke: bool) {
             Fuzzer::new(paper_controller(), config)
         };
         eprintln!("[bench] attack class {kind}: {missions} missions");
-        let report = run_campaign_with_telemetry(&campaign, make, &Telemetry::off())
-            .expect("campaign must run");
+        let report = run_campaign(&campaign, make).expect("campaign must run");
         let successes = report.missions.iter().filter(|m| m.success).count();
         let rate = successes as f64 / report.missions.len().max(1) as f64;
         let evals: usize = report.missions.iter().map(|m| m.evaluations).sum();

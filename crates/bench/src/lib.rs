@@ -15,15 +15,17 @@
 //! under `bench_results/`.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_sim::spoof::{SpoofDirection, Waveform, WaveformKind};
 use swarm_sim::DroneId;
 use swarmfuzz::campaign::{
-    run_campaign_with_telemetry, CampaignConfig, CampaignReport, MissionResult, SwarmConfig,
+    run_campaign_with_options, CampaignConfig, CampaignReport, MissionResult, SwarmConfig,
 };
 use swarmfuzz::seed::Seed;
-use swarmfuzz::{Fuzzer, FuzzerConfig, SpvFinding, Telemetry};
+use swarmfuzz::trace::{ProgressSink, TeeSink};
+use swarmfuzz::{Fuzzer, FuzzerConfig, SpvFinding, Telemetry, Trace};
 
 /// Default number of missions per configuration (kept modest so the full
 /// bench suite completes on a single CI core; the paper uses 100).
@@ -92,12 +94,13 @@ pub fn cached_paper_campaign() -> CampaignReport {
         campaign.configs.len(),
         campaign.missions_per_config
     );
-    let telemetry = Telemetry::enabled_with_progress(
-        campaign.workers,
-        (campaign.missions_per_config as u64).max(5),
-    );
-    let report = run_campaign_with_telemetry(&campaign, swarmfuzz_fuzzer, &telemetry)
-        .expect("campaign must run");
+    let telemetry = Telemetry::enabled(campaign.workers);
+    let progress = ProgressSink::new((campaign.missions_per_config as u64).max(5));
+    let trace =
+        Trace::new(Arc::new(TeeSink::new(vec![Arc::new(telemetry.clone()), Arc::new(progress)])));
+    let report =
+        run_campaign_with_options(&campaign, swarmfuzz_fuzzer, &Default::default(), &trace)
+            .expect("campaign must run");
     store_campaign_csv(&cache, &report);
     if let Some(snapshot) = telemetry.snapshot() {
         let stem = format!(

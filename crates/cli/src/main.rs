@@ -27,7 +27,7 @@ use swarm_sim::mission::MissionSpec;
 use swarm_sim::spoof::SpoofingAttack;
 use swarm_sim::{DroneId, Simulation};
 use swarmfuzz::campaign::{
-    report_from_rows, run_campaign_traced, CampaignConfig, CampaignRunOptions,
+    report_from_rows, run_campaign_with_options, CampaignConfig, CampaignRunOptions,
 };
 use swarmfuzz::dashboard::render_dashboard;
 use swarmfuzz::trace::{chrome_trace, parse_ndjson, FileSink, ProgressSink, RingSink, TeeSink};
@@ -184,7 +184,7 @@ fn cmd_audit(opts: &AuditOpts) -> Result<(), CliError> {
         if mode == TelemetryMode::Off { Telemetry::off() } else { Telemetry::enabled(1) };
 
     let fuzzer = Fuzzer::new(controller(), FuzzerConfig::swarmfuzz(opts.deviation))
-        .with_telemetry(telemetry.clone());
+        .with_trace(telemetry.trace());
     let mut vulnerable = 0usize;
     let mut audited = 0usize;
     let mut seed = opts.seed;
@@ -192,10 +192,7 @@ fn cmd_audit(opts: &AuditOpts) -> Result<(), CliError> {
         let spec = MissionSpec::paper_delivery(opts.drones, seed);
         seed += 1;
         match fuzzer.fuzz(&spec) {
-            Err(FuzzError::BaselineCollision(_)) => {
-                telemetry.incr(swarmfuzz::telemetry::Counter::BaselineSkips);
-                continue;
-            }
+            Err(FuzzError::BaselineCollision(_)) => continue,
             Err(e) => return Err(e.into()),
             Ok(report) => {
                 audited += 1;
@@ -245,13 +242,6 @@ fn cmd_audit(opts: &AuditOpts) -> Result<(), CliError> {
 fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
     let mode = opts.telemetry;
     let workers = opts.workers;
-    let telemetry = if mode == TelemetryMode::Off {
-        Telemetry::off()
-    } else {
-        // One progress line roughly every 10% of a worker's share.
-        let every = ((opts.missions * 6 / workers.max(1)) as u64 / 10).max(5);
-        Telemetry::enabled_with_progress(workers, every)
-    };
     let mut campaign = CampaignConfig::paper_grid(opts.missions, 0xC0FFEE);
     campaign.workers = workers;
     let ctrl = controller();
@@ -262,8 +252,9 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
     };
     let attacks = opts.attacks;
 
-    // Trace sinks are observational and live outside `CampaignRunOptions`
-    // (which participates in journal fingerprints).
+    // Sinks are observational and live outside `CampaignRunOptions` (which
+    // participates in journal fingerprints): file or ring, progress and
+    // counting all hang off one trace.
     let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
     let mut file_sink: Option<Arc<FileSink>> = None;
     match &opts.trace {
@@ -279,16 +270,20 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
     if opts.progress > 0 {
         sinks.push(Arc::new(ProgressSink::new(opts.progress)));
     }
+    let telemetry =
+        if mode == TelemetryMode::Off { Telemetry::off() } else { Telemetry::enabled(workers) };
+    if telemetry.is_enabled() {
+        sinks.push(Arc::new(telemetry.clone()));
+    }
     let trace = match sinks.len() {
         0 => Trace::off(),
         1 => Trace::new(sinks.pop().expect("one sink")),
         _ => Trace::new(Arc::new(TeeSink::new(sinks))),
     };
 
-    let report = run_campaign_traced(
+    let report = run_campaign_with_options(
         &campaign,
         |d| Fuzzer::new(ctrl, FuzzerConfig::swarmfuzz(d).with_waveforms(attacks)),
-        &telemetry,
         &options,
         &trace,
     )
@@ -413,7 +408,7 @@ fn cmd_stress(opts: &StressOpts) -> Result<(), CliError> {
         .with_config(SimConfig { spatial, ..Default::default() });
 
     let started = std::time::Instant::now();
-    let out = sim.run_observed(None, Some(&telemetry))?;
+    let out = sim.run_observed(None, Some(&telemetry.trace()))?;
     let wall = started.elapsed();
 
     let simulated = out.record.duration();

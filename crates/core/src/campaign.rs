@@ -17,7 +17,6 @@ use crate::fuzzer::{Fuzzer, FuzzerConfig, SpvFinding};
 use crate::server::run_scheduled;
 use crate::snapshot::SnapshotCache;
 use crate::store::{campaign_fingerprint, CampaignJournal, JournalRow};
-use crate::telemetry::{Counter, Telemetry};
 use crate::trace::{Trace, TraceEvent, TraceKey};
 use crate::FuzzError;
 
@@ -195,32 +194,7 @@ where
     C: SwarmController + Clone + Send + 'static,
     F: Fn(f64) -> Fuzzer<C> + Sync,
 {
-    run_campaign_with_telemetry(campaign, make_fuzzer, &Telemetry::off())
-}
-
-/// [`run_campaign`] with a telemetry handle attached to every worker's
-/// fuzzer.
-///
-/// Telemetry is purely observational — the returned [`CampaignReport`] is
-/// byte-identical to the uninstrumented run's (covered by the campaign
-/// determinism tests). Per-worker progress (missions done, SPVs found,
-/// evaluations spent) is tracked per worker slot, and periodic one-line
-/// progress reports go to stderr when the handle was built with
-/// [`Telemetry::enabled_with_progress`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_campaign`].
-pub fn run_campaign_with_telemetry<C, F>(
-    campaign: &CampaignConfig,
-    make_fuzzer: F,
-    telemetry: &Telemetry,
-) -> Result<CampaignReport, FuzzError>
-where
-    C: SwarmController + Clone + Send + 'static,
-    F: Fn(f64) -> Fuzzer<C> + Sync,
-{
-    run_campaign_with_options(campaign, make_fuzzer, telemetry, &CampaignRunOptions::default())
+    run_campaign_with_options(campaign, make_fuzzer, &CampaignRunOptions::default(), &Trace::off())
 }
 
 /// Where (and whether) a campaign journals its progress.
@@ -258,8 +232,8 @@ impl Default for CampaignRunOptions {
     }
 }
 
-/// The full campaign runner: [`run_campaign_with_telemetry`] plus crash-safe
-/// journaling, resume and per-mission fault isolation.
+/// The full campaign runner: [`run_campaign`] plus crash-safe journaling,
+/// resume, per-mission fault isolation and instrumentation.
 ///
 /// * Worker results stream to the journal as they complete (one JSONL row
 ///   per mission), so killing the process loses at most the in-flight
@@ -270,6 +244,14 @@ impl Default for CampaignRunOptions {
 /// * A mission-level [`FuzzError`] is retried up to
 ///   [`CampaignRunOptions::max_retries`] times and then recorded as a
 ///   [`MissionFailure`] row instead of aborting the campaign.
+/// * `trace` instruments every worker's fuzzer (see [`crate::trace`]; a
+///   [`crate::Telemetry`] sink counts). It is a separate parameter — not a
+///   [`CampaignRunOptions`] field — because options participate in
+///   equality/fingerprint comparisons while a trace is purely
+///   observational: the returned [`CampaignReport`] is bit-identical with
+///   any sink attached (gated by `tests/campaign_trace.rs`), and since every
+///   event is keyed by logical time only, the trace itself is byte-identical
+///   across worker counts after a sequence-sort.
 ///
 /// # Errors
 ///
@@ -279,33 +261,6 @@ impl Default for CampaignRunOptions {
 pub fn run_campaign_with_options<C, F>(
     campaign: &CampaignConfig,
     make_fuzzer: F,
-    telemetry: &Telemetry,
-    options: &CampaignRunOptions,
-) -> Result<CampaignReport, FuzzError>
-where
-    C: SwarmController + Clone + Send + 'static,
-    F: Fn(f64) -> Fuzzer<C> + Sync,
-{
-    run_campaign_traced(campaign, make_fuzzer, telemetry, options, &Trace::off())
-}
-
-/// [`run_campaign_with_options`] with a structured trace handle attached to
-/// every worker's fuzzer (see [`crate::trace`]).
-///
-/// The trace is a separate parameter — not a [`CampaignRunOptions`] field —
-/// because options participate in equality/fingerprint comparisons while a
-/// trace is purely observational: the returned [`CampaignReport`] is
-/// bit-identical with any sink attached (gated by `tests/campaign_trace.rs`),
-/// and since every event is keyed by logical time only, the trace itself is
-/// byte-identical across worker counts after a sequence-sort.
-///
-/// # Errors
-///
-/// Same conditions as [`run_campaign_with_options`].
-pub fn run_campaign_traced<C, F>(
-    campaign: &CampaignConfig,
-    make_fuzzer: F,
-    telemetry: &Telemetry,
     options: &CampaignRunOptions,
     trace: &Trace,
 ) -> Result<CampaignReport, FuzzError>
@@ -350,7 +305,6 @@ where
             rows.push(row);
         }
     }
-    telemetry.add(Counter::ResumeSkips, completed.len() as u64);
     trace.emit(TraceEvent::CampaignStart {
         configs: campaign.configs.len(),
         missions_per_config: campaign.missions_per_config,
@@ -376,16 +330,14 @@ where
     let executor = InProcessExecutor::new(
         campaign.base_seed,
         &make_fuzzer,
-        telemetry.clone(),
         trace.clone(),
         ExecutionProfile { max_retries: options.max_retries },
         snapshot_cache,
     );
 
-    run_scheduled(&executor, jobs, campaign.workers, telemetry, |row| {
+    run_scheduled(&executor, jobs, campaign.workers, trace, |row| {
         if let Some(j) = journal.as_mut() {
             j.append(&row)?;
-            telemetry.incr(Counter::JournalAppends);
             // Keyed at the job's coordinates with the sentinel sequence
             // number, so the marker sorts after every mission event and
             // is independent of collector arrival order.

@@ -13,9 +13,10 @@
 //! * per-configuration success-rate and mean-iteration tables (the paper's
 //!   Table I / Table II views);
 //! * per-attack-class findings table;
-//! * search-effort breakdown derived from trace event counts (the trace
-//!   carries logical time only, so the dashboard reports effort in probes
-//!   and events, never wall-clock);
+//! * search-effort breakdown: the trace replayed into a
+//!   [`Telemetry`] counting sink, the same fold a live run counts with (the
+//!   trace carries logical time only, so the dashboard reports effort in
+//!   probes and events, never wall-clock);
 //! * per-mission search trajectories (objective value vs. probe index);
 //! * quarantined failures with their journaled error context.
 
@@ -23,7 +24,8 @@ use std::collections::BTreeMap;
 
 use crate::campaign::{CampaignReport, SwarmConfig};
 use crate::report::{iteration_table, success_rate_table};
-use crate::trace::{sort_records, TraceEvent, TraceKey, TraceRecord};
+use crate::telemetry::{Counter, Telemetry};
+use crate::trace::{sort_records, TraceEvent, TraceKey, TraceRecord, TraceSink};
 
 /// Escapes text for HTML (also sufficient for attribute values in quotes).
 fn esc(s: &str) -> String {
@@ -141,51 +143,6 @@ fn svg_trajectory(t: &Trajectory) -> String {
     svg
 }
 
-/// Counts derived from the trace (all zero without trace records).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct TraceCounts {
-    probes: u64,
-    fork_hits: u64,
-    fork_misses: u64,
-    fresh_probes: u64,
-    gradient_steps: u64,
-    baselines: u64,
-    baseline_rejected: u64,
-    seeds_started: u64,
-    seeds_ranked: u64,
-    resume_skips: u64,
-    retries: u64,
-    journal_appends: u64,
-    minimize_passes: u64,
-}
-
-fn count_events(records: &[TraceRecord]) -> TraceCounts {
-    let mut c = TraceCounts::default();
-    for r in records {
-        match &r.event {
-            TraceEvent::Probe { fork, .. } => {
-                c.probes += 1;
-                match fork {
-                    Some(true) => c.fork_hits += 1,
-                    Some(false) => c.fork_misses += 1,
-                    None => c.fresh_probes += 1,
-                }
-            }
-            TraceEvent::GradientStep { .. } => c.gradient_steps += 1,
-            TraceEvent::BaselineDone { .. } => c.baselines += 1,
-            TraceEvent::BaselineRejected { .. } => c.baseline_rejected += 1,
-            TraceEvent::SeedStart { .. } => c.seeds_started += 1,
-            TraceEvent::SeedRanked { .. } => c.seeds_ranked += 1,
-            TraceEvent::ResumeSkip => c.resume_skips += 1,
-            TraceEvent::MissionRetry { .. } => c.retries += 1,
-            TraceEvent::JournalAppend { .. } => c.journal_appends += 1,
-            TraceEvent::MinimizePass { .. } => c.minimize_passes += 1,
-            _ => {}
-        }
-    }
-    c
-}
-
 fn card(out: &mut String, label: &str, value: String) {
     out.push_str(&format!(
         "<div class=\"card\"><div class=\"v\">{}</div><div class=\"l\">{}</div></div>",
@@ -212,7 +169,11 @@ pub fn render_dashboard(
     records: &[TraceRecord],
     title: &str,
 ) -> String {
-    let counts = count_events(records);
+    let counts = Telemetry::enabled(1);
+    for r in records {
+        counts.record(r);
+    }
+    let count = |c: Counter| counts.counter(c);
     let successes = report.missions.iter().filter(|m| m.success).count();
 
     let mut html = String::with_capacity(16 * 1024);
@@ -252,11 +213,11 @@ pub fn render_dashboard(
     card(&mut html, "success rate", rate);
     card(&mut html, "failures", report.failures.len().to_string());
     if !records.is_empty() {
-        card(&mut html, "probes", counts.probes.to_string());
-        card(&mut html, "fork hits", counts.fork_hits.to_string());
-        card(&mut html, "fork misses", counts.fork_misses.to_string());
-        card(&mut html, "retries", counts.retries.to_string());
-        card(&mut html, "resume skips", counts.resume_skips.to_string());
+        card(&mut html, "probes", count(Counter::Evaluations).to_string());
+        card(&mut html, "fork hits", count(Counter::ForkHits).to_string());
+        card(&mut html, "fork misses", count(Counter::ForkMisses).to_string());
+        card(&mut html, "retries", count(Counter::MissionRetries).to_string());
+        card(&mut html, "resume skips", count(Counter::ResumeSkips).to_string());
     }
     html.push_str("</div>\n");
 
@@ -306,14 +267,14 @@ pub fn render_dashboard(
              events, not wall-clock.</p>\n<table>\n",
         );
         let rows: [(&str, u64); 8] = [
-            ("baselines simulated", counts.baselines),
-            ("baselines rejected (collision)", counts.baseline_rejected),
-            ("seeds ranked", counts.seeds_ranked),
-            ("seeds searched", counts.seeds_started),
-            ("window probes", counts.probes),
-            ("gradient steps", counts.gradient_steps),
-            ("minimize passes", counts.minimize_passes),
-            ("journal appends", counts.journal_appends),
+            ("baselines simulated", count(Counter::MissionsRun)),
+            ("baselines rejected (collision)", count(Counter::BaselineSkips)),
+            ("seeds ranked", count(Counter::SeedsRanked)),
+            ("seeds searched", count(Counter::SeedsTried)),
+            ("window probes", count(Counter::Evaluations)),
+            ("gradient steps", count(Counter::GradientSteps)),
+            ("minimize passes", count(Counter::MinimizePasses)),
+            ("journal appends", count(Counter::JournalAppends)),
         ];
         let max = rows.iter().map(|&(_, v)| v).max().unwrap_or(0);
         for (label, value) in rows {

@@ -27,7 +27,6 @@ use crate::campaign::{
 use crate::fuzzer::Fuzzer;
 use crate::snapshot::SnapshotCache;
 use crate::store::JournalRow;
-use crate::telemetry::{Counter, Telemetry};
 use crate::trace::{Trace, TraceEvent};
 use crate::FuzzError;
 
@@ -86,7 +85,6 @@ impl Default for ExecutionProfile {
 pub struct InProcessExecutor<C, F> {
     base_seed: u64,
     make_fuzzer: F,
-    telemetry: Telemetry,
     trace: Trace,
     profile: ExecutionProfile,
     snapshot_cache: Option<SnapshotCache>,
@@ -99,12 +97,12 @@ where
     F: Fn(f64) -> Fuzzer<C>,
 {
     /// Builds an executor over `make_fuzzer` for the campaign seeded with
-    /// `base_seed`. `snapshot_cache` enables snapshot-and-fork execution
-    /// (shared across every job this executor runs).
+    /// `base_seed`. `trace` instruments every job (scoped per mission);
+    /// `snapshot_cache` enables snapshot-and-fork execution (shared across
+    /// every job this executor runs).
     pub fn new(
         base_seed: u64,
         make_fuzzer: F,
-        telemetry: Telemetry,
         trace: Trace,
         profile: ExecutionProfile,
         snapshot_cache: Option<SnapshotCache>,
@@ -112,7 +110,6 @@ where
         InProcessExecutor {
             base_seed,
             make_fuzzer,
-            telemetry,
             trace,
             profile,
             snapshot_cache,
@@ -129,7 +126,6 @@ where
     ) -> Result<MissionResult, FuzzError> {
         let config = job.config;
         let mut fuzzer = (self.make_fuzzer)(config.deviation)
-            .with_telemetry(self.telemetry.clone())
             .with_trace(mission_trace.clone())
             .with_snapshots(self.snapshot_cache.is_some());
         if let Some(cache) = &self.snapshot_cache {
@@ -137,10 +133,9 @@ where
         }
         // Deterministic, collision-free per-(config, index) seed stream.
         let start_seed = mission_base_seed(self.base_seed, config, job.index);
-        let (seed, report) =
-            with_baseline_skips(config, start_seed, 100, &self.telemetry, |seed| {
-                fuzzer.fuzz(&campaign_mission(config, seed))
-            })?;
+        let (seed, report) = with_baseline_skips(config, start_seed, 100, |seed| {
+            fuzzer.fuzz(&campaign_mission(config, seed))
+        })?;
         Ok(MissionResult {
             config,
             mission_seed: seed,
@@ -175,9 +170,8 @@ where
     ///
     /// Panics unwind no further than this frame: the simulation, fuzzer and
     /// controller run under `catch_unwind`, and every shared structure a
-    /// mission touches (snapshot cache, trace sinks, telemetry) recovers
-    /// from lock poisoning, so the surviving workers keep draining the
-    /// queue.
+    /// mission touches (snapshot cache, trace sinks) recovers from lock
+    /// poisoning, so the surviving workers keep draining the queue.
     fn execute(&self, job: &MissionJob) -> JournalRow {
         // One scoped handle per mission: every event of this mission is
         // keyed by its grid coordinates plus a fresh sequence counter,
@@ -192,12 +186,10 @@ where
                 Ok(result) => return JournalRow::Done { index: job.index, result },
                 Err(e) if retries < self.profile.max_retries => {
                     retries += 1;
-                    self.telemetry.incr(Counter::MissionRetries);
                     mission_trace
                         .emit(TraceEvent::MissionRetry { attempt: retries, error: e.to_string() });
                 }
                 Err(e) => {
-                    self.telemetry.incr(Counter::MissionFailures);
                     let error = e.to_string();
                     mission_trace.emit(TraceEvent::MissionFailed { error: error.clone(), retries });
                     return JournalRow::Failed(MissionFailure {
@@ -229,17 +221,13 @@ pub(crate) fn with_baseline_skips<T>(
     config: SwarmConfig,
     start_seed: u64,
     attempts: usize,
-    telemetry: &Telemetry,
     mut f: impl FnMut(u64) -> Result<T, FuzzError>,
 ) -> Result<(u64, T), FuzzError> {
     let mut seed = start_seed;
     for _ in 0..attempts {
         match f(seed) {
             Ok(value) => return Ok((seed, value)),
-            Err(FuzzError::BaselineCollision(_)) => {
-                telemetry.incr(Counter::BaselineSkips);
-                seed = seed.wrapping_add(1);
-            }
+            Err(FuzzError::BaselineCollision(_)) => seed = seed.wrapping_add(1),
             Err(e) => return Err(e),
         }
     }
@@ -276,16 +264,15 @@ mod tests {
     fn baseline_skips_wrap_at_u64_max() {
         let config = SwarmConfig { swarm_size: 5, deviation: 10.0 };
         let mut tried = Vec::new();
-        let (seed, ()) =
-            with_baseline_skips(config, u64::MAX - 1, 100, &Telemetry::off(), |seed| {
-                tried.push(seed);
-                if tried.len() < 4 {
-                    Err(collision())
-                } else {
-                    Ok(())
-                }
-            })
-            .expect("skip loop must survive the wraparound");
+        let (seed, ()) = with_baseline_skips(config, u64::MAX - 1, 100, |seed| {
+            tried.push(seed);
+            if tried.len() < 4 {
+                Err(collision())
+            } else {
+                Ok(())
+            }
+        })
+        .expect("skip loop must survive the wraparound");
         assert_eq!(tried, vec![u64::MAX - 1, u64::MAX, 0, 1]);
         assert_eq!(seed, 1);
     }
@@ -295,9 +282,12 @@ mod tests {
     #[test]
     fn baseline_skip_exhaustion_reports_context() {
         let config = SwarmConfig { swarm_size: 3, deviation: 5.0 };
-        let telemetry = Telemetry::enabled(1);
-        let err = with_baseline_skips(config, 77, 100, &telemetry, |_| Err::<(), _>(collision()))
-            .unwrap_err();
+        let mut calls = 0usize;
+        let err = with_baseline_skips(config, 77, 100, |_| {
+            calls += 1;
+            Err::<(), _>(collision())
+        })
+        .unwrap_err();
         assert_eq!(
             err,
             FuzzError::BaselineSkipsExhausted {
@@ -311,7 +301,7 @@ mod tests {
         assert!(msg.contains("3d-5m"), "config context missing: {msg}");
         assert!(msg.contains("77"), "seed context missing: {msg}");
         assert!(msg.contains("100"), "attempt count missing: {msg}");
-        assert_eq!(telemetry.counter(Counter::BaselineSkips), 100);
+        assert_eq!(calls, 100);
     }
 
     /// Non-collision errors must propagate immediately, not burn attempts.
@@ -319,7 +309,7 @@ mod tests {
     fn baseline_skips_propagate_other_errors() {
         let config = SwarmConfig { swarm_size: 5, deviation: 10.0 };
         let mut calls = 0usize;
-        let err = with_baseline_skips(config, 0, 100, &Telemetry::off(), |_| {
+        let err = with_baseline_skips(config, 0, 100, |_| {
             calls += 1;
             Err::<(), _>(FuzzError::SwarmTooSmall(1))
         })

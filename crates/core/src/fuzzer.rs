@@ -38,8 +38,8 @@ use crate::search::{
 use crate::seed::Seed;
 use crate::snapshot::{cache_key, MissionCache, SnapshotCache, SnapshotRing};
 use crate::svg::CentralityKind;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use crate::trace::{Trace, TraceEvent};
+use crate::telemetry::Phase;
+use crate::trace::{Measurement, Trace, TraceEvent};
 use crate::FuzzError;
 
 /// How seeds are ordered for fuzzing.
@@ -202,7 +202,6 @@ impl FuzzReport {
 pub struct Fuzzer<C> {
     controller: C,
     config: FuzzerConfig,
-    telemetry: Telemetry,
     trace: Trace,
     snapshots: bool,
     snapshot_cache: Option<SnapshotCache>,
@@ -213,33 +212,18 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
     /// Snapshot forking is on by default (it is bit-identical to fresh
     /// simulation — see `tests/snapshot_equivalence.rs`).
     pub fn new(controller: C, config: FuzzerConfig) -> Self {
-        Fuzzer {
-            controller,
-            config,
-            telemetry: Telemetry::off(),
-            trace: Trace::off(),
-            snapshots: true,
-            snapshot_cache: None,
-        }
+        Fuzzer { controller, config, trace: Trace::off(), snapshots: true, snapshot_cache: None }
     }
 
-    /// Attaches a structured trace handle recording typed pipeline events
-    /// (probes, gradient steps, seed rankings — see [`crate::trace`]).
+    /// Attaches the instrumentation handle: typed pipeline events (probes,
+    /// gradient steps, seed rankings — see [`crate::trace`]) plus phase
+    /// timings and simulation counts on its side channel.
     ///
-    /// Like [`Fuzzer::with_telemetry`], tracing is purely observational and
-    /// deliberately not part of [`FuzzerConfig`]: the returned
-    /// [`FuzzReport`] is identical with or without it.
+    /// Instrumentation is purely observational and deliberately not part of
+    /// [`FuzzerConfig`]: the returned [`FuzzReport`] is identical with or
+    /// without it.
     pub fn with_trace(mut self, trace: Trace) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Attaches a telemetry handle recording phase timings and counters.
-    ///
-    /// Instrumentation is purely observational: [`Fuzzer::fuzz`] returns the
-    /// same [`FuzzReport`] with or without it.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
         self
     }
 
@@ -272,11 +256,6 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
         &self.config
     }
 
-    /// The attached telemetry handle (disabled unless set).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
     /// Fuzzes one mission end-to-end: initial test, seed scheduling, window
     /// search. See the module docs for the pipeline.
     ///
@@ -291,7 +270,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
         self.trace.emit(TraceEvent::MissionStart { mission_seed: spec.seed });
         let sim = Simulation::new(spec.clone(), self.controller.clone())?;
         let observer: Option<&dyn SimObserver> =
-            if self.telemetry.is_enabled() { Some(&self.telemetry) } else { None };
+            if self.trace.is_enabled() { Some(&self.trace) } else { None };
 
         // Step 1: initial no-attack test. With snapshots on, the baseline
         // run also captures a snapshot ring for the window search to fork
@@ -307,7 +286,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
             } else {
                 let ring = RefCell::new(SnapshotRing::new(spec.steps_per_gps()));
                 let outcome = {
-                    let _span = self.telemetry.span(Phase::Baseline);
+                    let _span = self.trace.span(Phase::Baseline);
                     sim.run_observed_with_snapshots(
                         None,
                         observer,
@@ -322,7 +301,6 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                     });
                     return Err(FuzzError::BaselineCollision(*c));
                 }
-                self.telemetry.incr(Counter::MissionsRun);
                 let built = Arc::new(MissionCache::from_ring(outcome.record, ring.into_inner()));
                 if let Some(shared) = shared {
                     shared.insert(key, built.clone());
@@ -331,7 +309,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
             }
         } else {
             let outcome = {
-                let _span = self.telemetry.span(Phase::Baseline);
+                let _span = self.trace.span(Phase::Baseline);
                 sim.run_observed(None, observer)?
             };
             if let Some(c) = outcome.first_collision() {
@@ -339,7 +317,6 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                     .emit(TraceEvent::BaselineRejected { mission_seed: spec.seed, time: c.time });
                 return Err(FuzzError::BaselineCollision(*c));
             }
-            self.telemetry.incr(Counter::MissionsRun);
             owned_baseline = Some(outcome);
         }
         let record: &MissionRecord = match (&mission_cache, &owned_baseline) {
@@ -363,7 +340,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
         // Step 2: seed scheduling.
         let mut rng = rng_for(self.config.rng_seed ^ spec.seed, streams::FUZZER);
         let pool = {
-            let _span = self.telemetry.span(Phase::SeedSchedule);
+            let _span = self.trace.span(Phase::SeedSchedule);
             match self.config.seed_strategy {
                 SeedStrategy::Svg => svg_schedule_instrumented(
                     &self.controller,
@@ -371,7 +348,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                     record,
                     self.config.deviation,
                     self.config.centrality,
-                    &self.telemetry,
+                    &self.trace,
                 )?,
                 SeedStrategy::Random => random_schedule(record, &mut rng)?,
             }
@@ -392,7 +369,6 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                 break;
             }
             seeds_tried += 1;
-            self.telemetry.incr(Counter::SeedsTried);
             let remaining = self.config.eval_budget - evaluations;
             self.trace.emit(TraceEvent::SeedStart {
                 ordinal: seeds_tried,
@@ -412,7 +388,6 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                 &mut rng,
             )?;
             evaluations += result.outcome.evaluations;
-            self.telemetry.add(Counter::Evaluations, result.outcome.evaluations as u64);
             self.trace.emit(TraceEvent::SeedDone {
                 evaluations: result.outcome.evaluations,
                 converged: result.outcome.converged,
@@ -420,7 +395,6 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                 success: result.outcome.success.is_some(),
             });
             if let Some(s) = result.outcome.success {
-                self.telemetry.incr(Counter::SpvFound);
                 finding = Some(SpvFinding {
                     seed: *seed,
                     start: s.start,
@@ -469,10 +443,9 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
         rng: &mut StdRng,
     ) -> Result<SeedSearch, FuzzError> {
         let mut objective = Objective::new(sim, seed, self.config.deviation);
-        if self.telemetry.is_enabled() {
-            objective = objective.with_observer(&self.telemetry);
+        if self.trace.is_enabled() {
+            objective = objective.with_observer(&self.trace);
         }
-        let telemetry = &self.telemetry;
         let trace = &self.trace;
         let eval3 = |ts: f64, dt: f64, shape: Option<f64>| {
             let mut fork_flag = None;
@@ -482,19 +455,19 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                     // the start time the attack window actually uses.
                     if let Some(snap) = cache.newest_admitting(ts.max(0.0)) {
                         fork_flag = Some(true);
-                        telemetry.incr(Counter::ForkHits);
-                        telemetry.add(Counter::PrefixStepsSaved, snap.stats().physics_steps);
+                        trace.measure(Measurement::PrefixSaved {
+                            steps: snap.stats().physics_steps,
+                        });
                         let prefix = {
-                            let _span = telemetry.span(Phase::PrefixSim);
+                            let _span = trace.span(Phase::PrefixSim);
                             sim.prefix_record(snap, cache.baseline())?
                         };
-                        let _span = telemetry.span(Phase::ForkedSim);
+                        let _span = trace.span(Phase::ForkedSim);
                         return objective.evaluate_shaped_forked(snap, prefix, ts, dt, shape);
                     }
                     fork_flag = Some(false);
-                    telemetry.incr(Counter::ForkMisses);
                 }
-                let _span = telemetry.span(Phase::MissionSim);
+                let _span = trace.span(Phase::MissionSim);
                 objective.evaluate_shaped(ts, dt, shape)
             })();
             if let Ok(e) = &result {
@@ -517,7 +490,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
         if let Some(bounds) = shape_bounds(seed.waveform) {
             let shaped = match self.config.search_strategy {
                 SearchStrategy::Gradient => {
-                    let _span = self.telemetry.span(Phase::GradientSearch);
+                    let _span = self.trace.span(Phase::GradientSearch);
                     shaped_gradient_search_traced(
                         |ts, dt, shape| eval3(ts, dt, Some(shape)),
                         (ts0, dt0),
@@ -529,7 +502,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                     )?
                 }
                 SearchStrategy::Random => {
-                    let _span = self.telemetry.span(Phase::RandomSearch);
+                    let _span = self.trace.span(Phase::RandomSearch);
                     shaped_random_search(
                         |ts, dt, shape| eval3(ts, dt, Some(shape)),
                         budget,
@@ -544,7 +517,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
         }
         let outcome = match self.config.search_strategy {
             SearchStrategy::Gradient => {
-                let _span = self.telemetry.span(Phase::GradientSearch);
+                let _span = self.trace.span(Phase::GradientSearch);
                 // Multi-start: the objective is convex in the window for a
                 // fixed interaction geometry, but different windows engage
                 // different geometries; restart once from an earlier, longer
@@ -561,7 +534,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                 )?
             }
             SearchStrategy::Random => {
-                let _span = self.telemetry.span(Phase::RandomSearch);
+                let _span = self.trace.span(Phase::RandomSearch);
                 random_search(
                     |ts: f64, dt: f64| eval3(ts, dt, None),
                     budget,

@@ -22,7 +22,6 @@ use swarm_sim::{DroneId, SwarmController};
 
 use crate::seed::{Seed, Seedpool};
 use crate::svg::{CentralityKind, SvgBuilder};
-use crate::telemetry::Telemetry;
 use crate::trace::{Trace, TraceEvent};
 use crate::FuzzError;
 
@@ -38,29 +37,20 @@ pub fn svg_schedule<C: SwarmController>(
     record: &MissionRecord,
     deviation: f64,
 ) -> Result<Seedpool, FuzzError> {
-    svg_schedule_with_centrality(controller, spec, record, deviation, CentralityKind::PageRank)
+    svg_schedule_instrumented(
+        controller,
+        spec,
+        record,
+        deviation,
+        CentralityKind::PageRank,
+        &Trace::off(),
+    )
 }
 
 /// [`svg_schedule`] with an explicit centrality measure (the
-/// centrality-ablation experiment).
-///
-/// # Errors
-///
-/// Same conditions as [`svg_schedule`].
-pub fn svg_schedule_with_centrality<C: SwarmController>(
-    controller: &C,
-    spec: &MissionSpec,
-    record: &MissionRecord,
-    deviation: f64,
-    centrality: CentralityKind,
-) -> Result<Seedpool, FuzzError> {
-    svg_schedule_instrumented(controller, spec, record, deviation, centrality, &Telemetry::off())
-}
-
-/// [`svg_schedule_with_centrality`] with a telemetry handle threaded into the
-/// SVG builder, timing graph construction and centrality scoring. Telemetry
-/// is purely observational: the returned seedpool is identical to the
-/// uninstrumented call's.
+/// centrality-ablation experiment) and a trace handle threaded into the SVG
+/// builder, timing graph construction and centrality scoring. The trace is
+/// purely observational: the returned seedpool is identical without it.
 ///
 /// # Errors
 ///
@@ -71,14 +61,13 @@ pub fn svg_schedule_instrumented<C: SwarmController>(
     record: &MissionRecord,
     deviation: f64,
     centrality: CentralityKind,
-    telemetry: &Telemetry,
+    trace: &Trace,
 ) -> Result<Seedpool, FuzzError> {
     let n = record.swarm_size();
     if n < 2 {
         return Err(FuzzError::SwarmTooSmall(n));
     }
-    let builder =
-        SvgBuilder::new(controller, spec, record, deviation).with_telemetry(telemetry.clone());
+    let builder = SvgBuilder::new(controller, spec, record, deviation).with_trace(trace.clone());
     let analyses = [
         builder.build_with_centrality(SpoofDirection::Right, centrality)?,
         builder.build_with_centrality(SpoofDirection::Left, centrality)?,

@@ -28,9 +28,9 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crossbeam::channel::{self, Receiver, Sender};
 use swarm_sim::spoof::WaveformSet;
 use swarm_sim::SwarmController;
 
@@ -43,7 +43,7 @@ use crate::store::{
     JournalRow, Json, StoreError,
 };
 use crate::telemetry::Telemetry;
-use crate::trace::Trace;
+use crate::trace::{Measurement, Trace};
 use crate::FuzzError;
 
 /// Locks a mutex, recovering the guard when a previous holder panicked.
@@ -545,7 +545,7 @@ pub fn run_scheduled<E>(
     executor: &E,
     jobs: Vec<MissionJob>,
     workers: usize,
-    telemetry: &Telemetry,
+    trace: &Trace,
     mut on_row: impl FnMut(JournalRow) -> Result<(), FuzzError>,
 ) -> Result<(), FuzzError>
 where
@@ -558,24 +558,17 @@ where
     }
     let queue = Mutex::new(queue);
     let workers = workers.max(1);
-    let (res_tx, res_rx) = channel::unbounded::<JournalRow>();
+    let (res_tx, res_rx) = mpsc::channel::<JournalRow>();
 
     std::thread::scope(|scope| {
         for worker in 0..workers {
             let res_tx = res_tx.clone();
             let queue = &queue;
-            let telemetry = telemetry.clone();
             scope.spawn(move || loop {
                 let next = lock_unpoisoned(queue).pop();
                 let Some((_, mission)) = next else { return };
                 let row = executor.execute(&mission);
-                if let JournalRow::Done { result, .. } = &row {
-                    telemetry.worker_mission_done(
-                        worker,
-                        result.success,
-                        result.evaluations as u64,
-                    );
-                }
+                worker_done(trace, worker, &row);
                 if res_tx.send(row).is_err() {
                     // Collector gone (journal failure): stop early.
                     return;
@@ -596,6 +589,17 @@ where
         drop(res_rx);
         first_error.map_or(Ok(()), Err)
     })
+}
+
+/// Reports a completed mission row as per-worker progress.
+fn worker_done(trace: &Trace, worker: usize, row: &JournalRow) {
+    if let JournalRow::Done { result, .. } = row {
+        trace.measure(Measurement::WorkerDone {
+            worker,
+            success: result.success,
+            evaluations: result.evaluations as u64,
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -814,7 +818,7 @@ impl Default for ExecutorOptions {
 /// job, configured exactly like a direct
 /// [`crate::campaign::run_campaign_with_options`] of the same spec (fresh
 /// snapshot cache per campaign), so served reports are bit-identical to
-/// direct runs.
+/// direct runs. An enabled `telemetry` counts every job's events.
 pub fn in_process_factory<C>(
     controller: C,
     options: ExecutorOptions,
@@ -823,6 +827,7 @@ pub fn in_process_factory<C>(
 where
     C: SwarmController + Clone + Send + Sync + 'static,
 {
+    let trace = telemetry.trace();
     Box::new(move |spec: &CampaignSpec| {
         let spec = spec.clone();
         let controller = controller.clone();
@@ -832,8 +837,7 @@ where
         Arc::new(InProcessExecutor::new(
             base_seed,
             move |deviation| Fuzzer::new(controller.clone(), spec.fuzzer_config(deviation)),
-            telemetry.clone(),
-            Trace::off(),
+            trace.clone(),
             profile,
             cache,
         ))
@@ -857,13 +861,13 @@ struct Inner {
     work: Condvar,
     done: Condvar,
     factory: ExecutorFactory,
-    telemetry: Telemetry,
+    trace: Trace,
     config: ServerConfig,
 }
 
 impl CampaignServer {
     /// Starts the server: spawns `config.workers` worker threads over
-    /// `factory`. `telemetry` feeds per-worker progress counters (pass
+    /// `factory`. An enabled `telemetry` tracks per-worker progress (pass
     /// [`Telemetry::off`] to disable).
     pub fn start(config: ServerConfig, factory: ExecutorFactory, telemetry: Telemetry) -> Self {
         let workers = config.workers.max(1);
@@ -880,7 +884,7 @@ impl CampaignServer {
             work: Condvar::new(),
             done: Condvar::new(),
             factory,
-            telemetry,
+            trace: telemetry.trace(),
             config,
         });
         let handles = (0..workers)
@@ -1107,7 +1111,7 @@ impl CampaignServer {
     /// streams over the wire). Slow or dropped subscribers are pruned on
     /// the next event; they never block the scheduler.
     pub fn subscribe(&self) -> Receiver<String> {
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         lock_unpoisoned(&self.inner.state).subscribers.push(tx);
         rx
     }
@@ -1180,9 +1184,7 @@ fn worker_loop(inner: &Inner, worker: usize) {
 /// `done` condvar outside the match so waiters always observe phase
 /// transitions.
 fn record_row(inner: &Inner, state: &mut ServerState, job: u64, row: JournalRow, worker: usize) {
-    if let JournalRow::Done { result, .. } = &row {
-        inner.telemetry.worker_mission_done(worker, result.success, result.evaluations as u64);
-    }
+    worker_done(&inner.trace, worker, &row);
     let Some(js) = state.jobs.get_mut(&job) else { return };
     js.in_flight = js.in_flight.saturating_sub(1);
     if let Some(journal) = js.journal.as_mut() {

@@ -31,7 +31,8 @@ use swarm_sim::{
     ControlContext, DroneId, NeighborState, PerceivedSelf, SpatialGrid, SwarmController,
 };
 
-use crate::telemetry::{Phase, Telemetry};
+use crate::telemetry::Phase;
+use crate::trace::Trace;
 use crate::FuzzError;
 
 /// Minimum controller-response change (m/s) toward the obstacle that counts
@@ -106,7 +107,7 @@ pub struct SvgBuilder<'a, C> {
     spec: &'a MissionSpec,
     record: &'a MissionRecord,
     deviation: f64,
-    telemetry: Telemetry,
+    trace: Trace,
 }
 
 impl<'a, C: SwarmController> SvgBuilder<'a, C> {
@@ -118,13 +119,13 @@ impl<'a, C: SwarmController> SvgBuilder<'a, C> {
         record: &'a MissionRecord,
         deviation: f64,
     ) -> Self {
-        SvgBuilder { controller, spec, record, deviation, telemetry: Telemetry::off() }
+        SvgBuilder { controller, spec, record, deviation, trace: Trace::off() }
     }
 
-    /// Attaches a telemetry handle timing graph construction and centrality
+    /// Attaches a trace handle timing graph construction and centrality
     /// scoring (purely observational; results are unaffected).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+    pub fn with_trace(mut self, trace: Trace) -> Self {
+        self.trace = trace;
         self
     }
 
@@ -151,7 +152,7 @@ impl<'a, C: SwarmController> SvgBuilder<'a, C> {
         direction: SpoofDirection,
         centrality: CentralityKind,
     ) -> Result<SvgAnalysis, FuzzError> {
-        let _span = self.telemetry.span(Phase::SvgBuild);
+        let _span = self.trace.span(Phase::SvgBuild);
         let n = self.record.swarm_size();
         if n < 2 {
             return Err(FuzzError::SwarmTooSmall(n));
@@ -244,7 +245,7 @@ impl<'a, C: SwarmController> SvgBuilder<'a, C> {
         }
 
         let (target_scores, victim_scores) = {
-            let _span = self.telemetry.span(Phase::Centrality);
+            let _span = self.trace.span(Phase::Centrality);
             (
                 centrality_scores(&graph, centrality),
                 centrality_scores(&graph.transposed(), centrality),

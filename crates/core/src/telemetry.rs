@@ -1,33 +1,32 @@
-//! Campaign telemetry: counters, phase timers and per-worker progress.
+//! Campaign telemetry: a counting sink on the [`crate::trace`] event stream.
 //!
-//! The fuzzer pipeline is instrumented with a dependency-free registry of
-//! atomic counters and log-bucket latency histograms. Instrumentation is
-//! strictly *observational*: it never touches the RNG streams, the search or
-//! the scheduler, so a campaign produces a byte-identical
-//! [`crate::campaign::CampaignReport`] whether telemetry is on or off (a
-//! guarantee covered by the campaign determinism tests).
+//! [`Telemetry`] is a [`TraceSink`]. Attach it like any other sink — alone
+//! through [`Telemetry::trace`], or beside a file or progress sink in a
+//! [`crate::trace::TeeSink`] — and it keeps two kinds of figures:
 //!
-//! Design notes:
+//! * **Event counters.** One fold, [`Telemetry`]'s [`TraceSink::record`],
+//!   derives every counter the event stream determines (missions, probes,
+//!   SPVs, fork hits, journal appends, retries, ...). Replaying a recorded
+//!   trace into a fresh handle reproduces them exactly, which is how the
+//!   dashboard counts.
+//! * **Measurements.** Phase wall-clock histograms, simulation loop counts,
+//!   prefix steps saved by forking and per-worker progress arrive through
+//!   the [`TraceSink::measure`] side channel. No event carries them, so a
+//!   trace file never does either.
 //!
-//! * [`Telemetry`] is a cheap cloneable handle (an `Option<Arc<Registry>>`);
-//!   [`Telemetry::off`] is a true no-op — disabled call sites cost one
-//!   branch.
-//! * Phase timings go through RAII [`SpanGuard`]s into per-phase atomic
-//!   log-bucket histograms (bucket math shared with
-//!   [`swarm_math::stats::LogHistogram`]).
-//! * Simulation-loop counts arrive batched once per mission via the
-//!   [`swarm_sim::SimObserver`] hook, keeping the mission-step hot path free
-//!   of atomics (`benches/micro.rs` measures the overhead).
-//! * [`Telemetry::snapshot`] freezes everything into a [`TelemetryReport`]
-//!   with hand-rolled JSON/CSV writers, so reports land next to the
-//!   `bench_results/` CSVs without a serialization dependency.
+//! Counting is strictly *observational*: a campaign produces a byte-identical
+//! [`crate::campaign::CampaignReport`] and trace whether telemetry is
+//! attached or not (gated by `tests/campaign_telemetry.rs` and
+//! `tests/campaign_trace.rs`). [`Telemetry::snapshot`] freezes everything
+//! into a [`TelemetryReport`] with hand-rolled JSON/CSV writers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use swarm_math::stats::{log_bucket_index, LogHistogram, LOG_HISTOGRAM_BUCKETS};
-use swarm_sim::{RunStats, SimObserver};
+
+use crate::trace::{Measurement, Trace, TraceEvent, TraceRecord, TraceSink};
 
 /// Instrumented pipeline phases, each backed by a latency histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,18 +84,21 @@ impl Phase {
     }
 }
 
-/// Monotonic event counters.
+/// Monotonic counters: all but the four simulation-loop counters and
+/// [`Counter::PrefixStepsSaved`] are derived from trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Missions fuzzed end-to-end.
+    /// Collision-free baselines, simulated or served from the snapshot
+    /// cache (`baseline` events).
     MissionsRun,
-    /// Objective evaluations (attacked missions) spent.
+    /// Objective evaluations (attacked missions) spent (`probe` events).
     Evaluations,
-    /// SPVs discovered.
+    /// SPVs discovered (successful `seed_done` events).
     SpvFound,
-    /// Mission seeds skipped because the baseline already collided.
+    /// Mission seeds skipped because the baseline already collided
+    /// (`baseline_rejected` events).
     BaselineSkips,
-    /// Seeds the window search worked through.
+    /// Seeds the window search worked through (`seed_start` events).
     SeedsTried,
     /// Physics steps across all simulated missions.
     SimPhysicsSteps,
@@ -115,19 +117,26 @@ pub enum Counter {
     MissionRetries,
     /// Missions quarantined as `failed` rows after exhausting retries.
     MissionFailures,
-    /// Objective evaluations served by forking from a baseline snapshot.
+    /// Evaluations served by forking from a baseline snapshot (`probe`
+    /// events with `fork: true`).
     ForkHits,
-    /// Objective evaluations that fell back to a from-scratch run while
-    /// snapshot forking was enabled (no snapshot preceding the window).
+    /// Evaluations that fell back to a from-scratch run while snapshot
+    /// forking was enabled (`probe` events with `fork: false`).
     ForkMisses,
     /// Physics steps *not* re-simulated thanks to forking (the prefix length
     /// of every fork hit).
     PrefixStepsSaved,
+    /// Seedpool entries ranked by the scheduler (`seed_ranked` events).
+    SeedsRanked,
+    /// Projected gradient-descent updates (`gradient_step` events).
+    GradientSteps,
+    /// Attack-minimization passes (`minimize_pass` events).
+    MinimizePasses,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 16] = [
+    pub const ALL: [Counter; 19] = [
         Counter::MissionsRun,
         Counter::Evaluations,
         Counter::SpvFound,
@@ -144,6 +153,9 @@ impl Counter {
         Counter::ForkHits,
         Counter::ForkMisses,
         Counter::PrefixStepsSaved,
+        Counter::SeedsRanked,
+        Counter::GradientSteps,
+        Counter::MinimizePasses,
     ];
 
     /// Stable snake_case name used in reports.
@@ -165,6 +177,9 @@ impl Counter {
             Counter::ForkHits => "fork_hits",
             Counter::ForkMisses => "fork_misses",
             Counter::PrefixStepsSaved => "prefix_steps_saved",
+            Counter::SeedsRanked => "seeds_ranked",
+            Counter::GradientSteps => "gradient_steps",
+            Counter::MinimizePasses => "minimize_passes",
         }
     }
 }
@@ -211,34 +226,20 @@ struct WorkerCell {
 }
 
 /// The shared telemetry state behind an enabled [`Telemetry`] handle.
-pub struct Registry {
+struct Registry {
     counters: [AtomicU64; Counter::ALL.len()],
     phases: [AtomicHistogram; Phase::ALL.len()],
     workers: Vec<WorkerCell>,
-    /// Print a one-line progress report every this many missions per worker
-    /// (0 = silent).
-    progress_every: u64,
 }
 
 impl Registry {
-    fn new(workers: usize, progress_every: u64) -> Self {
-        Registry {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            phases: std::array::from_fn(|_| AtomicHistogram::new()),
-            workers: (0..workers.max(1))
-                .map(|_| WorkerCell {
-                    missions: AtomicU64::new(0),
-                    spvs: AtomicU64::new(0),
-                    evaluations: AtomicU64::new(0),
-                })
-                .collect(),
-            progress_every,
-        }
+    fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 }
 
-/// A cheap cloneable telemetry handle: either off (every call is one branch)
-/// or backed by a shared [`Registry`].
+/// A cheap cloneable counting sink: either off (every call is one branch)
+/// or backed by a shared registry.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Registry>>,
@@ -254,21 +255,26 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// A disabled handle; every instrumentation call is a no-op.
+    /// A disabled handle; it counts nothing.
     pub fn off() -> Self {
         Telemetry { inner: None }
     }
 
-    /// An enabled handle tracking `workers` worker slots, without periodic
-    /// progress lines.
+    /// An enabled handle tracking `workers` worker slots.
     pub fn enabled(workers: usize) -> Self {
-        Telemetry { inner: Some(Arc::new(Registry::new(workers, 0))) }
-    }
-
-    /// An enabled handle that additionally prints a one-line progress report
-    /// to stderr every `every` missions per worker (0 = silent).
-    pub fn enabled_with_progress(workers: usize, every: u64) -> Self {
-        Telemetry { inner: Some(Arc::new(Registry::new(workers, every))) }
+        Telemetry {
+            inner: Some(Arc::new(Registry {
+                counters: std::array::from_fn(|_| AtomicU64::new(0)),
+                phases: std::array::from_fn(|_| AtomicHistogram::new()),
+                workers: (0..workers.max(1))
+                    .map(|_| WorkerCell {
+                        missions: AtomicU64::new(0),
+                        spvs: AtomicU64::new(0),
+                        evaluations: AtomicU64::new(0),
+                    })
+                    .collect(),
+            })),
+        }
     }
 
     /// `true` when this handle records anything.
@@ -276,56 +282,18 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Adds `n` to a counter.
-    pub fn add(&self, counter: Counter, n: u64) {
-        if let Some(r) = &self.inner {
-            r.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    /// A trace handle feeding this sink alone; [`Trace::off`] when disabled.
+    pub fn trace(&self) -> Trace {
+        if self.is_enabled() {
+            Trace::new(Arc::new(self.clone()))
+        } else {
+            Trace::off()
         }
-    }
-
-    /// Increments a counter by one.
-    pub fn incr(&self, counter: Counter) {
-        self.add(counter, 1);
     }
 
     /// Current value of a counter (0 when disabled).
     pub fn counter(&self, counter: Counter) -> u64 {
         self.inner.as_ref().map_or(0, |r| r.counters[counter as usize].load(Ordering::Relaxed))
-    }
-
-    /// Starts an RAII timer for `phase`; the elapsed wall time lands in the
-    /// phase's histogram when the guard drops.
-    pub fn span(&self, phase: Phase) -> SpanGuard<'_> {
-        SpanGuard { active: self.inner.as_deref().map(|r| (r, phase, Instant::now())) }
-    }
-
-    /// Records an explicit phase duration in nanoseconds (what [`SpanGuard`]
-    /// does on drop; exposed for tests and replayed timings).
-    pub fn record_phase_ns(&self, phase: Phase, ns: u64) {
-        if let Some(r) = &self.inner {
-            r.phases[phase as usize].record(ns);
-        }
-    }
-
-    /// Reports one finished mission for `worker`, updating its progress cell
-    /// and printing the periodic progress line when configured.
-    pub fn worker_mission_done(&self, worker: usize, found_spv: bool, evaluations: u64) {
-        let Some(r) = &self.inner else { return };
-        let cell = &r.workers[worker % r.workers.len()];
-        let missions = cell.missions.fetch_add(1, Ordering::Relaxed) + 1;
-        if found_spv {
-            cell.spvs.fetch_add(1, Ordering::Relaxed);
-        }
-        cell.evaluations.fetch_add(evaluations, Ordering::Relaxed);
-        if r.progress_every > 0 && missions % r.progress_every == 0 {
-            eprintln!(
-                "[telemetry] worker {}: {} missions, {} SPVs, {} evaluations",
-                worker % r.workers.len(),
-                missions,
-                cell.spvs.load(Ordering::Relaxed),
-                cell.evaluations.load(Ordering::Relaxed),
-            );
-        }
     }
 
     /// Freezes the current state into a report (`None` when disabled).
@@ -368,29 +336,56 @@ impl Telemetry {
     }
 }
 
-/// Simulation-loop counts arrive batched once per mission run — one virtual
-/// call and two atomic adds per *mission*, leaving the per-step hot path
-/// untouched.
-impl SimObserver for Telemetry {
-    fn on_run_end(&self, stats: &RunStats) {
-        self.add(Counter::SimPhysicsSteps, stats.physics_steps);
-        self.add(Counter::SimControlTicks, stats.control_ticks);
-        if stats.grid_rebuilds > 0 {
-            self.add(Counter::GridRebuilds, stats.grid_rebuilds);
-            self.add(Counter::GridCellsScanned, stats.grid_cells_scanned);
-        }
+impl TraceSink for Telemetry {
+    /// The one fold from trace events to counters.
+    fn record(&self, record: &TraceRecord) {
+        let Some(r) = &self.inner else { return };
+        let counter = match &record.event {
+            TraceEvent::BaselineDone { .. } => Counter::MissionsRun,
+            TraceEvent::BaselineRejected { .. } => Counter::BaselineSkips,
+            TraceEvent::SeedRanked { .. } => Counter::SeedsRanked,
+            TraceEvent::SeedStart { .. } => Counter::SeedsTried,
+            TraceEvent::Probe { fork, .. } => {
+                match fork {
+                    Some(true) => r.add(Counter::ForkHits, 1),
+                    Some(false) => r.add(Counter::ForkMisses, 1),
+                    None => {}
+                }
+                Counter::Evaluations
+            }
+            TraceEvent::GradientStep { .. } => Counter::GradientSteps,
+            TraceEvent::SeedDone { success: true, .. } => Counter::SpvFound,
+            TraceEvent::MissionRetry { .. } => Counter::MissionRetries,
+            TraceEvent::MissionFailed { .. } => Counter::MissionFailures,
+            TraceEvent::ResumeSkip => Counter::ResumeSkips,
+            TraceEvent::JournalAppend { .. } => Counter::JournalAppends,
+            TraceEvent::MinimizePass { .. } => Counter::MinimizePasses,
+            TraceEvent::CampaignStart { .. }
+            | TraceEvent::CampaignEnd { .. }
+            | TraceEvent::MissionStart { .. }
+            | TraceEvent::SeedDone { .. }
+            | TraceEvent::MissionDone { .. } => return,
+        };
+        r.add(counter, 1);
     }
-}
 
-/// RAII phase timer returned by [`Telemetry::span`].
-pub struct SpanGuard<'a> {
-    active: Option<(&'a Registry, Phase, Instant)>,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        if let Some((registry, phase, started)) = self.active.take() {
-            registry.phases[phase as usize].record(span_ns(started, Instant::now()));
+    fn measure(&self, measurement: &Measurement) {
+        let Some(r) = &self.inner else { return };
+        match *measurement {
+            Measurement::Span { phase, ns } => r.phases[phase as usize].record(ns),
+            Measurement::Run(stats) => {
+                r.add(Counter::SimPhysicsSteps, stats.physics_steps);
+                r.add(Counter::SimControlTicks, stats.control_ticks);
+                r.add(Counter::GridRebuilds, stats.grid_rebuilds);
+                r.add(Counter::GridCellsScanned, stats.grid_cells_scanned);
+            }
+            Measurement::PrefixSaved { steps } => r.add(Counter::PrefixStepsSaved, steps),
+            Measurement::WorkerDone { worker, success, evaluations } => {
+                let cell = &r.workers[worker % r.workers.len()];
+                cell.missions.fetch_add(1, Ordering::Relaxed);
+                cell.spvs.fetch_add(u64::from(success), Ordering::Relaxed);
+                cell.evaluations.fetch_add(evaluations, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -398,7 +393,7 @@ impl Drop for SpanGuard<'_> {
 /// Span duration in nanoseconds, saturating on both ends: a non-monotonic
 /// clock step backwards yields 0 rather than a garbage `max_ns`, and a span
 /// longer than ~584 years saturates at `u64::MAX`.
-fn span_ns(start: Instant, end: Instant) -> u64 {
+pub(crate) fn span_ns(start: Instant, end: Instant) -> u64 {
     u64::try_from(end.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -567,16 +562,29 @@ impl TelemetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceKey;
+    use swarm_sim::{RunStats, SimObserver};
+
+    fn feed(t: &Telemetry, events: Vec<TraceEvent>) {
+        for (seq, event) in events.into_iter().enumerate() {
+            let key = TraceKey { swarm_size: 5, deviation_bits: 0, index: 0, seq: seq as u64 };
+            t.record(&TraceRecord { key, event });
+        }
+    }
+
+    fn probe(fork: Option<bool>) -> TraceEvent {
+        TraceEvent::Probe { ts: 1.0, dt: 2.0, shape: None, value: 0.5, success: false, fork }
+    }
 
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::off();
-        t.incr(Counter::MissionsRun);
-        t.record_phase_ns(Phase::Baseline, 100);
-        t.worker_mission_done(0, true, 5);
-        drop(t.span(Phase::MissionSim));
+        feed(&t, vec![TraceEvent::ResumeSkip, probe(Some(true))]);
+        t.measure(&Measurement::Span { phase: Phase::Baseline, ns: 100 });
+        t.measure(&Measurement::WorkerDone { worker: 0, success: true, evaluations: 5 });
         assert!(!t.is_enabled());
-        assert_eq!(t.counter(Counter::MissionsRun), 0);
+        assert!(!t.trace().is_enabled(), "an off handle yields an off trace");
+        assert_eq!(t.counter(Counter::ResumeSkips), 0);
         assert!(t.snapshot().is_none());
     }
 
@@ -584,13 +592,102 @@ mod tests {
     fn counters_accumulate_across_clones() {
         let t = Telemetry::enabled(2);
         let t2 = t.clone();
-        t.incr(Counter::SpvFound);
-        t2.add(Counter::SpvFound, 2);
-        assert_eq!(t.counter(Counter::SpvFound), 3);
+        feed(
+            &t,
+            vec![TraceEvent::SeedDone {
+                evaluations: 3,
+                converged: false,
+                best_value: -0.5,
+                success: true,
+            }],
+        );
+        feed(&t2, vec![TraceEvent::MissionRetry { attempt: 1, error: "e".into() }; 2]);
+        assert_eq!(t.counter(Counter::SpvFound), 1);
+        assert_eq!(t.counter(Counter::MissionRetries), 2);
         let report = t.snapshot().unwrap();
-        assert_eq!(report.counter("spv_found"), Some(3));
+        assert_eq!(report.counter("mission_retries"), Some(2));
         assert_eq!(report.counter("missions_run"), Some(0));
         assert_eq!(report.counter("no_such"), None);
+    }
+
+    #[test]
+    fn fold_maps_each_event_to_its_counter() {
+        let t = Telemetry::enabled(1);
+        feed(
+            &t,
+            vec![
+                TraceEvent::CampaignStart { configs: 1, missions_per_config: 1 },
+                TraceEvent::ResumeSkip,
+                TraceEvent::MissionStart { mission_seed: 1 },
+                TraceEvent::BaselineRejected { mission_seed: 1, time: 3.0 },
+                TraceEvent::BaselineDone {
+                    vdo: 2.0,
+                    vdo_drone: 0,
+                    duration: 60.0,
+                    snapshots: 4,
+                    stride: 10,
+                },
+                TraceEvent::SeedRanked {
+                    rank: 0,
+                    target: 1,
+                    victim: 0,
+                    theta: 90,
+                    influence: 0.5,
+                    victim_vdo: 2.0,
+                },
+                TraceEvent::SeedStart {
+                    ordinal: 1,
+                    target: 1,
+                    victim: 0,
+                    theta: 90,
+                    waveform: "constant".into(),
+                    budget: 20,
+                },
+                probe(Some(true)),
+                probe(Some(false)),
+                probe(None),
+                TraceEvent::GradientStep { g_ts: 0.1, g_dt: 0.2, ts: 1.0, dt: 2.0 },
+                TraceEvent::SeedDone {
+                    evaluations: 3,
+                    converged: true,
+                    best_value: 0.5,
+                    success: false,
+                },
+                TraceEvent::MissionDone { success: false, evaluations: 3, seeds_tried: 1 },
+                TraceEvent::MissionFailed { error: "e".into(), retries: 0 },
+                TraceEvent::JournalAppend { row: "done".into() },
+                TraceEvent::MinimizePass {
+                    pass: "duration".into(),
+                    evaluations: 1,
+                    start: 1.0,
+                    duration: 2.0,
+                    deviation: 10.0,
+                },
+                TraceEvent::CampaignEnd { missions: 1, failures: 0 },
+            ],
+        );
+        let expected = [
+            (Counter::MissionsRun, 1),
+            (Counter::Evaluations, 3),
+            (Counter::SpvFound, 0),
+            (Counter::BaselineSkips, 1),
+            (Counter::SeedsTried, 1),
+            (Counter::JournalAppends, 1),
+            (Counter::ResumeSkips, 1),
+            (Counter::MissionRetries, 0),
+            (Counter::MissionFailures, 1),
+            (Counter::ForkHits, 1),
+            (Counter::ForkMisses, 1),
+            (Counter::SeedsRanked, 1),
+            (Counter::GradientSteps, 1),
+            (Counter::MinimizePasses, 1),
+        ];
+        for (counter, value) in expected {
+            assert_eq!(t.counter(counter), value, "{}", counter.name());
+        }
+        // Measurement-only counters never move on events.
+        assert_eq!(t.counter(Counter::SimPhysicsSteps), 0);
+        assert_eq!(t.counter(Counter::PrefixStepsSaved), 0);
     }
 
     #[test]
@@ -606,10 +703,10 @@ mod tests {
     #[test]
     fn spans_land_in_the_phase_histogram() {
         let t = Telemetry::enabled(1);
-        {
-            let _g = t.span(Phase::Baseline);
-        }
-        t.record_phase_ns(Phase::Baseline, 1_000);
+        let trace = t.trace();
+        let scoped = trace.scoped(5, 10.0, 0);
+        drop(scoped.span(Phase::Baseline));
+        trace.measure(Measurement::Span { phase: Phase::Baseline, ns: 1_000 });
         let report = t.snapshot().unwrap();
         let p = report.phase("baseline").unwrap();
         assert_eq!(p.count, 2);
@@ -620,9 +717,12 @@ mod tests {
     #[test]
     fn worker_progress_is_tracked_per_slot() {
         let t = Telemetry::enabled(3);
-        t.worker_mission_done(0, true, 4);
-        t.worker_mission_done(2, false, 7);
-        t.worker_mission_done(2, true, 1);
+        let done = |worker, success, evaluations| {
+            t.measure(&Measurement::WorkerDone { worker, success, evaluations });
+        };
+        done(0, true, 4);
+        done(2, false, 7);
+        done(2, true, 1);
         let report = t.snapshot().unwrap();
         assert_eq!(report.workers.len(), 3);
         assert_eq!(report.workers[0].missions, 1);
@@ -635,6 +735,7 @@ mod tests {
     #[test]
     fn sim_observer_batches_into_counters() {
         let t = Telemetry::enabled(1);
+        let trace = t.trace();
         let stats = RunStats {
             physics_steps: 1_000,
             control_ticks: 100,
@@ -642,15 +743,15 @@ mod tests {
             sim_time: 10.0,
             ..Default::default()
         };
-        SimObserver::on_run_end(&t, &stats);
-        SimObserver::on_run_end(&t, &stats);
+        SimObserver::on_run_end(&trace, &stats);
+        SimObserver::on_run_end(&trace, &stats);
         assert_eq!(t.counter(Counter::SimPhysicsSteps), 2_000);
         assert_eq!(t.counter(Counter::SimControlTicks), 200);
         assert_eq!(t.counter(Counter::GridRebuilds), 0);
 
         let grid_stats =
             RunStats { grid_rebuilds: 11, grid_cells_scanned: 250, ..Default::default() };
-        SimObserver::on_run_end(&t, &grid_stats);
+        SimObserver::on_run_end(&trace, &grid_stats);
         assert_eq!(t.counter(Counter::GridRebuilds), 11);
         assert_eq!(t.counter(Counter::GridCellsScanned), 250);
     }
@@ -658,9 +759,18 @@ mod tests {
     #[test]
     fn json_and_csv_render_all_sections() {
         let t = Telemetry::enabled(2);
-        t.incr(Counter::MissionsRun);
-        t.record_phase_ns(Phase::MissionSim, 5_000_000);
-        t.worker_mission_done(1, true, 9);
+        feed(
+            &t,
+            vec![TraceEvent::BaselineDone {
+                vdo: 2.0,
+                vdo_drone: 0,
+                duration: 60.0,
+                snapshots: 0,
+                stride: 0,
+            }],
+        );
+        t.measure(&Measurement::Span { phase: Phase::MissionSim, ns: 5_000_000 });
+        t.measure(&Measurement::WorkerDone { worker: 1, success: true, evaluations: 9 });
         let report = t.snapshot().unwrap();
 
         let json = report.to_json();

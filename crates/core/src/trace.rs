@@ -1,12 +1,12 @@
-//! Deterministic structured event tracing for fuzzing campaigns.
+//! Deterministic structured event tracing for fuzzing campaigns — the one
+//! instrumentation spine of the pipeline.
 //!
-//! Telemetry (`crate::telemetry`) answers "where did wall-clock go"; trace
-//! answers "what did the fuzzer decide, and why". Every layer of the
-//! pipeline emits typed [`TraceEvent`]s — campaign and mission lifecycle,
+//! Every layer emits typed [`TraceEvent`]s — campaign and mission lifecycle,
 //! seed-schedule rankings with their SVG influence scores, every window
 //! probe with its parameters and objective value, gradient steps, minimize
-//! passes, journal appends, resume skips, retries and failures — through a
-//! pluggable [`TraceSink`].
+//! passes, journal appends, resume skips, retries and failures — through one
+//! [`Trace`] handle into a pluggable [`TraceSink`]. Counting is a sink too:
+//! [`crate::telemetry::Telemetry`] folds the same events into its counters.
 //!
 //! # Logical time, not wall-clock
 //!
@@ -21,6 +21,16 @@
 //! count**, and — after stripping the execution-detail annotations with
 //! [`canonical_ndjson`] — regardless of whether snapshot forking was on.
 //!
+//! # The measurement side channel
+//!
+//! What depends on the machine, the worker or the snapshot cache — phase
+//! wall-clock ([`Trace::span`]), simulation loop counts
+//! ([`Trace`]'s [`SimObserver`] impl), prefix steps a fork skipped and
+//! per-worker progress — travels as a [`Measurement`] through
+//! [`TraceSink::measure`] instead. Its default is a no-op, and the file,
+//! ring and progress sinks keep it, so measurements never reach a trace
+//! file.
+//!
 //! # Sink matrix
 //!
 //! | sink            | storage            | use                            |
@@ -29,7 +39,8 @@
 //! | [`RingSink`]    | bounded in-memory  | tests, post-run inspection     |
 //! | [`FileSink`]    | NDJSON file        | dashboards, Chrome export      |
 //! | [`ProgressSink`]| stderr, rate-limited| live campaign progress        |
-//! | [`TeeSink`]     | fan-out            | file + progress simultaneously |
+//! | `Telemetry`     | atomic counters    | counters, phase timings        |
+//! | [`TeeSink`]     | fan-out            | any of the above at once       |
 //!
 //! NDJSON lines use the same hand-rolled bit-exact codec as the campaign
 //! journal (`crate::store`): floats in Rust's shortest-round-trip format,
@@ -42,8 +53,12 @@ use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
+
+use swarm_sim::{RunStats, SimObserver};
 
 use crate::store::{self, Json, StoreError};
+use crate::telemetry::{span_ns, Phase};
 
 // ---------------------------------------------------------------------------
 // Keys and events
@@ -597,6 +612,36 @@ pub fn validate_json(text: &str) -> Result<(), String> {
 // Sinks
 // ---------------------------------------------------------------------------
 
+/// An execution measurement no [`TraceEvent`] may carry: it depends on the
+/// machine, the worker or the snapshot cache, so it would break the
+/// logical-time contract. Delivered through [`TraceSink::measure`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Measurement {
+    /// One pipeline phase took `ns` wall-clock nanoseconds.
+    Span {
+        /// The timed phase.
+        phase: Phase,
+        /// Elapsed wall-clock time.
+        ns: u64,
+    },
+    /// One simulation run finished with these loop counts.
+    Run(RunStats),
+    /// A forked probe skipped re-simulating `steps` prefix physics steps.
+    PrefixSaved {
+        /// The fork snapshot's physics step.
+        steps: u64,
+    },
+    /// Worker slot `worker` finished one mission.
+    WorkerDone {
+        /// Worker slot index.
+        worker: usize,
+        /// `true` when the mission found an SPV.
+        success: bool,
+        /// Evaluations the mission spent.
+        evaluations: u64,
+    },
+}
+
 /// Receiver of trace records. Implementations must be cheap and thread-safe:
 /// workers emit from the fuzzing hot path (one event per simulated mission,
 /// never per physics step).
@@ -606,6 +651,10 @@ pub trait TraceSink: Send + Sync {
 
     /// Flushes buffered output (no-op for in-memory sinks).
     fn flush(&self) {}
+
+    /// Accepts one side-channel [`Measurement`]. Ignored by default, so
+    /// sinks that persist or print events never see wall-clock.
+    fn measure(&self, _measurement: &Measurement) {}
 }
 
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -799,6 +848,12 @@ impl TraceSink for TeeSink {
             sink.flush();
         }
     }
+
+    fn measure(&self, measurement: &Measurement) {
+        for sink in &self.sinks {
+            sink.measure(measurement);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -812,11 +867,12 @@ struct TraceCtx {
 }
 
 /// Cheap-clone handle carrying a sink plus the emitting scope. The default
-/// (and [`Trace::off`]) handle is a no-op: emitting costs one branch.
+/// (and [`Trace::off`]) handle is a no-op: emitting, timing a span or
+/// observing a run costs one branch.
 ///
-/// Mirrors `Telemetry`'s design: observational layers are attached with
-/// builder methods (`Fuzzer::with_trace`), never configuration, so they can
-/// never perturb campaign fingerprints or reports.
+/// The handle is attached with builder methods (`Fuzzer::with_trace`) or
+/// passed beside configuration, never inside it, so it can never perturb
+/// campaign fingerprints or reports.
 #[derive(Clone, Default)]
 pub struct Trace {
     inner: Option<Arc<TraceCtx>>,
@@ -891,6 +947,41 @@ impl Trace {
     pub fn flush(&self) {
         if let Some(ctx) = &self.inner {
             ctx.sink.flush();
+        }
+    }
+
+    /// Sends one side-channel measurement to the sink.
+    pub fn measure(&self, measurement: Measurement) {
+        if let Some(ctx) = &self.inner {
+            ctx.sink.measure(&measurement);
+        }
+    }
+
+    /// Starts an RAII wall-clock timer for `phase`; the elapsed time reaches
+    /// the sink as a [`Measurement::Span`] when the guard drops.
+    pub fn span(&self, phase: Phase) -> SpanGuard<'_> {
+        SpanGuard { active: self.inner.as_deref().map(|ctx| (ctx, phase, Instant::now())) }
+    }
+}
+
+/// Simulation loop counts arrive once per run as a [`Measurement::Run`],
+/// keeping the per-step hot path free of atomics.
+impl SimObserver for Trace {
+    fn on_run_end(&self, stats: &RunStats) {
+        self.measure(Measurement::Run(*stats));
+    }
+}
+
+/// RAII phase timer returned by [`Trace::span`].
+pub struct SpanGuard<'a> {
+    active: Option<(&'a TraceCtx, Phase, Instant)>,
+}
+
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        if let Some((ctx, phase, started)) = self.active.take() {
+            let ns = span_ns(started, Instant::now());
+            ctx.sink.measure(&Measurement::Span { phase, ns });
         }
     }
 }

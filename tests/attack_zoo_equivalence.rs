@@ -30,7 +30,7 @@ use swarm_testkit::{cases, check_budgeted, tk_ensure, Gen};
 use swarmfuzz::campaign::{
     run_campaign_with_options, CampaignConfig, CampaignRunOptions, SwarmConfig,
 };
-use swarmfuzz::{Fuzzer, FuzzerConfig, Telemetry};
+use swarmfuzz::{Fuzzer, FuzzerConfig, Trace};
 
 fn controller() -> VasarhelyiController {
     VasarhelyiController::new(VasarhelyiParams::default())
@@ -421,7 +421,7 @@ fn campaign_reports_are_bit_identical_trait_vs_legacy_across_workers() {
     };
     let run = |workers: usize, snapshot: bool| {
         let options = CampaignRunOptions { snapshot, ..Default::default() };
-        run_campaign_with_options(&tiny_campaign(workers), make, &Telemetry::off(), &options)
+        run_campaign_with_options(&tiny_campaign(workers), make, &options, &Trace::off())
             .expect("campaign must run")
     };
     let reference = run(1, false);

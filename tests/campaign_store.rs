@@ -15,7 +15,7 @@ use swarmfuzz::campaign::{
     JournalSpec, SwarmConfig,
 };
 use swarmfuzz::telemetry::Counter;
-use swarmfuzz::{CampaignJournal, FuzzError, Fuzzer, FuzzerConfig, StoreError, Telemetry};
+use swarmfuzz::{CampaignJournal, FuzzError, Fuzzer, FuzzerConfig, StoreError, Telemetry, Trace};
 
 fn controller() -> VasarhelyiController {
     VasarhelyiController::new(VasarhelyiParams::default())
@@ -59,7 +59,7 @@ fn run_journaled(
     resume: bool,
     telemetry: &Telemetry,
 ) -> Result<CampaignReport, FuzzError> {
-    run_campaign_with_options(campaign, fuzzer, telemetry, &journal_options(path, resume))
+    run_campaign_with_options(campaign, fuzzer, &journal_options(path, resume), &telemetry.trace())
 }
 
 /// Cuts the journal back to its header plus the first `k` rows, then
@@ -147,8 +147,8 @@ fn resume_refuses_foreign_campaign() {
     let err = run_campaign_with_options(
         &tiny_campaign(1),
         r_fuzz,
-        &Telemetry::off(),
         &journal_options(&path, true),
+        &Trace::off(),
     )
     .expect_err("must refuse a foreign variant");
     assert!(
@@ -178,8 +178,8 @@ fn failing_missions_are_quarantined_not_fatal() {
     let report = run_campaign_with_options(
         &poisoned_campaign(2),
         fuzzer,
-        &telemetry,
         &CampaignRunOptions::default(),
+        &telemetry.trace(),
     )
     .expect("mission failures must not abort the campaign");
 
@@ -208,8 +208,8 @@ fn failures_survive_resume() {
     let full = run_campaign_with_options(
         &poisoned_campaign(1),
         fuzzer,
-        &Telemetry::off(),
         &journal_options(&path, false),
+        &Trace::off(),
     )
     .expect("journaled run with failures");
     assert_eq!(full.failures.len(), 2);
@@ -220,8 +220,8 @@ fn failures_survive_resume() {
     let resumed = run_campaign_with_options(
         &poisoned_campaign(1),
         fuzzer,
-        &telemetry,
         &journal_options(&path, true),
+        &telemetry.trace(),
     )
     .expect("resume");
     assert_eq!(full, resumed, "failed rows must round-trip through resume");
@@ -351,8 +351,8 @@ fn zoo_campaign_runs_all_classes_end_to_end() {
     let full = run_campaign_with_options(
         &tiny_campaign(2),
         zoo_fuzzer,
-        &Telemetry::off(),
         &journal_options(&path, false),
+        &Trace::off(),
     )
     .expect("zoo campaign");
     assert_eq!(full.missions.len(), 4);
@@ -362,8 +362,8 @@ fn zoo_campaign_runs_all_classes_end_to_end() {
     let resumed = run_campaign_with_options(
         &tiny_campaign(2),
         zoo_fuzzer,
-        &Telemetry::off(),
         &journal_options(&path, true),
+        &Trace::off(),
     )
     .expect("zoo resume");
     assert_eq!(full, resumed);

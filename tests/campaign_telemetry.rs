@@ -1,14 +1,20 @@
 //! Campaign-level determinism and telemetry neutrality: the same campaign
 //! must produce identical [`CampaignReport`]s across worker counts, and
-//! attaching telemetry must not change a single byte of the report — only
-//! observe it.
+//! attaching a counting sink must not change a single byte of the report —
+//! only observe it. The counters are one fold over the trace event stream,
+//! so replaying a recorded trace reproduces every event-derived counter.
+
+use std::sync::Arc;
 
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarmfuzz::campaign::{
-    run_campaign, run_campaign_with_telemetry, CampaignConfig, CampaignReport, SwarmConfig,
+    run_campaign, run_campaign_with_options, CampaignConfig, CampaignReport, CampaignRunOptions,
+    JournalSpec, SwarmConfig,
 };
+use swarmfuzz::dashboard::render_dashboard;
 use swarmfuzz::telemetry::Counter;
-use swarmfuzz::{Fuzzer, FuzzerConfig, Telemetry};
+use swarmfuzz::trace::{RingSink, TeeSink};
+use swarmfuzz::{Fuzzer, FuzzerConfig, Telemetry, Trace, TraceSink};
 
 fn controller() -> VasarhelyiController {
     VasarhelyiController::new(VasarhelyiParams::default())
@@ -34,8 +40,13 @@ fn fuzzer(deviation: f64) -> Fuzzer<VasarhelyiController> {
 }
 
 fn run(workers: usize, telemetry: &Telemetry) -> CampaignReport {
-    run_campaign_with_telemetry(&tiny_campaign(workers), fuzzer, telemetry)
-        .expect("campaign must run")
+    run_campaign_with_options(
+        &tiny_campaign(workers),
+        fuzzer,
+        &CampaignRunOptions::default(),
+        &telemetry.trace(),
+    )
+    .expect("campaign must run")
 }
 
 #[test]
@@ -102,4 +113,73 @@ fn telemetry_counters_match_the_report() {
     // Worker progress sums to the campaign totals.
     let worker_missions: u64 = snapshot.workers.iter().map(|w| w.missions).sum();
     assert_eq!(worker_missions, report.missions.len() as u64);
+}
+
+/// The counters measured on the side channel rather than folded from events.
+fn is_measured(counter: Counter) -> bool {
+    matches!(
+        counter,
+        Counter::SimPhysicsSteps
+            | Counter::SimControlTicks
+            | Counter::GridRebuilds
+            | Counter::GridCellsScanned
+            | Counter::PrefixStepsSaved
+    )
+}
+
+#[test]
+fn replayed_trace_reproduces_every_event_counter() {
+    // The tiny grid plus a one-drone configuration whose missions retry and
+    // then fail (a swarm of one has no target-victim pair), resumed from a
+    // journal holding the first two rows: every counter the dashboard cards
+    // show is non-zero or pinned.
+    let mut campaign = tiny_campaign(1);
+    campaign.configs.push(SwarmConfig { swarm_size: 1, deviation: 5.0 });
+    let dir = std::env::temp_dir().join(format!("swarmfuzz-replay-{}", std::process::id()));
+    let path = dir.join("journal.jsonl");
+    let options = |resume| CampaignRunOptions {
+        journal: Some(JournalSpec { path: path.clone(), resume }),
+        ..CampaignRunOptions::default()
+    };
+    run_campaign_with_options(&campaign, fuzzer, &options(false), &Trace::off())
+        .expect("journaled run");
+    let text = std::fs::read_to_string(&path).expect("journal exists");
+    let head: Vec<&str> = text.lines().take(3).collect();
+    std::fs::write(&path, head.join("\n") + "\n").expect("truncate journal to two rows");
+
+    let ring = Arc::new(RingSink::new(1 << 16));
+    let live = Telemetry::enabled(1);
+    let tee = TeeSink::new(vec![ring.clone(), Arc::new(live.clone())]);
+    let report =
+        run_campaign_with_options(&campaign, fuzzer, &options(true), &Trace::new(Arc::new(tee)))
+            .expect("resumed run");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(ring.dropped(), 0, "ring must hold the whole trace");
+
+    let replayed = Telemetry::enabled(1);
+    for record in ring.records() {
+        replayed.record(&record);
+    }
+    for counter in Counter::ALL.into_iter().filter(|&c| !is_measured(c)) {
+        assert_eq!(live.counter(counter), replayed.counter(counter), "{}", counter.name());
+    }
+    assert_eq!(live.counter(Counter::ResumeSkips), 2);
+    assert_eq!(live.counter(Counter::JournalAppends), 4);
+    assert_eq!(live.counter(Counter::MissionRetries), 2);
+    assert_eq!(live.counter(Counter::MissionFailures), 2);
+    assert!(live.counter(Counter::ForkHits) > 0);
+
+    let html = render_dashboard(&report, &campaign.configs, &ring.records(), "replay");
+    for (label, counter) in [
+        ("fork hits", Counter::ForkHits),
+        ("fork misses", Counter::ForkMisses),
+        ("retries", Counter::MissionRetries),
+        ("resume skips", Counter::ResumeSkips),
+    ] {
+        let card = format!(
+            "<div class=\"v\">{}</div><div class=\"l\">{label}</div>",
+            live.counter(counter)
+        );
+        assert!(html.contains(&card), "dashboard card {label:?} must read the live count");
+    }
 }

@@ -1,18 +1,22 @@
 //! Trace neutrality and determinism: attaching any trace sink must not
 //! change a byte of the campaign report, and the sequence-sorted NDJSON
-//! stream must be byte-identical across worker counts. Snapshot on/off runs
-//! must agree after stripping execution-strategy events (fork hit/miss,
-//! snapshot ring stats) — the probes themselves are bit-identical.
+//! stream must be byte-identical across worker counts — also when a counting
+//! sink shares the trace, whose measurement side channel never reaches the
+//! file. Snapshot on/off runs must agree after stripping execution-strategy
+//! events (fork hit/miss, snapshot ring stats) — the probes themselves are
+//! bit-identical.
 
+use std::path::Path;
 use std::sync::Arc;
 
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarmfuzz::campaign::{
-    run_campaign_traced, CampaignConfig, CampaignReport, CampaignRunOptions, SwarmConfig,
+    run_campaign_with_options, CampaignConfig, CampaignReport, CampaignRunOptions, SwarmConfig,
 };
 use swarmfuzz::dashboard::render_dashboard;
 use swarmfuzz::trace::{
-    canonical_ndjson, chrome_trace, encode_record, sorted_ndjson, validate_json, FileSink, RingSink,
+    canonical_ndjson, chrome_trace, encode_record, sorted_ndjson, validate_json, FileSink,
+    RingSink, TeeSink,
 };
 use swarmfuzz::{Fuzzer, FuzzerConfig, Telemetry, Trace, TraceEvent};
 
@@ -41,7 +45,7 @@ fn fuzzer(deviation: f64) -> Fuzzer<VasarhelyiController> {
 
 fn run(workers: usize, trace: &Trace, snapshot: bool) -> CampaignReport {
     let options = CampaignRunOptions { snapshot, ..CampaignRunOptions::default() };
-    run_campaign_traced(&tiny_campaign(workers), fuzzer, &Telemetry::off(), &options, trace)
+    run_campaign_with_options(&tiny_campaign(workers), fuzzer, &options, trace)
         .expect("campaign must run")
 }
 
@@ -60,6 +64,10 @@ fn reports_identical_with_tracing_off_ring_and_file_across_workers() {
     assert_eq!(baseline.missions.len(), 4);
 
     let dir = std::env::temp_dir().join(format!("swarmfuzz-trace-{}", std::process::id()));
+    let sorted_file = |path: &Path| {
+        sorted_ndjson(&std::fs::read_to_string(path).expect("trace file readable"))
+            .expect("trace file parses")
+    };
     for workers in [1usize, 4] {
         let off = run(workers, &Trace::off(), true);
         assert_eq!(baseline, off, "workers={workers}, trace off");
@@ -72,6 +80,23 @@ fn reports_identical_with_tracing_off_ring_and_file_across_workers() {
         let file_report = run(workers, &Trace::new(sink.clone()), true);
         sink.finish().expect("no write errors");
         assert_eq!(baseline, file_report, "workers={workers}, file sink");
+
+        // The same file sink teed with a counting sink: the counters see
+        // spans and run stats, the file sees exactly the file-only bytes.
+        let teed_path = dir.join(format!("trace-w{workers}-teed.ndjson"));
+        let teed = Arc::new(FileSink::create(&teed_path).expect("file sink"));
+        let telemetry = Telemetry::enabled(workers);
+        let tee = TeeSink::new(vec![teed.clone(), Arc::new(telemetry.clone())]);
+        let teed_report = run(workers, &Trace::new(Arc::new(tee)), true);
+        teed.finish().expect("no write errors");
+        assert_eq!(baseline, teed_report, "workers={workers}, file + telemetry");
+        let spans = telemetry.snapshot().expect("enabled").phase("baseline").expect("phase").count;
+        assert!(spans > 0, "workers={workers}: the side channel carried spans");
+        assert_eq!(
+            sorted_file(&teed_path),
+            sorted_file(&path),
+            "workers={workers}: measurements must never reach the trace file"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

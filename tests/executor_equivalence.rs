@@ -17,8 +17,8 @@ use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_testkit::gens::{u64_in, usize_in, zip4};
 use swarm_testkit::{cases, check_budgeted, tk_ensure};
 use swarmfuzz::campaign::{
-    run_campaign_with_options, CampaignConfig, CampaignReport, CampaignRunOptions, JournalSpec,
-    SwarmConfig,
+    run_campaign, run_campaign_with_options, CampaignConfig, CampaignReport, CampaignRunOptions,
+    JournalSpec, SwarmConfig,
 };
 use swarmfuzz::server::{
     in_process_factory, merge_shard_rows, shard_path, ExecutorFactory, ExecutorOptions,
@@ -65,8 +65,8 @@ fn direct_report(spec: &CampaignSpec, options: &CampaignRunOptions) -> CampaignR
     run_campaign_with_options(
         &spec.campaign,
         |deviation| Fuzzer::new(controller(), spec.fuzzer_config(deviation)),
-        &Telemetry::off(),
         options,
+        &Trace::off(),
     )
     .expect("direct campaign must run")
 }
@@ -257,8 +257,8 @@ fn panicking_missions_are_quarantined_on_the_direct_path() {
             FuzzerConfig { eval_budget: 0, ..FuzzerConfig::swarmfuzz(deviation) },
         )
     };
-    let report = run_campaign_with_options(&campaign, make, &Telemetry::off(), &Default::default())
-        .expect("a panicking mission must not abort the campaign");
+    let report =
+        run_campaign(&campaign, make).expect("a panicking mission must not abort the campaign");
     assert_eq!(report.missions.len(), 1, "the healthy configuration still completes");
     assert_eq!(report.failures.len(), 1);
     let failure = &report.failures[0];
@@ -281,7 +281,6 @@ fn panicking_missions_are_quarantined_on_the_server_path() {
                 assert!(deviation != 5.0, "server-side injected panic");
                 Fuzzer::new(controller(), spec.fuzzer_config(deviation))
             },
-            Telemetry::off(),
             Trace::off(),
             ExecutionProfile::default(),
             None,

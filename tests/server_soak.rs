@@ -20,9 +20,7 @@
 use std::collections::HashMap;
 
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
-use swarmfuzz::campaign::{
-    run_campaign_with_options, CampaignConfig, CampaignReport, CampaignRunOptions, SwarmConfig,
-};
+use swarmfuzz::campaign::{run_campaign, CampaignConfig, CampaignReport, SwarmConfig};
 use swarmfuzz::server::{in_process_factory, ExecutorOptions};
 use swarmfuzz::{CampaignServer, CampaignSpec, Fuzzer, ServerConfig, ServerError, Telemetry};
 
@@ -65,12 +63,9 @@ fn soak_specs() -> Vec<CampaignSpec> {
 }
 
 fn direct_report(spec: &CampaignSpec) -> CampaignReport {
-    run_campaign_with_options(
-        &spec.campaign,
-        |deviation| Fuzzer::new(controller(), spec.fuzzer_config(deviation)),
-        &Telemetry::off(),
-        &CampaignRunOptions::default(),
-    )
+    run_campaign(&spec.campaign, |deviation| {
+        Fuzzer::new(controller(), spec.fuzzer_config(deviation))
+    })
     .expect("direct campaign must run")
 }
 

@@ -25,7 +25,7 @@ use swarm_testkit::{cases, check_budgeted, gens, tk_ensure, Gen};
 use swarmfuzz::campaign::{
     run_campaign_with_options, CampaignConfig, CampaignRunOptions, SwarmConfig,
 };
-use swarmfuzz::{Fuzzer, FuzzerConfig, SnapshotCache, Telemetry};
+use swarmfuzz::{Fuzzer, FuzzerConfig, SnapshotCache, Telemetry, Trace};
 
 fn controller() -> VasarhelyiController {
     VasarhelyiController::new(VasarhelyiParams::default())
@@ -188,7 +188,7 @@ fn eval_budget_is_conserved_under_forking() {
         let spec = MissionSpec::paper_delivery(5, 11);
         let telemetry = Telemetry::enabled(1);
         let on = fuzzer_with(10.0, budget, true)
-            .with_telemetry(telemetry.clone())
+            .with_trace(telemetry.trace())
             .fuzz(&spec)
             .expect("fuzz must run");
         let off = fuzzer_with(10.0, budget, false).fuzz(&spec).expect("fuzz must run");
@@ -198,9 +198,11 @@ fn eval_budget_is_conserved_under_forking() {
         // escapes the accounting.
         let hits = telemetry.counter(swarmfuzz::telemetry::Counter::ForkHits);
         let misses = telemetry.counter(swarmfuzz::telemetry::Counter::ForkMisses);
+        let evaluations = telemetry.counter(swarmfuzz::telemetry::Counter::Evaluations);
+        assert_eq!(evaluations, on.evaluations as u64, "one probe event per evaluation");
         assert_eq!(
             hits + misses,
-            telemetry.counter(swarmfuzz::telemetry::Counter::Evaluations),
+            evaluations,
             "fork accounting must cover every evaluation at budget {budget}"
         );
     }
@@ -241,7 +243,7 @@ fn campaign_reports_are_bit_identical_snapshots_on_vs_off_across_workers() {
     };
     let run = |workers: usize, snapshot: bool| {
         let options = CampaignRunOptions { snapshot, ..Default::default() };
-        run_campaign_with_options(&tiny_campaign(workers), make, &Telemetry::off(), &options)
+        run_campaign_with_options(&tiny_campaign(workers), make, &options, &Trace::off())
             .expect("campaign must run")
     };
     let reference = run(1, false);
@@ -263,7 +265,7 @@ fn campaign_snapshot_cache_is_shared_and_forking_dominates() {
     };
     let telemetry = Telemetry::enabled(2);
     let options = CampaignRunOptions::default();
-    let report = run_campaign_with_options(&tiny_campaign(2), make, &telemetry, &options)
+    let report = run_campaign_with_options(&tiny_campaign(2), make, &options, &telemetry.trace())
         .expect("campaign must run");
     let evals: u64 = report.missions.iter().map(|m| m.evaluations as u64).sum();
     let hits = telemetry.counter(swarmfuzz::telemetry::Counter::ForkHits);
