@@ -32,8 +32,7 @@ use crate::schedule::{
     expand_waveforms, random_schedule, svg_schedule_instrumented, trace_schedule,
 };
 use crate::search::{
-    gradient_search_traced, random_search, shaped_gradient_search_traced, shaped_random_search,
-    GradientConfig, SearchResult, ShapeBounds,
+    gradient_search_traced, random_search, GradientConfig, SearchResult, ShapeBounds,
 };
 use crate::seed::Seed;
 use crate::snapshot::{cache_key, MissionCache, SnapshotCache, SnapshotRing};
@@ -387,14 +386,14 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                 t_mission,
                 &mut rng,
             )?;
-            evaluations += result.outcome.evaluations;
+            evaluations += result.evaluations;
             self.trace.emit(TraceEvent::SeedDone {
-                evaluations: result.outcome.evaluations,
-                converged: result.outcome.converged,
-                best_value: result.outcome.best_value,
-                success: result.outcome.success.is_some(),
+                evaluations: result.evaluations,
+                converged: result.converged,
+                best_value: result.best_value,
+                success: result.success.is_some(),
             });
-            if let Some(s) = result.outcome.success {
+            if let Some(s) = result.success {
                 finding = Some(SpvFinding {
                     seed: *seed,
                     start: s.start,
@@ -402,7 +401,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
                     deviation: self.config.deviation,
                     actual_victim: s.victim,
                     collision_time: s.collision_time,
-                    waveform: fitted_waveform(seed.waveform, s.duration, result.shape),
+                    waveform: Waveform::fitted(seed.waveform, s.duration, result.shape),
                 });
                 break;
             }
@@ -441,13 +440,13 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
         budget: usize,
         t_mission: f64,
         rng: &mut StdRng,
-    ) -> Result<SeedSearch, FuzzError> {
+    ) -> Result<SearchResult, FuzzError> {
         let mut objective = Objective::new(sim, seed, self.config.deviation);
         if self.trace.is_enabled() {
             objective = objective.with_observer(&self.trace);
         }
         let trace = &self.trace;
-        let eval3 = |ts: f64, dt: f64, shape: Option<f64>| {
+        let eval = |ts: f64, dt: f64, shape: Option<f64>| {
             let mut fork_flag = None;
             let result = (|| {
                 if let Some(cache) = fork {
@@ -482,114 +481,70 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
             }
             result
         };
-        // Initial guess: start the spoofing window `lead_time` seconds
-        // before the victim's recorded closest approach.
-        let t_close = record.vdo_time(seed.victim).unwrap_or(t_mission / 2.0);
-        let ts0 = (t_close - self.config.lead_time).max(0.0);
-        let dt0 = self.config.initial_duration;
-        if let Some(bounds) = shape_bounds(seed.waveform) {
-            let shaped = match self.config.search_strategy {
-                SearchStrategy::Gradient => {
-                    let _span = self.trace.span(Phase::GradientSearch);
-                    shaped_gradient_search_traced(
-                        |ts, dt, shape| eval3(ts, dt, Some(shape)),
-                        (ts0, dt0),
-                        budget,
-                        t_mission,
-                        &bounds,
-                        &GradientConfig::default(),
-                        &self.trace,
-                    )?
-                }
-                SearchStrategy::Random => {
-                    let _span = self.trace.span(Phase::RandomSearch);
-                    shaped_random_search(
-                        |ts, dt, shape| eval3(ts, dt, Some(shape)),
-                        budget,
-                        t_mission,
-                        self.config.max_duration,
-                        &bounds,
-                        rng,
-                    )?
-                }
-            };
-            return Ok(SeedSearch { outcome: shaped.result, shape: Some(shaped.shape) });
-        }
-        let outcome = match self.config.search_strategy {
+        let bounds = shape_bounds(seed.waveform);
+        match self.config.search_strategy {
             SearchStrategy::Gradient => {
                 let _span = self.trace.span(Phase::GradientSearch);
-                // Multi-start: the objective is convex in the window for a
-                // fixed interaction geometry, but different windows engage
-                // different geometries; restart once from an earlier, longer
-                // window with the remaining budget.
-                let ts1 = (t_close - 1.6 * self.config.lead_time).max(0.0);
-                let dt1 = 1.5 * self.config.initial_duration;
-                gradient_multi_start(
-                    |ts: f64, dt: f64| eval3(ts, dt, None),
-                    (ts0, dt0),
-                    (ts1, dt1),
-                    budget,
-                    t_mission,
-                    &self.trace,
-                )?
+                // Initial guess: start the spoofing window `lead_time`
+                // seconds before the victim's recorded closest approach; the
+                // restart window opens earlier and lasts longer.
+                let t_close = record.vdo_time(seed.victim).unwrap_or(t_mission / 2.0);
+                let first =
+                    ((t_close - self.config.lead_time).max(0.0), self.config.initial_duration);
+                let second = (
+                    (t_close - 1.6 * self.config.lead_time).max(0.0),
+                    1.5 * self.config.initial_duration,
+                );
+                gradient_multi_start(eval, first, second, bounds.as_ref(), budget, t_mission, trace)
             }
             SearchStrategy::Random => {
                 let _span = self.trace.span(Phase::RandomSearch);
                 random_search(
-                    |ts: f64, dt: f64| eval3(ts, dt, None),
+                    eval,
                     budget,
                     t_mission,
                     self.config.max_duration,
+                    bounds.as_ref(),
                     rng,
-                )?
+                )
             }
-        };
-        Ok(SeedSearch { outcome, shape: None })
+        }
     }
-}
-
-/// One seed's search outcome plus the fitted shape parameter, when the
-/// seed's waveform has one.
-struct SeedSearch {
-    outcome: SearchResult,
-    shape: Option<f64>,
 }
 
 /// The paper's two-start gradient search: one run from the VDO-led guess,
 /// and — unless it succeeded or exhausted the budget — a restart from the
-/// second window with what remains.
+/// second window with what remains. The objective is convex in the window
+/// for a fixed interaction geometry, but different windows engage different
+/// geometries. A seed with shape bounds searches once, from the first guess.
 fn gradient_multi_start(
-    mut probe: impl FnMut(f64, f64) -> Result<Evaluation, FuzzError>,
+    mut probe: impl FnMut(f64, f64, Option<f64>) -> Result<Evaluation, FuzzError>,
     first_start: (f64, f64),
     second_start: (f64, f64),
+    bounds: Option<&ShapeBounds>,
     budget: usize,
     t_mission: f64,
     trace: &Trace,
 ) -> Result<SearchResult, FuzzError> {
-    let first = gradient_search_traced(
-        &mut probe,
-        first_start,
-        budget,
-        t_mission,
-        &GradientConfig::default(),
-        trace,
-    )?;
-    if first.success.is_some() || first.evaluations >= budget {
+    let config = GradientConfig::default();
+    let first =
+        gradient_search_traced(&mut probe, first_start, bounds, budget, t_mission, &config, trace)?;
+    if bounds.is_some() || first.success.is_some() || first.evaluations >= budget {
         return Ok(first);
     }
     let second = gradient_search_traced(
         &mut probe,
         second_start,
+        None,
         budget - first.evaluations,
         t_mission,
-        &GradientConfig::default(),
+        &config,
         trace,
     )?;
     Ok(SearchResult {
-        success: second.success,
         evaluations: first.evaluations + second.evaluations,
-        converged: second.converged,
         best_value: first.best_value.min(second.best_value),
+        ..second
     })
 }
 
@@ -606,20 +561,6 @@ fn shape_bounds(kind: WaveformKind) -> Option<ShapeBounds> {
         }
         // Half-cycle period in [0.1, 10] s.
         WaveformKind::Jump => Some(ShapeBounds { lo: 0.1, hi: 10.0, init: 1.0 }),
-    }
-}
-
-/// The waveform a successful probe actually simulated, reconstructed from
-/// the seed's class, the fitted window, and the fitted shape parameter.
-/// Mirrors the defaults applied by `Objective::evaluate_shaped`.
-fn fitted_waveform(kind: WaveformKind, duration: f64, shape: Option<f64>) -> Waveform {
-    match kind {
-        WaveformKind::Constant => Waveform::Constant,
-        WaveformKind::Drift => Waveform::Drift { ramp: shape.unwrap_or(duration).min(duration) },
-        WaveformKind::Circular => Waveform::Circular { omega: shape.unwrap_or(1.0) },
-        WaveformKind::Jump => {
-            Waveform::Jump { period: shape.unwrap_or(1.0).max(f64::MIN_POSITIVE) }
-        }
     }
 }
 

@@ -13,6 +13,10 @@
 //!    victim (binary search over `[0, Δt]`);
 //! 2. re-anchor the start `t_s` as late as possible;
 //! 3. shrink the deviation `d` the same way.
+//!
+//! Every probe keeps the finding's attack class: window changes go through
+//! [`SpoofingAttack::with_window`], which re-fits the waveform to the new
+//! window exactly as the fuzzer's search does.
 
 use swarm_sim::dynamics::Dynamics;
 use swarm_sim::spoof::SpoofingAttack;
@@ -100,7 +104,8 @@ pub fn minimize_attack_traced<C: SwarmController, D: Dynamics>(
         Ok(out.spv_collision(attack.target).is_some())
     };
 
-    let original = SpoofingAttack::new(
+    let original = SpoofingAttack::from_waveform(
+        finding.waveform,
         finding.seed.target,
         finding.seed.direction,
         finding.start,
@@ -146,8 +151,14 @@ pub fn minimize_attack_traced<C: SwarmController, D: Dynamics>(
     let (mut lo, mut hi) = (0.0f64, best.deviation);
     while hi - lo > config.deviation_resolution && evals.get() < config.budget {
         let mid = (lo + hi) / 2.0;
-        let probe =
-            SpoofingAttack::new(best.target, best.direction, best.start, best.duration, mid)?;
+        let probe = SpoofingAttack::from_waveform(
+            best.waveform,
+            best.target,
+            best.direction,
+            best.start,
+            best.duration,
+            mid,
+        )?;
         if crashes(&probe)? {
             hi = mid;
             best = probe;
@@ -335,6 +346,40 @@ mod tests {
             })
             .collect();
         assert_eq!(passes, ["duration", "start", "deviation"]);
+    }
+
+    /// A finding of another class as `rig()`'s, flown against the same seed.
+    fn shaped(waveform: Waveform) -> (Simulation<FollowY>, SpvFinding) {
+        let (sim, mut finding) = rig();
+        finding.seed.waveform = waveform.kind();
+        finding.waveform = waveform;
+        (sim, finding)
+    }
+
+    /// Regression: minimization rebuilt every finding as a constant offset,
+    /// so a jump finding that does not crash under its own waveform was
+    /// "minimized" to a constant attack instead of being rejected.
+    #[test]
+    fn minimization_replays_the_finding_class() {
+        let (sim, finding) = shaped(Waveform::Jump { period: 1.0 });
+        match minimize_attack(&sim, &finding, &MinimizeConfig::default()) {
+            Err(FuzzError::NonReproducingFinding(attack)) => {
+                assert!(attack.starts_with("jump spoof drone0"), "{attack}");
+            }
+            other => panic!("expected NonReproducingFinding, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shaped_findings_minimize_within_their_class() {
+        for waveform in [Waveform::Circular { omega: 0.05 }, Waveform::Jump { period: 2.0 }] {
+            let (sim, finding) = shaped(waveform);
+            let min = minimize_attack(&sim, &finding, &MinimizeConfig::default()).unwrap();
+            assert_eq!(min.attack.waveform, waveform, "the class and its shape are kept");
+            assert!(min.attack.duration < finding.duration, "{waveform:?} window must shrink");
+            let out = sim.run(Some(&min.attack)).unwrap();
+            assert!(out.spv_collision(min.attack.target).is_some(), "{waveform:?} reproduces");
+        }
     }
 
     /// Regression: a non-reproducing finding used to abort the process via

@@ -5,10 +5,14 @@
 //! obstacle over the attacked mission (minus the drone's collision radius, so
 //! a collision corresponds to `f ≤ 0`). Every evaluation runs one full
 //! simulated mission — the unit the paper calls a *search iteration*.
+//!
+//! Each probe flies one [`SpoofingAttack`] of the seed's class: the paper's
+//! constant offset for constant seeds, and for the other classes the
+//! waveform [`Waveform::fitted`] to the window and the searched shape.
 
 use swarm_sim::dynamics::Dynamics;
 use swarm_sim::recorder::MissionRecord;
-use swarm_sim::spoof::{AttackSpec, SpoofingAttack, Waveform, WaveformKind};
+use swarm_sim::spoof::{SpoofingAttack, Waveform};
 use swarm_sim::{DroneId, MissionOutcome, SimObserver, SimSnapshot, Simulation, SwarmController};
 
 use crate::seed::Seed;
@@ -108,7 +112,8 @@ impl<'a, C: SwarmController, D: Dynamics> Objective<'a, C, D> {
 
     /// [`Objective::evaluate`] with an explicit waveform shape parameter
     /// (ramp time, ω or jump period, depending on the seed's class). `None`
-    /// falls back to the class default — full-window ramp-in for drift.
+    /// falls back to the class default of [`Waveform::fitted`] — full-window
+    /// ramp-in for drift.
     ///
     /// # Errors
     ///
@@ -121,54 +126,20 @@ impl<'a, C: SwarmController, D: Dynamics> Objective<'a, C, D> {
     ) -> Result<Evaluation, FuzzError> {
         let start = start.max(0.0);
         let duration = duration.max(0.0);
-        let outcome = if self.uses_legacy_path() {
-            let attack = self.attack(start, duration)?;
-            self.sim.run_observed(Some(&attack), self.observer)?
-        } else {
-            let attack = self.attack_spec(start, duration, shape)?;
-            self.sim.run_observed(Some(&attack), self.observer)?
-        };
+        let attack = self.attack(start, duration, shape)?;
+        let outcome = self.sim.run_observed(Some(&attack), self.observer)?;
         Ok(self.classify(&outcome, start, duration))
     }
 
-    /// The paper's constant-offset seeds keep flowing through the original
-    /// [`SpoofingAttack`] value; every other class goes through [`AttackSpec`].
-    fn uses_legacy_path(&self) -> bool {
-        self.seed.waveform == WaveformKind::Constant
-    }
-
-    /// Builds the seed's attack for a (pre-clamped) window.
-    fn attack(&self, start: f64, duration: f64) -> Result<SpoofingAttack, FuzzError> {
-        Ok(SpoofingAttack::new(
-            self.seed.target,
-            self.seed.direction,
-            start,
-            duration,
-            self.deviation,
-        )?)
-    }
-
-    /// Builds the seed's zoo attack for a (pre-clamped) window and shape.
-    fn attack_spec(
+    /// Builds the seed's attack for a (pre-clamped) window and shape.
+    fn attack(
         &self,
         start: f64,
         duration: f64,
         shape: Option<f64>,
-    ) -> Result<AttackSpec, FuzzError> {
-        let waveform = match self.seed.waveform {
-            WaveformKind::Constant => Waveform::Constant,
-            // Default: ramp in over the whole window; an explicit shape is
-            // still capped by the window so the spec stays constructible.
-            WaveformKind::Drift => {
-                Waveform::Drift { ramp: shape.unwrap_or(duration).min(duration) }
-            }
-            WaveformKind::Circular => Waveform::Circular { omega: shape.unwrap_or(1.0) },
-            WaveformKind::Jump => {
-                Waveform::Jump { period: shape.unwrap_or(1.0).max(f64::MIN_POSITIVE) }
-            }
-        };
-        Ok(AttackSpec::from_waveform(
-            waveform,
+    ) -> Result<SpoofingAttack, FuzzError> {
+        Ok(SpoofingAttack::from_waveform(
+            Waveform::fitted(self.seed.waveform, duration, shape),
             self.seed.target,
             self.seed.direction,
             start,
@@ -241,13 +212,9 @@ impl<C: SwarmController, D: Dynamics + Clone> Objective<'_, C, D> {
     ) -> Result<Evaluation, FuzzError> {
         let start = start.max(0.0);
         let duration = duration.max(0.0);
-        let outcome = if self.uses_legacy_path() {
-            let attack = self.attack(start, duration)?;
-            self.sim.resume_record_observed(snapshot, prefix, Some(&attack), self.observer)?
-        } else {
-            let attack = self.attack_spec(start, duration, shape)?;
-            self.sim.resume_record_observed(snapshot, prefix, Some(&attack), self.observer)?
-        };
+        let attack = self.attack(start, duration, shape)?;
+        let outcome =
+            self.sim.resume_record_observed(snapshot, prefix, Some(&attack), self.observer)?;
         Ok(self.classify(&outcome, start, duration))
     }
 }
@@ -257,7 +224,7 @@ mod tests {
     use super::*;
     use swarm_math::{Vec2, Vec3};
     use swarm_sim::mission::MissionSpec;
-    use swarm_sim::spoof::SpoofDirection;
+    use swarm_sim::spoof::{SpoofDirection, WaveformKind};
     use swarm_sim::{ControlContext, PerceivedSelf};
 
     /// Controller that makes drone 1 mirror drone 0's broadcast lateral

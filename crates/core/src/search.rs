@@ -1,15 +1,20 @@
 //! Search strategies over the spoofing window `(t_s, Δt)` (paper §IV-C).
 //!
-//! [`gradient_search`] implements the paper's gradient-guided optimization:
-//! partial derivatives of the convex objective `f(t_s, Δt)` are estimated by
-//! forward finite differences (each probe = one simulated mission = one
-//! *search iteration*), and the projected update of Eq. 1 is applied until a
-//! collision is found, the iteration budget runs out, or the search
-//! converges without success (which is how the paper's gradient fuzzers stop
-//! early while the random fuzzers always exhaust their budget).
+//! [`gradient_search_traced`] implements the paper's gradient-guided
+//! optimization: partial derivatives of the convex objective `f(t_s, Δt)`
+//! are estimated by forward finite differences (each probe = one simulated
+//! mission = one *search iteration*), and the projected update of Eq. 1 is
+//! applied until a collision is found, the iteration budget runs out, or the
+//! search converges without success (which is how the paper's gradient
+//! fuzzers stop early while the random fuzzers always exhaust their budget).
 //!
 //! [`random_search`] implements the ablation baseline: uniform sampling of
 //! the window, used by R_Fuzz and S_Fuzz.
+//!
+//! Both take the seed's [`ShapeBounds`] when its waveform has a shape
+//! parameter (ω, jump period): the gradient search then adds the shape as a
+//! third finite-difference axis, and the random search draws it after the
+//! window. Without bounds both search exactly the paper's `(t_s, Δt)`.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -65,6 +70,31 @@ pub struct SearchResult {
     pub converged: bool,
     /// Best (lowest) objective value seen.
     pub best_value: f64,
+    /// The shape parameter of the successful probe, or of the best probe
+    /// seen when none succeeded; `None` for a search without shape bounds.
+    pub shape: Option<f64>,
+}
+
+/// Bounds and initial guess for a waveform shape parameter (ω, jump period)
+/// searched alongside the spoofing window.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShapeBounds {
+    /// Smallest feasible shape value.
+    pub lo: f64,
+    /// Largest feasible shape value.
+    pub hi: f64,
+    /// Initial guess.
+    pub init: f64,
+}
+
+impl ShapeBounds {
+    fn span(&self) -> f64 {
+        (self.hi - self.lo).max(f64::EPSILON)
+    }
+
+    fn clamp(&self, s: f64) -> f64 {
+        s.clamp(self.lo, self.hi)
+    }
 }
 
 /// Projects a window onto the feasible region `t_s ≥ 0`, `Δt ≥ 0`,
@@ -91,7 +121,8 @@ fn success_of(e: &Evaluation) -> Option<SearchSuccess> {
     }
 }
 
-/// Gradient-guided search from an initial window guess.
+/// Gradient-guided search over the paper's `(t_s, Δt)` from an initial
+/// window guess: [`gradient_search_traced`] without shape bounds or trace.
 ///
 /// `objective` maps `(t_s, Δt)` to an [`Evaluation`]; `budget` caps the
 /// number of evaluations; `t_mission` bounds `t_s + Δt` (the paper's timing
@@ -101,7 +132,7 @@ fn success_of(e: &Evaluation) -> Option<SearchSuccess> {
 ///
 /// Propagates the first [`FuzzError`] returned by `objective`.
 pub fn gradient_search<F>(
-    objective: F,
+    mut objective: F,
     initial: (f64, f64),
     budget: usize,
     t_mission: f64,
@@ -110,13 +141,29 @@ pub fn gradient_search<F>(
 where
     F: FnMut(f64, f64) -> Result<Evaluation, FuzzError>,
 {
-    gradient_search_traced(objective, initial, budget, t_mission, config, &Trace::off())
+    gradient_search_traced(
+        |ts, dt, _| objective(ts, dt),
+        initial,
+        None,
+        budget,
+        t_mission,
+        config,
+        &Trace::off(),
+    )
 }
 
-/// [`gradient_search`] with a trace handle: each projected descent update
-/// (after clamping) is emitted as a [`TraceEvent::GradientStep`]. The trace
-/// is purely observational — the returned result is identical to the
-/// untraced call's.
+/// Gradient-guided search from an initial window guess.
+///
+/// `objective` maps `(t_s, Δt, shape)` to an [`Evaluation`]; the shape is
+/// `None` unless `bounds` are given, in which case it starts at the clamped
+/// initial guess, descends as a third finite-difference axis with a trust
+/// region proportional to its bounds, and stays clamped inside them.
+/// `budget` caps the number of evaluations; `t_mission` bounds `t_s + Δt`
+/// (the paper's timing constraint).
+///
+/// Each projected descent update (after clamping) is emitted on `trace` as a
+/// [`TraceEvent::GradientStep`] of its window axes. The trace is purely
+/// observational — the result is identical with tracing off.
 ///
 /// # Errors
 ///
@@ -124,23 +171,31 @@ where
 pub fn gradient_search_traced<F>(
     mut objective: F,
     initial: (f64, f64),
+    bounds: Option<&ShapeBounds>,
     budget: usize,
     t_mission: f64,
     config: &GradientConfig,
     trace: &Trace,
 ) -> Result<SearchResult, FuzzError>
 where
-    F: FnMut(f64, f64) -> Result<Evaluation, FuzzError>,
+    F: FnMut(f64, f64, Option<f64>) -> Result<Evaluation, FuzzError>,
 {
     let (mut ts, mut dt) = initial;
     clamp_window(&mut ts, &mut dt, t_mission);
+    let mut shape = bounds.map(|b| b.clamp(b.init));
+    let axes = if bounds.is_some() { 3 } else { 2 };
     let mut evals = 0usize;
     let mut best = f64::INFINITY;
+    let mut best_shape = shape;
 
-    macro_rules! fold {
-        ($e:expr) => {{
-            let e = $e;
+    macro_rules! probe {
+        ($ts:expr, $dt:expr, $shape:expr) => {{
+            let probed = $shape;
+            let e = objective($ts, $dt, probed)?;
             evals += 1;
+            if e.value < best {
+                best_shape = probed;
+            }
             best = best.min(e.value);
             if let Some(s) = success_of(&e) {
                 return Ok(SearchResult {
@@ -148,23 +203,36 @@ where
                     evaluations: evals,
                     converged: false,
                     best_value: best,
+                    shape: probed,
                 });
             }
             e
         }};
     }
 
-    let mut current = fold!(objective(ts, dt)?);
+    let mut current = probe!(ts, dt, shape);
 
-    while evals + 2 <= budget {
+    while evals + axes <= budget {
         // Forward finite differences (each probe is one mission).
         let h = config.fd_step;
-        let e_ts = fold!(objective(ts + h, dt)?);
-        let e_dt = fold!(objective(ts, dt + h)?);
+        let e_ts = probe!(ts + h, dt, shape);
+        let e_dt = probe!(ts, dt + h, shape);
         let g_ts = (e_ts.value - current.value) / h;
         let g_dt = (e_dt.value - current.value) / h;
+        let (mut g_sh, mut next_shape) = (0.0, shape);
+        if let Some((b, s)) = bounds.zip(shape) {
+            let h_shape = 0.05 * b.span();
+            let e_sh = probe!(ts, dt, Some(b.clamp(s + h_shape)));
+            g_sh = (e_sh.value - current.value) / h_shape;
+            // The shape axis lives on its own scale: trust-region it at a
+            // quarter of the feasible span per step.
+            let max_step_shape = 0.25 * b.span();
+            let step_sh =
+                swarm_math::clamp(config.learning_rate * g_sh, -max_step_shape, max_step_shape);
+            next_shape = Some(b.clamp(s - step_sh));
+        }
 
-        if !g_ts.is_finite() || !g_dt.is_finite() {
+        if !g_ts.is_finite() || !g_dt.is_finite() || !g_sh.is_finite() {
             // Victim vanished from the objective (e.g. target crash ended the
             // mission immediately); nothing to descend on.
             return Ok(SearchResult {
@@ -172,6 +240,7 @@ where
                 evaluations: evals,
                 converged: true,
                 best_value: best,
+                shape: best_shape,
             });
         }
 
@@ -182,177 +251,7 @@ where
             swarm_math::clamp(config.learning_rate * g_dt, -config.max_step, config.max_step);
         ts = (ts - step_ts).max(0.0);
         dt = (dt - step_dt).max(0.0);
-        clamp_window(&mut ts, &mut dt, t_mission);
-        trace.emit(TraceEvent::GradientStep { g_ts, g_dt, ts, dt });
-
-        if evals >= budget {
-            break;
-        }
-        let next = fold!(objective(ts, dt)?);
-
-        let improvement = current.value - next.value;
-        current = next;
-        if improvement.abs() < config.tolerance {
-            // Objective stopped moving: converged without a collision.
-            return Ok(SearchResult {
-                success: None,
-                evaluations: evals,
-                converged: true,
-                best_value: best,
-            });
-        }
-    }
-
-    Ok(SearchResult { success: None, evaluations: evals, converged: false, best_value: best })
-}
-
-/// Bounds and initial guess for a waveform shape parameter (ramp time, ω,
-/// jump period) searched alongside the spoofing window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShapeBounds {
-    /// Smallest feasible shape value.
-    pub lo: f64,
-    /// Largest feasible shape value.
-    pub hi: f64,
-    /// Initial guess.
-    pub init: f64,
-}
-
-impl ShapeBounds {
-    fn span(&self) -> f64 {
-        (self.hi - self.lo).max(f64::EPSILON)
-    }
-
-    fn clamp(&self, s: f64) -> f64 {
-        s.clamp(self.lo, self.hi)
-    }
-}
-
-/// Result of a shaped search: the window search result plus the shape value
-/// of the successful probe (or of the best probe seen when none succeeded).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShapedSearchResult {
-    /// The window-level outcome, identical in meaning to [`SearchResult`].
-    pub result: SearchResult,
-    /// Shape parameter that produced `result.success` (or the best value).
-    pub shape: f64,
-}
-
-/// Gradient-guided search over `(t_s, Δt, shape)` — the three-parameter
-/// generalization used by waveforms with a shape parameter. The window
-/// handling matches [`gradient_search`]; the shape axis descends with a
-/// trust region proportional to its bounds and stays clamped inside them.
-///
-/// # Errors
-///
-/// Propagates the first [`FuzzError`] returned by `objective`.
-pub fn shaped_gradient_search<F>(
-    objective: F,
-    initial: (f64, f64),
-    budget: usize,
-    t_mission: f64,
-    bounds: &ShapeBounds,
-    config: &GradientConfig,
-) -> Result<ShapedSearchResult, FuzzError>
-where
-    F: FnMut(f64, f64, f64) -> Result<Evaluation, FuzzError>,
-{
-    shaped_gradient_search_traced(
-        objective,
-        initial,
-        budget,
-        t_mission,
-        bounds,
-        config,
-        &Trace::off(),
-    )
-}
-
-/// [`shaped_gradient_search`] with a trace handle; see
-/// [`gradient_search_traced`]. The window axes of each descent update are
-/// emitted as [`TraceEvent::GradientStep`]s.
-///
-/// # Errors
-///
-/// Propagates the first [`FuzzError`] returned by `objective`.
-pub fn shaped_gradient_search_traced<F>(
-    mut objective: F,
-    initial: (f64, f64),
-    budget: usize,
-    t_mission: f64,
-    bounds: &ShapeBounds,
-    config: &GradientConfig,
-    trace: &Trace,
-) -> Result<ShapedSearchResult, FuzzError>
-where
-    F: FnMut(f64, f64, f64) -> Result<Evaluation, FuzzError>,
-{
-    let (mut ts, mut dt) = initial;
-    let mut shape = bounds.clamp(bounds.init);
-    clamp_window(&mut ts, &mut dt, t_mission);
-    let mut evals = 0usize;
-    let mut best = f64::INFINITY;
-    let mut best_shape = shape;
-
-    macro_rules! probe {
-        ($ts:expr, $dt:expr, $shape:expr) => {{
-            let e = objective($ts, $dt, $shape)?;
-            evals += 1;
-            if e.value < best {
-                best = e.value;
-                best_shape = $shape;
-            }
-            if let Some(s) = success_of(&e) {
-                return Ok(ShapedSearchResult {
-                    result: SearchResult {
-                        success: Some(s),
-                        evaluations: evals,
-                        converged: false,
-                        best_value: best,
-                    },
-                    shape: $shape,
-                });
-            }
-            e
-        }};
-    }
-
-    let mut current = probe!(ts, dt, shape);
-    let h_shape = 0.05 * bounds.span();
-
-    while evals + 3 <= budget {
-        let h = config.fd_step;
-        let e_ts = probe!(ts + h, dt, shape);
-        let e_dt = probe!(ts, dt + h, shape);
-        let e_sh = probe!(ts, dt, bounds.clamp(shape + h_shape));
-        let g_ts = (e_ts.value - current.value) / h;
-        let g_dt = (e_dt.value - current.value) / h;
-        let g_sh = (e_sh.value - current.value) / h_shape;
-
-        if !g_ts.is_finite() || !g_dt.is_finite() || !g_sh.is_finite() {
-            return Ok(ShapedSearchResult {
-                result: SearchResult {
-                    success: None,
-                    evaluations: evals,
-                    converged: true,
-                    best_value: best,
-                },
-                shape: best_shape,
-            });
-        }
-
-        let step_ts =
-            swarm_math::clamp(config.learning_rate * g_ts, -config.max_step, config.max_step);
-        let step_dt =
-            swarm_math::clamp(config.learning_rate * g_dt, -config.max_step, config.max_step);
-        // The shape axis lives on its own scale: trust-region it at a
-        // quarter of the feasible span per step.
-        let max_step_shape = 0.25 * bounds.span();
-        let step_sh =
-            swarm_math::clamp(config.learning_rate * g_sh, -max_step_shape, max_step_shape);
-        ts = (ts - step_ts).max(0.0);
-        dt = (dt - step_dt).max(0.0);
-        shape = bounds.clamp(shape - step_sh);
+        shape = next_shape;
         clamp_window(&mut ts, &mut dt, t_mission);
         trace.emit(TraceEvent::GradientStep { g_ts, g_dt, ts, dt });
 
@@ -364,80 +263,22 @@ where
         let improvement = current.value - next.value;
         current = next;
         if improvement.abs() < config.tolerance {
-            return Ok(ShapedSearchResult {
-                result: SearchResult {
-                    success: None,
-                    evaluations: evals,
-                    converged: true,
-                    best_value: best,
-                },
+            // Objective stopped moving: converged without a collision.
+            return Ok(SearchResult {
+                success: None,
+                evaluations: evals,
+                converged: true,
+                best_value: best,
                 shape: best_shape,
             });
         }
     }
 
-    Ok(ShapedSearchResult {
-        result: SearchResult {
-            success: None,
-            evaluations: evals,
-            converged: false,
-            best_value: best,
-        },
-        shape: best_shape,
-    })
-}
-
-/// Random-sampling search over `(t_s, Δt, shape)`: window sampling matches
-/// [`random_search`], the shape is drawn uniformly from its bounds.
-///
-/// # Errors
-///
-/// Propagates the first [`FuzzError`] returned by `objective`.
-pub fn shaped_random_search<F>(
-    mut objective: F,
-    budget: usize,
-    t_mission: f64,
-    max_duration: f64,
-    bounds: &ShapeBounds,
-    rng: &mut StdRng,
-) -> Result<ShapedSearchResult, FuzzError>
-where
-    F: FnMut(f64, f64, f64) -> Result<Evaluation, FuzzError>,
-{
-    let mut best = f64::INFINITY;
-    let mut best_shape = bounds.clamp(bounds.init);
-    for evals in 1..=budget {
-        let ts = if t_mission > WINDOW_MARGIN { rng.gen_range(0.0..t_mission) } else { 0.0 };
-        let lo = max_duration.clamp(0.0, 1.0);
-        let hi = max_duration.min(t_mission - ts - WINDOW_MARGIN).max(lo);
-        let dt = if hi > lo { rng.gen_range(lo..hi) } else { lo };
-        let dt = dt.min((t_mission - ts - WINDOW_MARGIN).max(0.0));
-        let shape =
-            if bounds.hi > bounds.lo { rng.gen_range(bounds.lo..bounds.hi) } else { bounds.lo };
-        let e = objective(ts, dt, shape)?;
-        if e.value < best {
-            best = e.value;
-            best_shape = shape;
-        }
-        if let Some(s) = success_of(&e) {
-            return Ok(ShapedSearchResult {
-                result: SearchResult {
-                    success: Some(s),
-                    evaluations: evals,
-                    converged: false,
-                    best_value: best,
-                },
-                shape,
-            });
-        }
-    }
-    Ok(ShapedSearchResult {
-        result: SearchResult {
-            success: None,
-            evaluations: budget,
-            converged: false,
-            best_value: best,
-        },
+    Ok(SearchResult {
+        success: None,
+        evaluations: evals,
+        converged: false,
+        best_value: best,
         shape: best_shape,
     })
 }
@@ -449,7 +290,9 @@ const WINDOW_MARGIN: f64 = 1e-6;
 /// Random-sampling search (the ablation baseline): draws `t_s ∈ [0,
 /// t_mission)` and `Δt ∈ [min(1, max_duration), max_duration]` uniformly
 /// until the budget is spent, clamping every sample to the caller's bounds
-/// and the timing constraint `t_s + Δt < t_mission`.
+/// and the timing constraint `t_s + Δt < t_mission`. With shape `bounds`,
+/// each probe then draws its shape uniformly from them; without, the
+/// objective sees `None` and the draws are exactly the window's.
 ///
 /// # Errors
 ///
@@ -459,19 +302,25 @@ pub fn random_search<F>(
     budget: usize,
     t_mission: f64,
     max_duration: f64,
+    bounds: Option<&ShapeBounds>,
     rng: &mut StdRng,
 ) -> Result<SearchResult, FuzzError>
 where
-    F: FnMut(f64, f64) -> Result<Evaluation, FuzzError>,
+    F: FnMut(f64, f64, Option<f64>) -> Result<Evaluation, FuzzError>,
 {
     let mut best = f64::INFINITY;
+    let mut best_shape = bounds.map(|b| b.clamp(b.init));
     for evals in 1..=budget {
         let ts = if t_mission > WINDOW_MARGIN { rng.gen_range(0.0..t_mission) } else { 0.0 };
         let lo = max_duration.clamp(0.0, 1.0);
         let hi = max_duration.min(t_mission - ts - WINDOW_MARGIN).max(lo);
         let dt = if hi > lo { rng.gen_range(lo..hi) } else { lo };
         let dt = dt.min((t_mission - ts - WINDOW_MARGIN).max(0.0));
-        let e = objective(ts, dt)?;
+        let shape = bounds.map(|b| if b.hi > b.lo { rng.gen_range(b.lo..b.hi) } else { b.lo });
+        let e = objective(ts, dt, shape)?;
+        if e.value < best {
+            best_shape = shape;
+        }
         best = best.min(e.value);
         if let Some(s) = success_of(&e) {
             return Ok(SearchResult {
@@ -479,10 +328,17 @@ where
                 evaluations: evals,
                 converged: false,
                 best_value: best,
+                shape,
             });
         }
     }
-    Ok(SearchResult { success: None, evaluations: budget, converged: false, best_value: best })
+    Ok(SearchResult {
+        success: None,
+        evaluations: budget,
+        converged: false,
+        best_value: best,
+        shape: best_shape,
+    })
 }
 
 #[cfg(test)]
@@ -605,18 +461,30 @@ mod tests {
         assert_eq!(dt0, 0.0, "Δt shortened to fit the remainder");
     }
 
+    /// [`bowl`] as a window-only objective for the shape-generic searches.
+    fn window_bowl(
+        floor: f64,
+    ) -> impl FnMut(f64, f64, Option<f64>) -> Result<Evaluation, FuzzError> {
+        let mut bowl = bowl(floor);
+        move |ts: f64, dt: f64, shape: Option<f64>| {
+            assert_eq!(shape, None, "a search without bounds never passes a shape");
+            bowl(ts, dt)
+        }
+    }
+
     #[test]
     fn random_search_finds_large_basin() {
         // Collision basin covers a big chunk of the space.
         let mut rng = StdRng::seed_from_u64(3);
-        let r = random_search(bowl(-6.0), 50, 60.0, 30.0, &mut rng).unwrap();
+        let r = random_search(window_bowl(-6.0), 50, 60.0, 30.0, None, &mut rng).unwrap();
         assert!(r.success.is_some());
+        assert_eq!(r.shape, None);
     }
 
     #[test]
     fn random_search_exhausts_budget_without_success() {
         let mut rng = StdRng::seed_from_u64(3);
-        let r = random_search(bowl(5.0), 20, 120.0, 30.0, &mut rng).unwrap();
+        let r = random_search(window_bowl(5.0), 20, 120.0, 30.0, None, &mut rng).unwrap();
         assert!(r.success.is_none());
         assert_eq!(r.evaluations, 20, "random search never stops early");
         assert!(!r.converged);
@@ -632,14 +500,16 @@ mod tests {
         {
             let mut rng = StdRng::seed_from_u64(11);
             let mut samples = Vec::new();
+            let mut objective = window_bowl(5.0);
             random_search(
-                |ts: f64, dt: f64| {
+                |ts, dt, shape| {
                     samples.push((ts, dt));
-                    bowl(5.0)(ts, dt)
+                    objective(ts, dt, shape)
                 },
                 200,
                 t_mission,
                 max_duration,
+                None,
                 &mut rng,
             )
             .unwrap();
@@ -657,8 +527,11 @@ mod tests {
 
     /// A synthetic shaped objective: the bowl of [`bowl`] plus a quadratic
     /// shape term with minimum at `shape = 2.0`.
-    fn shaped_bowl(floor: f64) -> impl FnMut(f64, f64, f64) -> Result<Evaluation, FuzzError> {
-        move |ts: f64, dt: f64, shape: f64| {
+    fn shaped_bowl(
+        floor: f64,
+    ) -> impl FnMut(f64, f64, Option<f64>) -> Result<Evaluation, FuzzError> {
+        move |ts: f64, dt: f64, shape: Option<f64>| {
+            let shape = shape.expect("a search with bounds always passes a shape");
             let value =
                 floor + 0.02 * ((ts - 20.0).powi(2) + (dt - 10.0).powi(2)) + (shape - 2.0).powi(2);
             let outcome = if value <= 0.0 {
@@ -670,40 +543,49 @@ mod tests {
         }
     }
 
+    fn bounded_gradient_search(
+        objective: impl FnMut(f64, f64, Option<f64>) -> Result<Evaluation, FuzzError>,
+        initial: (f64, f64),
+        budget: usize,
+        bounds: &ShapeBounds,
+    ) -> SearchResult {
+        gradient_search_traced(
+            objective,
+            initial,
+            Some(bounds),
+            budget,
+            120.0,
+            &GradientConfig::default(),
+            &Trace::off(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn shaped_gradient_descends_all_three_axes() {
         let bounds = ShapeBounds { lo: 0.0, hi: 6.0, init: 5.0 };
-        let r = shaped_gradient_search(
-            shaped_bowl(-2.0),
-            (15.0, 6.0),
-            80,
-            120.0,
-            &bounds,
-            &GradientConfig::default(),
-        )
-        .unwrap();
-        let s = r.result.success.expect("must reach the collision basin");
+        let r = bounded_gradient_search(shaped_bowl(-2.0), (15.0, 6.0), 80, &bounds);
+        let s = r.success.expect("must reach the collision basin");
         assert!((s.start - 20.0).abs() < 12.0);
-        assert!((r.shape - 2.0).abs() < 2.5, "shape={} should approach 2.0", r.shape);
+        let shape = r.shape.unwrap();
+        assert!((shape - 2.0).abs() < 2.5, "shape={shape} should approach 2.0");
     }
 
     #[test]
     fn shaped_gradient_keeps_shape_inside_bounds() {
         let bounds = ShapeBounds { lo: 1.0, hi: 3.0, init: 9.0 };
         let mut shapes = Vec::new();
-        let r = shaped_gradient_search(
+        let mut objective = shaped_bowl(1.0);
+        let r = bounded_gradient_search(
             |ts, dt, s| {
-                shapes.push(s);
-                shaped_bowl(1.0)(ts, dt, s)
+                shapes.push(s.unwrap());
+                objective(ts, dt, s)
             },
             (20.0, 10.0),
             30,
-            120.0,
             &bounds,
-            &GradientConfig::default(),
-        )
-        .unwrap();
-        assert!(r.result.success.is_none());
+        );
+        assert!(r.success.is_none());
         assert!(shapes.iter().all(|&s| (1.0..=3.0).contains(&s)), "shapes={shapes:?}");
         assert_eq!(shapes[0], 3.0, "out-of-bounds initial guess is clamped");
     }
@@ -713,19 +595,20 @@ mod tests {
         let bounds = ShapeBounds { lo: 0.5, hi: 4.5, init: 1.0 };
         let mut shapes = Vec::new();
         let mut rng = StdRng::seed_from_u64(5);
-        let r = shaped_random_search(
+        let mut objective = shaped_bowl(5.0);
+        let r = random_search(
             |ts, dt, s| {
-                shapes.push(s);
-                shaped_bowl(5.0)(ts, dt, s)
+                shapes.push(s.unwrap());
+                objective(ts, dt, s)
             },
             100,
             120.0,
             30.0,
-            &bounds,
+            Some(&bounds),
             &mut rng,
         )
         .unwrap();
-        assert_eq!(r.result.evaluations, 100);
+        assert_eq!(r.evaluations, 100);
         assert!(shapes.iter().all(|&s| (0.5..4.5).contains(&s)));
         assert!(shapes.iter().any(|&s| s < 1.5) && shapes.iter().any(|&s| s > 3.5));
     }
@@ -733,19 +616,11 @@ mod tests {
     #[test]
     fn shaped_searches_report_success_shape() {
         // Collision only when the shape is near its optimum.
-        let objective = |ts: f64, dt: f64, s: f64| shaped_bowl(-0.5)(ts, dt, s);
         let bounds = ShapeBounds { lo: 0.0, hi: 6.0, init: 2.0 };
-        let r = shaped_gradient_search(
-            objective,
-            (20.0, 10.0),
-            40,
-            120.0,
-            &bounds,
-            &GradientConfig::default(),
-        )
-        .unwrap();
-        assert!(r.result.success.is_some());
-        assert!((r.shape - 2.0).abs() < 1.0, "success shape {} near the optimum", r.shape);
+        let r = bounded_gradient_search(shaped_bowl(-0.5), (20.0, 10.0), 40, &bounds);
+        assert!(r.success.is_some());
+        let shape = r.shape.unwrap();
+        assert!((shape - 2.0).abs() < 1.0, "success shape {shape} near the optimum");
     }
 
     #[test]

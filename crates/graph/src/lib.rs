@@ -22,7 +22,6 @@
 //! ```
 
 pub mod centrality;
-pub mod components;
 mod digraph;
 pub mod paths;
 

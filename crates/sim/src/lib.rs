@@ -9,7 +9,8 @@
 //! * [`sensors`] — the GPS receiver model sampling at 100 Hz with optional
 //!   Gaussian noise, plus the spoofing injection hook.
 //! * [`spoof`] — the GPS spoofing attack description
-//!   `<target, θ, t_s, Δt, d>` ("horizontal constant spoofing", §IV-A).
+//!   `<target, θ, t_s, Δt, d>` ("horizontal constant spoofing", §IV-A) and
+//!   the waveform that shapes its offset.
 //! * [`comms`] — the state-broadcast communication bus between swarm
 //!   members, with optional per-message delay and drop for failure injection.
 //! * [`world`] — obstacles (cylinders/spheres) and the mission environment.

@@ -15,7 +15,7 @@ use swarm_math::{Vec2, Vec3};
 use crate::comms::CommsConfig;
 use crate::dynamics::DroneParams;
 use crate::sensors::GpsConfig;
-use crate::spoof::{AttackModel, AttackSpec};
+use crate::spoof::SpoofingAttack;
 use crate::wind::WindConfig;
 use crate::world::{Obstacle, World};
 use crate::SimError;
@@ -303,35 +303,25 @@ impl MissionSpec {
         Ok(())
     }
 
-    /// Validates an attack against this mission: the class constructors
-    /// already reject malformed parameters in isolation (negative amplitude,
-    /// ramp exceeding the window, non-positive jump period); this adds the
-    /// mission-relative checks — the target must exist and the spoofing
-    /// window must close before the mission does.
+    /// Validates an attack against this mission: the parameter checks of
+    /// [`SpoofingAttack::validate`] (negative amplitude, ramp exceeding the
+    /// window, non-positive jump period), re-run because every field is
+    /// public, plus the mission-relative checks — the target must exist and
+    /// the spoofing window must close before the mission does.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidAttack`] (or the constructor's error,
-    /// re-derived) describing the first infeasibility found.
-    pub fn validate_attack(&self, attack: &AttackSpec) -> Result<(), SimError> {
-        // Re-run the constructor checks so a hand-built (all fields public)
-        // spec cannot smuggle parameters a constructor would have rejected.
-        AttackSpec::from_waveform(
-            attack.waveform(),
-            AttackModel::target(attack),
-            attack.direction(),
-            AttackModel::start(attack),
-            attack.duration(),
-            attack.deviation(),
-        )?;
-        let target = AttackModel::target(attack);
-        if target.index() >= self.swarm_size {
+    /// Returns [`SimError::InvalidAttack`] describing the first
+    /// infeasibility found.
+    pub fn validate_attack(&self, attack: &SpoofingAttack) -> Result<(), SimError> {
+        attack.validate()?;
+        if attack.target.index() >= self.swarm_size {
             return Err(SimError::InvalidAttack(format!(
-                "target {target} outside the {}-drone swarm",
-                self.swarm_size
+                "target {} outside the {}-drone swarm",
+                attack.target, self.swarm_size
             )));
         }
-        let end = AttackModel::start(attack) + attack.duration();
+        let end = attack.end();
         if end > self.duration {
             return Err(SimError::InvalidAttack(format!(
                 "attack window ends at t={end}, after the mission ends at t={}",
@@ -364,7 +354,7 @@ mod tests {
             Waveform::Circular { omega: 1.0 },
             Waveform::Jump { period: 2.0 },
         ] {
-            let attack = AttackSpec::from_waveform(
+            let attack = SpoofingAttack::from_waveform(
                 waveform,
                 DroneId(2),
                 crate::spoof::SpoofDirection::Left,
@@ -379,18 +369,19 @@ mod tests {
 
     #[test]
     fn validate_attack_rejects_negative_amplitude() {
-        use crate::spoof::{ConstantOffset, SpoofDirection};
+        use crate::spoof::{SpoofDirection, Waveform};
         use crate::DroneId;
         let spec = MissionSpec::paper_delivery(5, 0);
         // Built by hand: every field is public, so the constructor was never
         // consulted.
-        let attack = AttackSpec::Constant(ConstantOffset {
+        let attack = SpoofingAttack {
             target: DroneId(0),
             direction: SpoofDirection::Left,
             start: 0.0,
             duration: 5.0,
             deviation: -5.0,
-        });
+            waveform: Waveform::Constant,
+        };
         let SimError::InvalidAttack(msg) = spec.validate_attack(&attack).unwrap_err() else {
             panic!("wrong error kind")
         };
@@ -399,17 +390,17 @@ mod tests {
 
     #[test]
     fn validate_attack_rejects_ramp_exceeding_window() {
-        use crate::spoof::{RampDrift, SpoofDirection};
+        use crate::spoof::{SpoofDirection, Waveform};
         use crate::DroneId;
         let spec = MissionSpec::paper_delivery(5, 0);
-        let attack = AttackSpec::Drift(RampDrift {
+        let attack = SpoofingAttack {
             target: DroneId(0),
             direction: SpoofDirection::Left,
             start: 0.0,
             duration: 5.0,
             deviation: 5.0,
-            ramp: 6.0,
-        });
+            waveform: Waveform::Drift { ramp: 6.0 },
+        };
         let SimError::InvalidAttack(msg) = spec.validate_attack(&attack).unwrap_err() else {
             panic!("wrong error kind")
         };
@@ -421,7 +412,7 @@ mod tests {
         use crate::spoof::{SpoofDirection, Waveform};
         use crate::DroneId;
         let spec = MissionSpec::paper_delivery(5, 0); // duration 150 s
-        let attack = AttackSpec::from_waveform(
+        let attack = SpoofingAttack::from_waveform(
             Waveform::Constant,
             DroneId(0),
             SpoofDirection::Left,
@@ -441,7 +432,7 @@ mod tests {
         use crate::spoof::{SpoofDirection, Waveform};
         use crate::DroneId;
         let spec = MissionSpec::paper_delivery(3, 0);
-        let attack = AttackSpec::from_waveform(
+        let attack = SpoofingAttack::from_waveform(
             Waveform::Jump { period: 1.0 },
             DroneId(9),
             SpoofDirection::Right,

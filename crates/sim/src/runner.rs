@@ -31,7 +31,7 @@ use crate::mission::MissionSpec;
 use crate::recorder::MissionRecord;
 use crate::sensors::GpsReceiver;
 use crate::spatial::{SpatialGrid, SpatialPolicy};
-use crate::spoof::AttackModel;
+use crate::spoof::SpoofingAttack;
 use crate::wind::Wind;
 use crate::world::World;
 use crate::{CollisionEvent, CollisionKind, DroneId, SimError};
@@ -476,7 +476,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
     ///
     /// Returns [`SimError::UnknownTarget`] when the attack targets a drone
     /// outside the swarm.
-    pub fn run(&self, attack: Option<&dyn AttackModel>) -> Result<MissionOutcome, SimError> {
+    pub fn run(&self, attack: Option<&SpoofingAttack>) -> Result<MissionOutcome, SimError> {
         self.run_observed(attack, None)
     }
 
@@ -489,7 +489,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
     /// Same conditions as [`Simulation::run`].
     pub fn run_observed(
         &self,
-        attack: Option<&dyn AttackModel>,
+        attack: Option<&SpoofingAttack>,
         observer: Option<&dyn SimObserver>,
     ) -> Result<MissionOutcome, SimError> {
         self.check_attack(attack)?;
@@ -503,11 +503,11 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
     }
 
     /// Rejects attacks that reference a drone outside the swarm.
-    fn check_attack(&self, attack: Option<&dyn AttackModel>) -> Result<(), SimError> {
+    fn check_attack(&self, attack: Option<&SpoofingAttack>) -> Result<(), SimError> {
         if let Some(a) = attack {
-            if a.target().index() >= self.spec.swarm_size {
+            if a.target.index() >= self.spec.swarm_size {
                 return Err(SimError::UnknownTarget {
-                    target: a.target(),
+                    target: a.target,
                     swarm_size: self.spec.swarm_size,
                 });
             }
@@ -556,7 +556,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
         &self,
         st: &mut SimState<D>,
         record: &mut MissionRecord,
-        attack: Option<&dyn AttackModel>,
+        attack: Option<&SpoofingAttack>,
         stop_before: Option<usize>,
         mut on_step: Option<StepHook<'_, D>>,
     ) -> Result<(), SimError> {
@@ -593,7 +593,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
         &self,
         st: &mut SimState<D>,
         record: &mut MissionRecord,
-        attack: Option<&dyn AttackModel>,
+        attack: Option<&SpoofingAttack>,
         s: &mut StepScratch,
         p: &LoopParams,
     ) -> Result<bool, SimError> {
@@ -1014,7 +1014,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         &self,
         snapshot: &SimSnapshot<D>,
         prefix: MissionRecord,
-        attack: Option<&dyn AttackModel>,
+        attack: Option<&SpoofingAttack>,
         observer: Option<&dyn SimObserver>,
     ) -> Result<MissionOutcome, SimError> {
         self.check_attack(attack)?;
@@ -1027,11 +1027,11 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
             )));
         }
         if let Some(a) = attack {
-            if !snapshot.done && !snapshot.admits_attack_start(a.start()) {
+            if !snapshot.done && !snapshot.admits_attack_start(a.start) {
                 return Err(SimError::SnapshotMismatch(format!(
                     "attack starting at t={} opens inside the simulated prefix (snapshot at \
                      t={:.4})",
-                    a.start(),
+                    a.start,
                     snapshot.time()
                 )));
             }
@@ -1056,7 +1056,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         &self,
         snapshot: &SimSnapshot<D>,
         source: &MissionRecord,
-        attack: Option<&dyn AttackModel>,
+        attack: Option<&SpoofingAttack>,
         observer: Option<&dyn SimObserver>,
     ) -> Result<MissionOutcome, SimError> {
         let prefix = self.prefix_record(snapshot, source)?;
@@ -1073,7 +1073,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         &self,
         snapshot: &SimSnapshot<D>,
         source: &MissionRecord,
-        attack: Option<&dyn AttackModel>,
+        attack: Option<&SpoofingAttack>,
     ) -> Result<MissionOutcome, SimError> {
         self.resume_observed(snapshot, source, attack, None)
     }
@@ -1090,7 +1090,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
     /// Same conditions as [`Simulation::run`].
     pub fn run_observed_with_snapshots(
         &self,
-        attack: Option<&dyn AttackModel>,
+        attack: Option<&SpoofingAttack>,
         observer: Option<&dyn SimObserver>,
         mut should_capture: impl FnMut(usize) -> bool,
         mut sink: impl FnMut(SimSnapshot<D>),
@@ -1114,7 +1114,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spoof::{SpoofDirection, SpoofingAttack};
+    use crate::spoof::SpoofDirection;
 
     /// Flies straight toward the destination at 2 m/s, ignoring everything.
     struct BeeLine;

@@ -4,12 +4,17 @@
 //! A test-run in SwarmFuzz is the tuple `<T-V, t_s, Δt, θ>` plus the global
 //! spoofing deviation `d`. This module describes the part injected into the
 //! simulator: the target drone, the spoofing window `[t_s, t_s + Δt)`, the
-//! horizontal direction θ ∈ {left, right} and the constant offset distance
-//! `d`. While the window is active the target's GPS reading (and therefore
-//! both its own control input and the state it broadcasts to the swarm) is
-//! displaced by `d` in direction θ, perpendicular to the mission axis —
-//! exactly how the paper injects spoofing in SwarmLab ("manipulating the GPS
-//! reading to GPS + d at the GPS sampling rate").
+//! horizontal direction θ ∈ {left, right} and the offset distance `d`. While
+//! the window is active the target's GPS reading (and therefore both its own
+//! control input and the state it broadcasts to the swarm) is displaced by
+//! `d` in direction θ, perpendicular to the mission axis — exactly how the
+//! paper injects spoofing in SwarmLab ("manipulating the GPS reading to
+//! GPS + d at the GPS sampling rate").
+//!
+//! [`SpoofingAttack`] is the one attack value. Its [`Waveform`] shapes the
+//! offset inside the window: the paper's attack is [`Waveform::Constant`],
+//! and the zoo adds a ramp-in drift, a circular orbit and a periodic jump,
+//! each with one shape parameter.
 
 use swarm_math::{Vec2, Vec3};
 
@@ -69,7 +74,10 @@ impl std::fmt::Display for SpoofDirection {
     }
 }
 
-/// A fully specified GPS spoofing attack against one swarm member.
+/// A fully specified GPS spoofing attack against one swarm member: the
+/// paper's `<T, θ, t_s, Δt, d>` plus the [`Waveform`] that shapes the offset
+/// inside the window. [`Waveform::Constant`] is the paper's attack; the other
+/// classes of the zoo are the same value with a different shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpoofingAttack {
     /// The drone whose GPS is spoofed (the paper's *target* drone).
@@ -80,12 +88,15 @@ pub struct SpoofingAttack {
     pub start: f64,
     /// Attack duration `Δt` in seconds.
     pub duration: f64,
-    /// Constant spoofing deviation `d` in metres (e.g. 5 or 10).
+    /// Spoofing deviation `d` in metres (e.g. 5 or 10): the constant offset,
+    /// the ramp's final offset, the orbit radius or the jump amplitude.
     pub deviation: f64,
+    /// How the offset evolves inside the window.
+    pub waveform: Waveform,
 }
 
 impl SpoofingAttack {
-    /// Creates an attack, validating the parameters.
+    /// Creates the paper's constant-offset attack, validating the parameters.
     ///
     /// # Errors
     ///
@@ -98,14 +109,69 @@ impl SpoofingAttack {
         duration: f64,
         deviation: f64,
     ) -> Result<Self, SimError> {
-        for (name, v) in [("start", start), ("duration", duration), ("deviation", deviation)] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(SimError::InvalidAttack(format!(
-                    "{name} must be finite and non-negative, got {v}"
-                )));
+        SpoofingAttack::from_waveform(
+            Waveform::Constant,
+            target,
+            direction,
+            start,
+            duration,
+            deviation,
+        )
+    }
+
+    /// Creates an attack of any class from a seed-level waveform plus the
+    /// searched window, validating the parameters.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SpoofingAttack::validate`].
+    pub fn from_waveform(
+        waveform: Waveform,
+        target: DroneId,
+        direction: SpoofDirection,
+        start: f64,
+        duration: f64,
+        deviation: f64,
+    ) -> Result<Self, SimError> {
+        let attack = SpoofingAttack { target, direction, start, duration, deviation, waveform };
+        attack.validate()?;
+        Ok(attack)
+    }
+
+    /// Checks the parameters in isolation (every field is public, so a
+    /// hand-built value may never have met a constructor).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidAttack`] when `start`, `duration`,
+    /// `deviation`, a ramp time or ω is negative or non-finite, when a ramp
+    /// time exceeds the window duration, or when a jump period is not
+    /// positive and finite.
+    pub fn validate(&self) -> Result<(), SimError> {
+        validate_non_negative("start", self.start)?;
+        validate_non_negative("duration", self.duration)?;
+        validate_non_negative("deviation", self.deviation)?;
+        match self.waveform {
+            Waveform::Constant => {}
+            Waveform::Drift { ramp } => {
+                validate_non_negative("ramp", ramp)?;
+                if ramp > self.duration {
+                    return Err(SimError::InvalidAttack(format!(
+                        "ramp-in time {ramp} exceeds the attack window duration {}",
+                        self.duration
+                    )));
+                }
+            }
+            Waveform::Circular { omega } => validate_non_negative("omega", omega)?,
+            Waveform::Jump { period } => {
+                if !period.is_finite() || period <= 0.0 {
+                    return Err(SimError::InvalidAttack(format!(
+                        "period must be finite and positive, got {period}"
+                    )));
+                }
             }
         }
-        Ok(SpoofingAttack { target, direction, start, duration, deviation })
+        Ok(())
     }
 
     /// End of the spoofing window (`t_s + Δt`).
@@ -118,29 +184,67 @@ impl SpoofingAttack {
         t >= self.start && t < self.end()
     }
 
-    /// The GPS offset applied to `drone` at time `t` for a mission flying
-    /// along `mission_axis`; zero when the attack is inactive or aimed at a
-    /// different drone.
-    pub fn offset_for(&self, drone: DroneId, t: f64, mission_axis: Vec2) -> Vec3 {
-        if drone == self.target && self.is_active(t) {
-            self.direction.offset_direction(mission_axis) * self.deviation
-        } else {
-            Vec3::ZERO
+    /// The GPS displacement for `drone` at time `t`, for a mission flying
+    /// along `mission_axis`; `None` when the attack leaves this drone's GPS
+    /// untouched at `t`.
+    ///
+    /// The runner injects an exact [`Vec3::ZERO`] for `None`, so an attack is
+    /// bit-identical to no attack at all outside its window — the invariant
+    /// snapshot forking relies on to resume from any prefix ending at or
+    /// before `start`.
+    pub fn offset_at(&self, t: f64, drone: DroneId, mission_axis: Vec2) -> Option<Vec3> {
+        if drone != self.target || !self.is_active(t) {
+            return None;
+        }
+        let across = self.direction.offset_direction(mission_axis);
+        match self.waveform {
+            Waveform::Constant => Some(across * self.deviation),
+            Waveform::Drift { ramp } => {
+                let tau = t - self.start;
+                let scale = if ramp > 0.0 { (tau / ramp).min(1.0) } else { 1.0 };
+                Some(across * (self.deviation * scale))
+            }
+            Waveform::Circular { omega } => {
+                let (d, phase) = (self.deviation, omega * (t - self.start));
+                let axis = mission_axis.normalized();
+                let along = Vec3::new(axis.x, axis.y, 0.0);
+                Some(across * (d * phase.cos()) + along * (d * phase.sin()))
+            }
+            Waveform::Jump { period } => {
+                let half_cycle = ((t - self.start) / period).floor() as u64;
+                half_cycle.is_multiple_of(2).then(|| across * self.deviation)
+            }
         }
     }
 
-    /// Returns a copy with a different spoofing window, re-validated.
+    /// Returns a copy with a different spoofing window, its waveform
+    /// re-fitted to the new duration by [`Waveform::fitted`] (a ramp longer
+    /// than the new window is capped to it), and re-validated.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`SpoofingAttack::new`].
+    /// Same conditions as [`SpoofingAttack::validate`].
     pub fn with_window(&self, start: f64, duration: f64) -> Result<Self, SimError> {
-        SpoofingAttack::new(self.target, self.direction, start, duration, self.deviation)
+        let waveform = Waveform::fitted(self.waveform.kind(), duration, self.waveform.shape());
+        SpoofingAttack::from_waveform(
+            waveform,
+            self.target,
+            self.direction,
+            start,
+            duration,
+            self.deviation,
+        )
     }
 }
 
+/// The paper's attack prints as `spoof <target> <θ> by <d> m during
+/// [t_s, t_s + Δt) s`; every other class is prefixed with its name and
+/// suffixed with its shape parameter.
 impl std::fmt::Display for SpoofingAttack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.waveform != Waveform::Constant {
+            write!(f, "{} ", self.waveform.kind())?;
+        }
         write!(
             f,
             "spoof {} {} by {:.1} m during [{:.2}, {:.2}) s",
@@ -149,49 +253,12 @@ impl std::fmt::Display for SpoofingAttack {
             self.deviation,
             self.start,
             self.end()
-        )
-    }
-}
-
-/// A GPS spoofing attack model: anything that can displace one drone's GPS
-/// reading over time.
-///
-/// The simulator never stores an attack — it threads `Option<&dyn
-/// AttackModel>` through the run loop and queries the offset at every GPS
-/// sampling instant. `None` from [`AttackModel::offset_at`] means "no
-/// displacement for this drone at this time" and injects an exact
-/// [`Vec3::ZERO`], so a model that is inert outside its window is
-/// bit-identical to no attack at all outside that window (the invariant the
-/// snapshot-fork machinery relies on).
-pub trait AttackModel {
-    /// The drone whose GPS this model spoofs.
-    fn target(&self) -> DroneId;
-
-    /// Earliest time at which the model can produce a non-`None` offset.
-    /// Snapshot admission (`resume` from a cached baseline prefix) uses this
-    /// to prove the simulated prefix is attack-free.
-    fn start(&self) -> f64;
-
-    /// The GPS displacement for `drone` at time `t`, for a mission flying
-    /// along `mission_axis`; `None` when the model leaves this drone's GPS
-    /// untouched at `t`.
-    fn offset_at(&self, t: f64, drone: DroneId, mission_axis: Vec2) -> Option<Vec3>;
-}
-
-impl AttackModel for SpoofingAttack {
-    fn target(&self) -> DroneId {
-        self.target
-    }
-
-    fn start(&self) -> f64 {
-        self.start
-    }
-
-    fn offset_at(&self, t: f64, drone: DroneId, mission_axis: Vec2) -> Option<Vec3> {
-        if drone == self.target && self.is_active(t) {
-            Some(self.direction.offset_direction(mission_axis) * self.deviation)
-        } else {
-            None
+        )?;
+        match self.waveform {
+            Waveform::Constant => Ok(()),
+            Waveform::Drift { ramp } => write!(f, " (ramp-in {ramp:.1} s)"),
+            Waveform::Circular { omega } => write!(f, " (omega {omega:.2} rad/s)"),
+            Waveform::Jump { period } => write!(f, " (period {period:.2} s)"),
         }
     }
 }
@@ -248,7 +315,7 @@ pub struct WaveformSet {
 }
 
 impl WaveformSet {
-    /// The legacy set: constant-offset spoofing only.
+    /// The default set: the paper's constant-offset spoofing only.
     pub const CONSTANT_ONLY: WaveformSet = WaveformSet { bits: 1 };
 
     /// Every class in the zoo.
@@ -362,6 +429,24 @@ impl Waveform {
             Waveform::Jump { period } => Some(period),
         }
     }
+
+    /// The waveform of class `kind` that an attack window of `duration`
+    /// seconds flies: the searched `shape` when there is one, else the class
+    /// default (drift ramps in over the whole window, ω = 1 rad/s, a 1 s jump
+    /// period), capped so the attack stays valid — a ramp never outlasts its
+    /// window and a jump period stays positive.
+    pub fn fitted(kind: WaveformKind, duration: f64, shape: Option<f64>) -> Waveform {
+        match kind {
+            WaveformKind::Constant => Waveform::Constant,
+            WaveformKind::Drift => {
+                Waveform::Drift { ramp: shape.unwrap_or(duration).min(duration) }
+            }
+            WaveformKind::Circular => Waveform::Circular { omega: shape.unwrap_or(1.0) },
+            WaveformKind::Jump => {
+                Waveform::Jump { period: shape.unwrap_or(1.0).max(f64::MIN_POSITIVE) }
+            }
+        }
+    }
 }
 
 fn validate_non_negative(name: &str, v: f64) -> Result<(), SimError> {
@@ -373,409 +458,24 @@ fn validate_non_negative(name: &str, v: f64) -> Result<(), SimError> {
     Ok(())
 }
 
-/// The paper's constant-offset spoof as a zoo class: identical semantics to
-/// [`SpoofingAttack`], expressed through [`AttackModel`]. The offset math is
-/// the very same float operations, so the two paths are bit-identical — the
-/// property `tests/attack_zoo_equivalence.rs` enforces.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstantOffset {
-    /// The spoofed drone.
-    pub target: DroneId,
-    /// Spoofing direction θ.
-    pub direction: SpoofDirection,
-    /// Window start `t_s` in seconds.
-    pub start: f64,
-    /// Window duration `Δt` in seconds.
-    pub duration: f64,
-    /// Offset amplitude `d` in metres.
-    pub deviation: f64,
-}
-
-impl ConstantOffset {
-    /// Creates a constant-offset attack, validating window and amplitude.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidAttack`] when `start`, `duration` or `deviation`
-    /// is negative or non-finite.
-    pub fn new(
-        target: DroneId,
-        direction: SpoofDirection,
-        start: f64,
-        duration: f64,
-        deviation: f64,
-    ) -> Result<Self, SimError> {
-        SpoofingAttack::new(target, direction, start, duration, deviation)?;
-        Ok(ConstantOffset { target, direction, start, duration, deviation })
-    }
-
-    fn is_active(&self, t: f64) -> bool {
-        t >= self.start && t < self.start + self.duration
-    }
-}
-
-impl AttackModel for ConstantOffset {
-    fn target(&self) -> DroneId {
-        self.target
-    }
-
-    fn start(&self) -> f64 {
-        self.start
-    }
-
-    fn offset_at(&self, t: f64, drone: DroneId, mission_axis: Vec2) -> Option<Vec3> {
-        if drone == self.target && self.is_active(t) {
-            Some(self.direction.offset_direction(mission_axis) * self.deviation)
-        } else {
-            None
-        }
-    }
-}
-
-/// Linear ramp-in drift: the offset grows from zero to the full deviation
-/// over `ramp` seconds, then holds — the "slow drag" waveform GPS spoofers
-/// use to stay under innovation monitors.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RampDrift {
-    /// The spoofed drone.
-    pub target: DroneId,
-    /// Spoofing direction θ.
-    pub direction: SpoofDirection,
-    /// Window start `t_s` in seconds.
-    pub start: f64,
-    /// Window duration `Δt` in seconds.
-    pub duration: f64,
-    /// Final offset amplitude `d` in metres.
-    pub deviation: f64,
-    /// Ramp-in time in seconds; must not exceed `duration`.
-    pub ramp: f64,
-}
-
-impl RampDrift {
-    /// Creates a ramp-in drift attack.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidAttack`] when a window parameter is negative or
-    /// non-finite, or when the ramp time exceeds the window duration.
-    pub fn new(
-        target: DroneId,
-        direction: SpoofDirection,
-        start: f64,
-        duration: f64,
-        deviation: f64,
-        ramp: f64,
-    ) -> Result<Self, SimError> {
-        SpoofingAttack::new(target, direction, start, duration, deviation)?;
-        validate_non_negative("ramp", ramp)?;
-        if ramp > duration {
-            return Err(SimError::InvalidAttack(format!(
-                "ramp-in time {ramp} exceeds the attack window duration {duration}"
-            )));
-        }
-        Ok(RampDrift { target, direction, start, duration, deviation, ramp })
-    }
-
-    fn is_active(&self, t: f64) -> bool {
-        t >= self.start && t < self.start + self.duration
-    }
-}
-
-impl AttackModel for RampDrift {
-    fn target(&self) -> DroneId {
-        self.target
-    }
-
-    fn start(&self) -> f64 {
-        self.start
-    }
-
-    fn offset_at(&self, t: f64, drone: DroneId, mission_axis: Vec2) -> Option<Vec3> {
-        if drone != self.target || !self.is_active(t) {
-            return None;
-        }
-        let tau = t - self.start;
-        let scale = if self.ramp > 0.0 { (tau / self.ramp).min(1.0) } else { 1.0 };
-        Some(self.direction.offset_direction(mission_axis) * (self.deviation * scale))
-    }
-}
-
-/// Circular orbit: the perceived position circles the true fix with radius
-/// `d` at angular rate ω, starting at the θ-side extreme so ω = 0
-/// degenerates to the constant offset exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Circular {
-    /// The spoofed drone.
-    pub target: DroneId,
-    /// Spoofing direction θ (the phase-0 side of the orbit).
-    pub direction: SpoofDirection,
-    /// Window start `t_s` in seconds.
-    pub start: f64,
-    /// Window duration `Δt` in seconds.
-    pub duration: f64,
-    /// Orbit radius `d` in metres.
-    pub deviation: f64,
-    /// Angular rate ω in rad/s.
-    pub omega: f64,
-}
-
-impl Circular {
-    /// Creates a circular-orbit attack.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidAttack`] when a window parameter or ω is negative
-    /// or non-finite.
-    pub fn new(
-        target: DroneId,
-        direction: SpoofDirection,
-        start: f64,
-        duration: f64,
-        deviation: f64,
-        omega: f64,
-    ) -> Result<Self, SimError> {
-        SpoofingAttack::new(target, direction, start, duration, deviation)?;
-        validate_non_negative("omega", omega)?;
-        Ok(Circular { target, direction, start, duration, deviation, omega })
-    }
-
-    fn is_active(&self, t: f64) -> bool {
-        t >= self.start && t < self.start + self.duration
-    }
-}
-
-impl AttackModel for Circular {
-    fn target(&self) -> DroneId {
-        self.target
-    }
-
-    fn start(&self) -> f64 {
-        self.start
-    }
-
-    fn offset_at(&self, t: f64, drone: DroneId, mission_axis: Vec2) -> Option<Vec3> {
-        if drone != self.target || !self.is_active(t) {
-            return None;
-        }
-        let phase = self.omega * (t - self.start);
-        let across = self.direction.offset_direction(mission_axis);
-        let axis = mission_axis.normalized();
-        let along = Vec3::new(axis.x, axis.y, 0.0);
-        Some(across * (self.deviation * phase.cos()) + along * (self.deviation * phase.sin()))
-    }
-}
-
-/// Periodic teleport: the full offset appears during even half-cycles of
-/// `period` seconds and vanishes during odd ones — the discontinuous
-/// waveform that stresses estimator gating.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Jump {
-    /// The spoofed drone.
-    pub target: DroneId,
-    /// Spoofing direction θ.
-    pub direction: SpoofDirection,
-    /// Window start `t_s` in seconds.
-    pub start: f64,
-    /// Window duration `Δt` in seconds.
-    pub duration: f64,
-    /// Offset amplitude `d` in metres.
-    pub deviation: f64,
-    /// Half-cycle length in seconds; must be positive.
-    pub period: f64,
-}
-
-impl Jump {
-    /// Creates a periodic-jump attack.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidAttack`] when a window parameter is negative or
-    /// non-finite, or the period is not positive and finite.
-    pub fn new(
-        target: DroneId,
-        direction: SpoofDirection,
-        start: f64,
-        duration: f64,
-        deviation: f64,
-        period: f64,
-    ) -> Result<Self, SimError> {
-        SpoofingAttack::new(target, direction, start, duration, deviation)?;
-        if !period.is_finite() || period <= 0.0 {
-            return Err(SimError::InvalidAttack(format!(
-                "period must be finite and positive, got {period}"
-            )));
-        }
-        Ok(Jump { target, direction, start, duration, deviation, period })
-    }
-
-    fn is_active(&self, t: f64) -> bool {
-        t >= self.start && t < self.start + self.duration
-    }
-}
-
-impl AttackModel for Jump {
-    fn target(&self) -> DroneId {
-        self.target
-    }
-
-    fn start(&self) -> f64 {
-        self.start
-    }
-
-    fn offset_at(&self, t: f64, drone: DroneId, mission_axis: Vec2) -> Option<Vec3> {
-        if drone != self.target || !self.is_active(t) {
-            return None;
-        }
-        let half_cycle = ((t - self.start) / self.period).floor() as u64;
-        if half_cycle.is_multiple_of(2) {
-            Some(self.direction.offset_direction(mission_axis) * self.deviation)
-        } else {
-            None
-        }
-    }
-}
-
-/// A fully specified attack from any class of the zoo — the closed sum the
-/// fuzzer searches over and the journal serializes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AttackSpec {
-    /// The paper's constant-offset spoof.
-    Constant(ConstantOffset),
-    /// Linear ramp-in drift.
-    Drift(RampDrift),
-    /// Circular orbit.
-    Circular(Circular),
-    /// Periodic teleport.
-    Jump(Jump),
-}
-
-impl AttackSpec {
-    /// Builds a spec from a seed-level waveform plus the searched window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the class constructor's [`SimError::InvalidAttack`].
-    pub fn from_waveform(
-        waveform: Waveform,
-        target: DroneId,
-        direction: SpoofDirection,
-        start: f64,
-        duration: f64,
-        deviation: f64,
-    ) -> Result<Self, SimError> {
-        Ok(match waveform {
-            Waveform::Constant => AttackSpec::Constant(ConstantOffset::new(
-                target, direction, start, duration, deviation,
-            )?),
-            Waveform::Drift { ramp } => AttackSpec::Drift(RampDrift::new(
-                target, direction, start, duration, deviation, ramp,
-            )?),
-            Waveform::Circular { omega } => AttackSpec::Circular(Circular::new(
-                target, direction, start, duration, deviation, omega,
-            )?),
-            Waveform::Jump { period } => {
-                AttackSpec::Jump(Jump::new(target, direction, start, duration, deviation, period)?)
-            }
-        })
-    }
-
-    /// The waveform (class + shape parameter) of this spec.
-    pub fn waveform(&self) -> Waveform {
-        match self {
-            AttackSpec::Constant(_) => Waveform::Constant,
-            AttackSpec::Drift(a) => Waveform::Drift { ramp: a.ramp },
-            AttackSpec::Circular(a) => Waveform::Circular { omega: a.omega },
-            AttackSpec::Jump(a) => Waveform::Jump { period: a.period },
-        }
-    }
-
-    /// Spoofing direction θ.
-    pub fn direction(&self) -> SpoofDirection {
-        match self {
-            AttackSpec::Constant(a) => a.direction,
-            AttackSpec::Drift(a) => a.direction,
-            AttackSpec::Circular(a) => a.direction,
-            AttackSpec::Jump(a) => a.direction,
-        }
-    }
-
-    /// Window duration `Δt` in seconds.
-    pub fn duration(&self) -> f64 {
-        match self {
-            AttackSpec::Constant(a) => a.duration,
-            AttackSpec::Drift(a) => a.duration,
-            AttackSpec::Circular(a) => a.duration,
-            AttackSpec::Jump(a) => a.duration,
-        }
-    }
-
-    /// Offset amplitude `d` in metres.
-    pub fn deviation(&self) -> f64 {
-        match self {
-            AttackSpec::Constant(a) => a.deviation,
-            AttackSpec::Drift(a) => a.deviation,
-            AttackSpec::Circular(a) => a.deviation,
-            AttackSpec::Jump(a) => a.deviation,
-        }
-    }
-}
-
-impl AttackModel for AttackSpec {
-    fn target(&self) -> DroneId {
-        match self {
-            AttackSpec::Constant(a) => a.target,
-            AttackSpec::Drift(a) => a.target,
-            AttackSpec::Circular(a) => a.target,
-            AttackSpec::Jump(a) => a.target,
-        }
-    }
-
-    fn start(&self) -> f64 {
-        match self {
-            AttackSpec::Constant(a) => a.start,
-            AttackSpec::Drift(a) => a.start,
-            AttackSpec::Circular(a) => a.start,
-            AttackSpec::Jump(a) => a.start,
-        }
-    }
-
-    fn offset_at(&self, t: f64, drone: DroneId, mission_axis: Vec2) -> Option<Vec3> {
-        match self {
-            AttackSpec::Constant(a) => a.offset_at(t, drone, mission_axis),
-            AttackSpec::Drift(a) => a.offset_at(t, drone, mission_axis),
-            AttackSpec::Circular(a) => a.offset_at(t, drone, mission_axis),
-            AttackSpec::Jump(a) => a.offset_at(t, drone, mission_axis),
-        }
-    }
-}
-
-impl std::fmt::Display for AttackSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} spoof {} {} by {:.1} m during [{:.2}, {:.2}) s",
-            self.waveform().kind(),
-            AttackModel::target(self),
-            self.direction(),
-            self.deviation(),
-            AttackModel::start(self),
-            AttackModel::start(self) + self.duration()
-        )?;
-        match self.waveform() {
-            Waveform::Constant => Ok(()),
-            Waveform::Drift { ramp } => write!(f, " (ramp-in {ramp:.1} s)"),
-            Waveform::Circular { omega } => write!(f, " (omega {omega:.2} rad/s)"),
-            Waveform::Jump { period } => write!(f, " (period {period:.2} s)"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn attack() -> SpoofingAttack {
         SpoofingAttack::new(DroneId(2), SpoofDirection::Right, 10.0, 5.0, 10.0).unwrap()
+    }
+
+    fn shaped(waveform: Waveform, start: f64, duration: f64, deviation: f64) -> SpoofingAttack {
+        SpoofingAttack::from_waveform(
+            waveform,
+            DroneId(0),
+            SpoofDirection::Left,
+            start,
+            duration,
+            deviation,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -791,9 +491,9 @@ mod tests {
     fn offset_only_for_target_in_window() {
         let a = attack();
         let axis = Vec2::X;
-        assert_eq!(a.offset_for(DroneId(0), 12.0, axis), Vec3::ZERO);
-        assert_eq!(a.offset_for(DroneId(2), 2.0, axis), Vec3::ZERO);
-        let o = a.offset_for(DroneId(2), 12.0, axis);
+        assert_eq!(a.offset_at(12.0, DroneId(0), axis), None);
+        assert_eq!(a.offset_at(2.0, DroneId(2), axis), None);
+        let o = a.offset_at(12.0, DroneId(2), axis).unwrap();
         // Right of +x is -y.
         assert!((o.y + 10.0).abs() < 1e-12, "offset={o}");
         assert!(o.x.abs() < 1e-12);
@@ -834,49 +534,25 @@ mod tests {
         assert_eq!(a.start, 1.0);
         assert_eq!(a.duration, 2.0);
         assert_eq!(a.deviation, 10.0);
+        assert_eq!(a.waveform, Waveform::Constant);
+        // A shaped attack keeps its class; a ramp is capped to a shorter
+        // window, the other shapes carry over unchanged.
+        let drift = shaped(Waveform::Drift { ramp: 6.0 }, 0.0, 8.0, 5.0);
+        assert_eq!(drift.with_window(2.0, 4.0).unwrap().waveform, Waveform::Drift { ramp: 4.0 });
+        assert_eq!(drift.with_window(2.0, 7.0).unwrap().waveform, Waveform::Drift { ramp: 6.0 });
+        let jump = shaped(Waveform::Jump { period: 2.5 }, 0.0, 8.0, 5.0);
+        assert_eq!(jump.with_window(1.0, 3.0).unwrap().waveform, Waveform::Jump { period: 2.5 });
     }
 
     #[test]
     fn display_mentions_target_and_window() {
         let s = attack().to_string();
-        assert!(s.contains("drone2"));
-        assert!(s.contains("right"));
-    }
-
-    #[test]
-    fn trait_constant_matches_legacy_offset_exactly() {
-        let legacy = attack();
-        let zoo = ConstantOffset::new(DroneId(2), SpoofDirection::Right, 10.0, 5.0, 10.0).unwrap();
-        let axis = Vec2::new(0.97, 0.24);
-        for t in [0.0, 9.999, 10.0, 12.5, 14.999, 15.0, 30.0] {
-            for d in 0..4 {
-                let via_trait = zoo.offset_at(t, DroneId(d), axis).unwrap_or(Vec3::ZERO);
-                let via_legacy = legacy.offset_for(DroneId(d), t, axis);
-                assert_eq!(via_trait.x.to_bits(), via_legacy.x.to_bits());
-                assert_eq!(via_trait.y.to_bits(), via_legacy.y.to_bits());
-                assert_eq!(via_trait.z.to_bits(), via_legacy.z.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn legacy_attack_implements_the_trait_identically() {
-        let a = attack();
-        let axis = Vec2::X;
-        let model: &dyn AttackModel = &a;
-        assert_eq!(model.target(), DroneId(2));
-        assert_eq!(model.start(), 10.0);
-        assert_eq!(
-            model.offset_at(12.0, DroneId(2), axis),
-            Some(a.offset_for(DroneId(2), 12.0, axis))
-        );
-        assert_eq!(model.offset_at(2.0, DroneId(2), axis), None);
-        assert_eq!(model.offset_at(12.0, DroneId(0), axis), None);
+        assert_eq!(s, "spoof drone2 right by 10.0 m during [10.00, 15.00) s");
     }
 
     #[test]
     fn ramp_drift_scales_linearly_then_holds() {
-        let a = RampDrift::new(DroneId(0), SpoofDirection::Left, 10.0, 8.0, 6.0, 4.0).unwrap();
+        let a = shaped(Waveform::Drift { ramp: 4.0 }, 10.0, 8.0, 6.0);
         let axis = Vec2::X;
         let at = |t: f64| a.offset_at(t, DroneId(0), axis).unwrap().norm();
         assert!((at(10.0) - 0.0).abs() < 1e-12);
@@ -888,8 +564,15 @@ mod tests {
 
     #[test]
     fn ramp_drift_rejects_ramp_exceeding_window() {
-        let err = RampDrift::new(DroneId(0), SpoofDirection::Left, 0.0, 5.0, 6.0, 5.1)
-            .expect_err("ramp longer than the window is infeasible");
+        let err = SpoofingAttack::from_waveform(
+            Waveform::Drift { ramp: 5.1 },
+            DroneId(0),
+            SpoofDirection::Left,
+            0.0,
+            5.0,
+            6.0,
+        )
+        .expect_err("ramp longer than the window is infeasible");
         let SimError::InvalidAttack(msg) = err else { panic!("wrong error kind") };
         assert_eq!(msg, "ramp-in time 5.1 exceeds the attack window duration 5");
     }
@@ -897,8 +580,16 @@ mod tests {
     #[test]
     fn circular_at_omega_zero_is_bitwise_constant() {
         let axis = Vec2::new(0.8, 0.6);
-        let circ = Circular::new(DroneId(1), SpoofDirection::Right, 5.0, 20.0, 10.0, 0.0).unwrap();
-        let cons = ConstantOffset::new(DroneId(1), SpoofDirection::Right, 5.0, 20.0, 10.0).unwrap();
+        let circ = SpoofingAttack::from_waveform(
+            Waveform::Circular { omega: 0.0 },
+            DroneId(1),
+            SpoofDirection::Right,
+            5.0,
+            20.0,
+            10.0,
+        )
+        .unwrap();
+        let cons = SpoofingAttack::new(DroneId(1), SpoofDirection::Right, 5.0, 20.0, 10.0).unwrap();
         for t in [5.0, 9.3, 17.77, 24.999] {
             let c = circ.offset_at(t, DroneId(1), axis).unwrap();
             let k = cons.offset_at(t, DroneId(1), axis).unwrap();
@@ -910,7 +601,7 @@ mod tests {
 
     #[test]
     fn circular_orbit_keeps_radius() {
-        let a = Circular::new(DroneId(0), SpoofDirection::Left, 0.0, 100.0, 7.0, 0.9).unwrap();
+        let a = shaped(Waveform::Circular { omega: 0.9 }, 0.0, 100.0, 7.0);
         for t in [0.0, 1.3, 5.5, 40.0, 99.0] {
             let o = a.offset_at(t, DroneId(0), Vec2::new(1.0, 0.4)).unwrap();
             assert!((o.norm() - 7.0).abs() < 1e-9, "radius preserved at t={t}");
@@ -919,7 +610,7 @@ mod tests {
 
     #[test]
     fn jump_toggles_every_period() {
-        let a = Jump::new(DroneId(0), SpoofDirection::Left, 10.0, 10.0, 5.0, 2.0).unwrap();
+        let a = shaped(Waveform::Jump { period: 2.0 }, 10.0, 10.0, 5.0);
         let axis = Vec2::X;
         assert!(a.offset_at(10.0, DroneId(0), axis).is_some(), "first half-cycle on");
         assert!(a.offset_at(11.9, DroneId(0), axis).is_some());
@@ -930,13 +621,16 @@ mod tests {
 
     #[test]
     fn zoo_constructors_reject_bad_shape_parameters() {
-        let c = |omega| Circular::new(DroneId(0), SpoofDirection::Left, 0.0, 5.0, 5.0, omega);
+        let make = |waveform| {
+            SpoofingAttack::from_waveform(waveform, DroneId(0), SpoofDirection::Left, 0.0, 5.0, 5.0)
+        };
+        let c = |omega| make(Waveform::Circular { omega });
         assert!(matches!(c(f64::NAN), Err(SimError::InvalidAttack(_))));
         assert!(matches!(c(-1.0), Err(SimError::InvalidAttack(_))));
-        let j = |period| Jump::new(DroneId(0), SpoofDirection::Left, 0.0, 5.0, 5.0, period);
+        let j = |period| make(Waveform::Jump { period });
         assert!(matches!(j(0.0), Err(SimError::InvalidAttack(_))));
         assert!(matches!(j(f64::INFINITY), Err(SimError::InvalidAttack(_))));
-        let r = |ramp| RampDrift::new(DroneId(0), SpoofDirection::Left, 0.0, 5.0, 5.0, ramp);
+        let r = |ramp| make(Waveform::Drift { ramp });
         assert!(matches!(r(-0.1), Err(SimError::InvalidAttack(_))));
     }
 
@@ -964,7 +658,7 @@ mod tests {
             (Waveform::Circular { omega: 1.5 }, true),
             (Waveform::Jump { period: 2.0 }, true),
         ] {
-            let spec = AttackSpec::from_waveform(
+            let a = SpoofingAttack::from_waveform(
                 waveform,
                 DroneId(1),
                 SpoofDirection::Left,
@@ -973,18 +667,19 @@ mod tests {
                 5.0,
             )
             .unwrap();
-            assert_eq!(spec.waveform(), waveform);
-            assert_eq!(spec.waveform().shape().is_some(), wants_shape);
-            assert_eq!(AttackModel::target(&spec), DroneId(1));
-            assert_eq!(AttackModel::start(&spec), 2.0);
-            assert_eq!(spec.duration(), 8.0);
-            assert_eq!(spec.deviation(), 5.0);
+            assert_eq!(a.waveform, waveform);
+            assert_eq!(a.waveform.shape().is_some(), wants_shape);
+            assert_eq!(Waveform::fitted(waveform.kind(), 8.0, waveform.shape()), waveform);
+            assert_eq!(a.target, DroneId(1));
+            assert_eq!(a.start, 2.0);
+            assert_eq!(a.duration, 8.0);
+            assert_eq!(a.deviation, 5.0);
         }
     }
 
     #[test]
     fn attack_spec_display_names_the_class() {
-        let spec = AttackSpec::from_waveform(
+        let a = SpoofingAttack::from_waveform(
             Waveform::Circular { omega: 1.25 },
             DroneId(3),
             SpoofDirection::Right,
@@ -993,9 +688,9 @@ mod tests {
             10.0,
         )
         .unwrap();
-        let s = spec.to_string();
-        assert!(s.contains("circular"), "{s}");
-        assert!(s.contains("drone3"), "{s}");
-        assert!(s.contains("omega 1.25"), "{s}");
+        assert_eq!(
+            a.to_string(),
+            "circular spoof drone3 right by 10.0 m during [1.00, 5.00) s (omega 1.25 rad/s)"
+        );
     }
 }

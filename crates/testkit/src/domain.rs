@@ -8,9 +8,7 @@ use std::ops::RangeInclusive;
 use swarm_graph::DiGraph;
 use swarm_math::{Vec2, Vec3};
 use swarm_sim::mission::MissionSpec;
-use swarm_sim::spoof::{
-    AttackSpec, SpoofDirection, SpoofingAttack, Waveform, WaveformKind, WaveformSet,
-};
+use swarm_sim::spoof::{SpoofDirection, SpoofingAttack, Waveform, WaveformKind, WaveformSet};
 use swarm_sim::DroneId;
 use swarmfuzz::campaign::{MissionFailure, MissionResult, SwarmConfig};
 use swarmfuzz::seed::Seed;
@@ -153,13 +151,15 @@ pub fn waveform_set() -> Gen<WaveformSet> {
     })
 }
 
-/// A feasible attack parameter vector `(class, amplitude, shape, window)`
-/// against a swarm of `swarm_size` drones: every generated spec passes
-/// `MissionSpec::validate_attack`'s shape checks by construction (ramp never
-/// exceeds the window, ω is non-negative, the jump period is positive).
-/// Shrinks toward a zero-amplitude `ConstantOffset` — the attack that
-/// provably does nothing.
-pub fn attack_spec(swarm_size: usize) -> Gen<AttackSpec> {
+/// A feasible attack of any class `(class, amplitude, shape, window)`
+/// against a swarm of `swarm_size` drones: every generated attack passes
+/// `SpoofingAttack::validate` by construction (ramp never exceeds the
+/// window, ω is non-negative, the jump period is positive). Shrinks toward
+/// a zero-amplitude constant offset — the attack that provably does nothing.
+/// The draw order (class, target and direction, window, amplitude and shape
+/// fraction) is fixed, so committed corpus tapes keep decoding to the same
+/// attack.
+pub fn attack_spec(swarm_size: usize) -> Gen<SpoofingAttack> {
     assert!(swarm_size > 0, "attack_spec needs a non-empty swarm");
     zip4(
         &waveform_kind(),
@@ -175,8 +175,15 @@ pub fn attack_spec(swarm_size: usize) -> Gen<AttackSpec> {
             WaveformKind::Circular => Waveform::Circular { omega: frac * std::f64::consts::TAU },
             WaveformKind::Jump => Waveform::Jump { period: 0.1 + frac * 9.9 },
         };
-        AttackSpec::from_waveform(waveform, DroneId(target), direction, start, duration, deviation)
-            .expect("generated attack parameters are feasible by construction")
+        SpoofingAttack::from_waveform(
+            waveform,
+            DroneId(target),
+            direction,
+            start,
+            duration,
+            deviation,
+        )
+        .expect("generated attack parameters are feasible by construction")
     })
 }
 
@@ -411,24 +418,15 @@ mod tests {
         let specs = sample(&attack_spec(8), 6, 200);
         for kind in WaveformKind::ALL {
             assert!(
-                specs.iter().any(|a| a.waveform().kind() == kind),
+                specs.iter().any(|a| a.waveform.kind() == kind),
                 "class {kind} must appear in 200 samples"
             );
         }
         for a in &specs {
-            assert!((0.0..20.0).contains(&a.deviation()));
-            // Re-validating through the constructor proves the generated
-            // shape parameters are feasible.
-            use swarm_sim::spoof::AttackModel;
-            assert!(AttackSpec::from_waveform(
-                a.waveform(),
-                a.target(),
-                a.direction(),
-                a.start(),
-                a.duration(),
-                a.deviation(),
-            )
-            .is_ok());
+            assert!((0.0..20.0).contains(&a.deviation));
+            // Re-validating proves the generated shape parameters are
+            // feasible.
+            assert!(a.validate().is_ok());
         }
     }
 
@@ -438,9 +436,9 @@ mod tests {
         // it must decode to the attack that provably does nothing.
         let mut src = Source::replay(Vec::new());
         let a = attack_spec(5).generate(&mut src);
-        assert_eq!(a.waveform(), Waveform::Constant);
-        assert_eq!(a.deviation(), 0.0);
-        assert_eq!(a.duration(), 0.0);
+        assert_eq!(a.waveform, Waveform::Constant);
+        assert_eq!(a.deviation, 0.0);
+        assert_eq!(a.duration, 0.0);
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Differential gate for the trait-based attack-model zoo.
+//! Gate for the attack-model zoo: every attack class is one
+//! [`SpoofingAttack`] value whose [`Waveform`] shapes the GPS offset, and the
+//! paper's constant offset is its shape-less case.
 //!
-//! The refactor of `swarm_sim::spoof` into `AttackModel` trait objects is
-//! only admissible because the paper's attack is *bit-identical* through
-//! either path. This suite pins that claim at the record level — a mission
-//! attacked by the legacy [`SpoofingAttack`] equals one attacked by
-//! [`AttackSpec::Constant`] over randomized `(swarm size, seed, window)`
-//! cases, across all three spatial-grid policies — and checks that the
-//! constant-offset fuzzer's reports do not depend on how they are executed:
-//!
-//! * fuzz-report level — snapshot-and-fork execution on vs off;
-//! * campaign-report level — across worker counts, with and without
+//! * Pinned digests: the attacked record of each of the four classes under
+//!   all three spatial-grid policies, and the fuzz reports of all four
+//!   fuzzer variants with the zoo enabled, equal constants computed before
+//!   the legacy constant-offset path was merged into the one value. They
+//!   fail loudly on any change to a class's offset math or to either search.
+//! * Fuzz-report level: snapshot-and-fork execution on vs off, for the
+//!   constant-offset fuzzer and for the four-class fuzzer.
+//! * Campaign-report level: across worker counts, with and without
 //!   snapshots.
 //!
 //! Plus the per-waveform metamorphic oracles: a zero-amplitude attack of
@@ -21,10 +21,8 @@
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_math::Vec2;
 use swarm_sim::mission::MissionSpec;
-use swarm_sim::spoof::{
-    AttackModel, AttackSpec, SpoofDirection, SpoofingAttack, Waveform, WaveformSet,
-};
-use swarm_sim::{SimConfig, Simulation, SpatialPolicy};
+use swarm_sim::spoof::{SpoofDirection, SpoofingAttack, Waveform, WaveformKind, WaveformSet};
+use swarm_sim::{DroneId, SimConfig, Simulation, SpatialPolicy};
 use swarm_testkit::gens::{f64_in, one_of, u64_in, usize_in, zip2, zip3, zip4};
 use swarm_testkit::{cases, check_budgeted, tk_ensure, Gen};
 use swarmfuzz::campaign::{
@@ -80,7 +78,7 @@ fn sim_for(case: &ZooCase) -> Result<Simulation<VasarhelyiController>, String> {
 }
 
 /// Every class of the zoo at a representative shape, over `case`'s window.
-fn zoo_specs(case: &ZooCase, deviation: f64) -> Vec<AttackSpec> {
+fn zoo_specs(case: &ZooCase, deviation: f64) -> Vec<SpoofingAttack> {
     let waveforms = [
         Waveform::Constant,
         Waveform::Drift { ramp: case.duration / 2.0 },
@@ -90,7 +88,7 @@ fn zoo_specs(case: &ZooCase, deviation: f64) -> Vec<AttackSpec> {
     waveforms
         .into_iter()
         .map(|w| {
-            AttackSpec::from_waveform(
+            SpoofingAttack::from_waveform(
                 w,
                 0.into(),
                 SpoofDirection::Right,
@@ -104,48 +102,94 @@ fn zoo_specs(case: &ZooCase, deviation: f64) -> Vec<AttackSpec> {
 }
 
 // ---------------------------------------------------------------------------
-// Level 1: record-level bit-identity of the constant offset through the trait.
+// Pinned digests.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn constant_spec_is_bit_identical_to_legacy_across_grid_policies() {
-    check_budgeted("attack_zoo_constant_record", (cases() / 8).max(12), &zoo_case(), |case| {
-        let sim = sim_for(case)?;
-        let legacy =
-            SpoofingAttack::new(0.into(), SpoofDirection::Right, case.start, case.duration, 10.0)
-                .map_err(|e| e.to_string())?;
-        let zoo = AttackSpec::from_waveform(
-            Waveform::Constant,
-            0.into(),
-            SpoofDirection::Right,
-            case.start,
-            case.duration,
-            10.0,
-        )
-        .map_err(|e| e.to_string())?;
+/// FNV-1a, folded over `bytes` starting from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
 
-        let a = sim.run(Some(&legacy)).map_err(|e| e.to_string())?;
-        let b = sim.run(Some(&zoo)).map_err(|e| e.to_string())?;
-        tk_ensure!(
-            a.record == b.record,
-            "trait-based constant diverged from legacy (policy {:?}, window [{}, {}+{}))",
-            case.policy,
-            case.start,
-            case.start,
-            case.duration
-        );
-        // Beyond PartialEq: the final positions agree bit for bit.
-        let last = a.record.len() - 1;
-        for (pa, pb) in a.record.positions_at(last).iter().zip(b.record.positions_at(last).iter()) {
-            tk_ensure!(
-                pa.x.to_bits() == pb.x.to_bits()
-                    && pa.y.to_bits() == pb.y.to_bits()
-                    && pa.z.to_bits() == pb.z.to_bits(),
-                "final positions differ in bits: {pa:?} vs {pb:?}"
-            );
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[test]
+fn attack_records_are_pinned_for_every_class_and_grid_policy() {
+    // A 10-drone delivery cut to 40 s, spoofed left on drone 6 over
+    // [12.8, 24.8) s by 10 m: the constant, drift and circular attacks each
+    // crash a different drone at a different time, the jump attack crashes
+    // none. The digest folds the bits of every recorded position, then the
+    // collision list; the grid policy must not move it.
+    let mut spec = MissionSpec::paper_delivery(10, 0);
+    spec.duration = 40.0;
+    let pinned = [
+        (Waveform::Constant, 0x3b10_a69c_c1d4_2aed_u64),
+        (Waveform::Drift { ramp: 6.0 }, 0x42d0_a4e1_cb98_95a8),
+        (Waveform::Circular { omega: 1.3 }, 0xc584_26db_e7ac_576d),
+        (Waveform::Jump { period: 0.7 }, 0xec66_17fe_0de5_4b08),
+    ];
+    for policy in policies() {
+        let sim = Simulation::new(spec.clone(), controller())
+            .unwrap()
+            .with_config(SimConfig { spatial: policy, ..Default::default() });
+        for (waveform, expected) in pinned {
+            let attack = SpoofingAttack::from_waveform(
+                waveform,
+                DroneId(6),
+                SpoofDirection::Left,
+                12.8,
+                12.0,
+                10.0,
+            )
+            .unwrap();
+            let record = sim.run(Some(&attack)).unwrap().record;
+            let mut digest = FNV_OFFSET;
+            for tick in 0..record.len() {
+                for p in record.positions_at(tick) {
+                    for c in [p.x, p.y, p.z] {
+                        digest = fnv1a(digest, &c.to_bits().to_le_bytes());
+                    }
+                }
+            }
+            digest = fnv1a(digest, format!("{:?}", record.collisions()).as_bytes());
+            assert_eq!(digest, expected, "{waveform:?} under {policy:?}: {digest:#018x}");
         }
-        Ok(())
-    });
+    }
+}
+
+#[test]
+fn zoo_fuzz_reports_are_pinned_for_every_variant() {
+    // The four fuzzers on one 10-drone mission, budget 20, with every class
+    // enabled and with jump alone. With every class a random search spends
+    // the whole budget on its first, constant seed, so the jump-only set is
+    // what reaches the shaped random search. Seven of the eight reports
+    // carry a finding, so their digests pin the fitted window and shape.
+    let spec = MissionSpec::paper_delivery(10, 0);
+    let jump_only = WaveformSet::parse(WaveformKind::Jump.name()).unwrap();
+    let pinned = [
+        (WaveformSet::all(), FuzzerConfig::swarmfuzz(10.0), 0xa8d7_aaff_32ce_7d84_u64),
+        (WaveformSet::all(), FuzzerConfig::r_fuzz(10.0), 0x1807_db3c_8f69_5f0d),
+        (WaveformSet::all(), FuzzerConfig::g_fuzz(10.0), 0x40e3_f63a_5766_88f9),
+        (WaveformSet::all(), FuzzerConfig::s_fuzz(10.0), 0xb568_1e87_43b9_4828),
+        (jump_only, FuzzerConfig::swarmfuzz(10.0), 0xa8a6_4960_0d1a_9cc9),
+        (jump_only, FuzzerConfig::r_fuzz(10.0), 0x2131_24f4_b49c_41cc),
+        (jump_only, FuzzerConfig::g_fuzz(10.0), 0x6f37_3802_f722_fc87),
+        (jump_only, FuzzerConfig::s_fuzz(10.0), 0x8681_5531_b1d2_0eff),
+    ];
+    for (waveforms, config, expected) in pinned {
+        let config = FuzzerConfig { eval_budget: 20, ..config }.with_waveforms(waveforms);
+        let report = format!("{:?}", Fuzzer::new(controller(), config).fuzz(&spec));
+        let digest = fnv1a(FNV_OFFSET, report.as_bytes());
+        assert_eq!(
+            digest,
+            expected,
+            "{} with {waveforms}: {digest:#018x} for {report}",
+            config.variant_name()
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -155,8 +199,8 @@ fn constant_spec_is_bit_identical_to_legacy_across_grid_policies() {
 #[test]
 fn zero_amplitude_attack_of_every_class_equals_the_baseline() {
     // A spoof of amplitude zero displaces nothing, so the attacked record
-    // must equal the no-attack record for every waveform class — the trait
-    // path may not perturb a single RNG stream or physics step.
+    // must equal the no-attack record for every waveform class — injecting
+    // an attack may not perturb a single RNG stream or physics step.
     check_budgeted("attack_zoo_zero_amplitude", (cases() / 16).max(6), &zoo_case(), |case| {
         let sim = sim_for(case)?;
         let baseline = sim.run(None).map_err(|e| e.to_string())?;
@@ -165,7 +209,7 @@ fn zero_amplitude_attack_of_every_class_equals_the_baseline() {
             tk_ensure!(
                 attacked.record == baseline.record,
                 "zero-amplitude {:?} attack perturbed the mission (policy {:?})",
-                spec.waveform().kind(),
+                spec.waveform.kind(),
                 case.policy
             );
         }
@@ -200,26 +244,23 @@ fn direction_flip_mirrors_the_offset_across_the_mission_axis() {
             let case =
                 ZooCase { swarm_size: 3, seed: 0, start, duration, policy: SpatialPolicy::Auto };
             for spec in zoo_specs(&case, deviation) {
-                let flipped = AttackSpec::from_waveform(
-                    spec.waveform(),
-                    spec.target(),
-                    spec.direction().flipped(),
+                let flipped = SpoofingAttack::from_waveform(
+                    spec.waveform,
+                    spec.target,
+                    spec.direction.flipped(),
                     start,
                     duration,
                     deviation,
                 )
                 .map_err(|e| e.to_string())?;
-                let frame = if matches!(spec, AttackSpec::Circular(_)) {
-                    Vec2::new(1.0, 0.0)
-                } else {
-                    axis
-                };
-                let o = spec.offset_at(t, spec.target(), frame);
-                let f = flipped.offset_at(t, spec.target(), frame);
+                let circular = spec.waveform.kind() == WaveformKind::Circular;
+                let frame = if circular { Vec2::new(1.0, 0.0) } else { axis };
+                let o = spec.offset_at(t, spec.target, frame);
+                let f = flipped.offset_at(t, spec.target, frame);
                 match (o, f) {
                     (None, None) => {}
                     (Some(o), Some(f)) => {
-                        if matches!(spec, AttackSpec::Circular(_)) {
+                        if circular {
                             // Axis (1, 0): along = x, across = ±y.
                             tk_ensure!(
                                 f.x == o.x && f.y == -o.y && f.z == -o.z,
@@ -234,14 +275,14 @@ fn direction_flip_mirrors_the_offset_across_the_mission_axis() {
                                     && o.z == 0.0
                                     && f.z == 0.0,
                                 "{:?} flip must negate the offset bitwise: {o:?} vs {f:?}",
-                                spec.waveform().kind()
+                                spec.waveform.kind()
                             );
                         }
                     }
                     (o, f) => {
                         return Err(format!(
                             "direction flip changed the activity window of {:?}: {o:?} vs {f:?}",
-                            spec.waveform().kind()
+                            spec.waveform.kind()
                         ));
                     }
                 }
@@ -264,7 +305,7 @@ fn ramp_in_deviation_is_monotone_in_window_time() {
         &gen,
         |&(start, (duration, ramp_frac), deviation)| {
             let ramp = ramp_frac * duration;
-            let spec = AttackSpec::from_waveform(
+            let spec = SpoofingAttack::from_waveform(
                 Waveform::Drift { ramp },
                 0.into(),
                 SpoofDirection::Right,
@@ -279,7 +320,7 @@ fn ramp_in_deviation_is_monotone_in_window_time() {
             for k in 0..steps {
                 let t = start + duration * (k as f64 + 0.5) / steps as f64;
                 let offset = spec
-                    .offset_at(t, spec.target(), axis)
+                    .offset_at(t, spec.target, axis)
                     .ok_or("drift must be active inside its window")?;
                 let magnitude = offset.norm();
                 tk_ensure!(
@@ -309,7 +350,7 @@ fn circular_at_omega_zero_is_identical_to_the_constant_offset() {
     // paper's constant offset — whole mission records must agree.
     check_budgeted("attack_zoo_circular_omega_zero", (cases() / 16).max(6), &zoo_case(), |case| {
         let sim = sim_for(case)?;
-        let frozen = AttackSpec::from_waveform(
+        let frozen = SpoofingAttack::from_waveform(
             Waveform::Circular { omega: 0.0 },
             0.into(),
             SpoofDirection::Right,
@@ -318,15 +359,9 @@ fn circular_at_omega_zero_is_identical_to_the_constant_offset() {
             10.0,
         )
         .map_err(|e| e.to_string())?;
-        let constant = AttackSpec::from_waveform(
-            Waveform::Constant,
-            0.into(),
-            SpoofDirection::Right,
-            case.start,
-            case.duration,
-            10.0,
-        )
-        .map_err(|e| e.to_string())?;
+        let constant =
+            SpoofingAttack::new(0.into(), SpoofDirection::Right, case.start, case.duration, 10.0)
+                .map_err(|e| e.to_string())?;
         let a = sim.run(Some(&frozen)).map_err(|e| e.to_string())?;
         let b = sim.run(Some(&constant)).map_err(|e| e.to_string())?;
         tk_ensure!(
@@ -339,7 +374,7 @@ fn circular_at_omega_zero_is_identical_to_the_constant_offset() {
 }
 
 // ---------------------------------------------------------------------------
-// Level 2: fuzz-report bit-identity across execution modes.
+// Fuzz-report bit-identity across execution modes.
 // ---------------------------------------------------------------------------
 
 fn fuzzer_with(budget: usize, snapshots: bool) -> Fuzzer<VasarhelyiController> {
@@ -348,7 +383,7 @@ fn fuzzer_with(budget: usize, snapshots: bool) -> Fuzzer<VasarhelyiController> {
 }
 
 #[test]
-fn fuzz_reports_are_bit_identical_trait_vs_legacy_across_snapshots() {
+fn constant_fuzz_reports_are_bit_identical_snapshots_on_vs_off() {
     // Whole-pipeline differential: the constant-offset fuzzer must report
     // exactly the same result with and without snapshot-and-fork execution.
     let gen = zip2(&u64_in(0..=50), &one_of(vec![2usize, 5, 20]));
@@ -398,7 +433,7 @@ fn zoo_fuzz_reports_are_bit_identical_snapshots_on_vs_off() {
 }
 
 // ---------------------------------------------------------------------------
-// Level 3: campaign-report bit-identity across worker counts.
+// Campaign-report bit-identity across worker counts.
 // ---------------------------------------------------------------------------
 
 fn tiny_campaign(workers: usize) -> CampaignConfig {
@@ -414,7 +449,7 @@ fn tiny_campaign(workers: usize) -> CampaignConfig {
 }
 
 #[test]
-fn campaign_reports_are_bit_identical_trait_vs_legacy_across_workers() {
+fn campaign_reports_are_identical_across_workers_and_snapshots() {
     let make = |deviation: f64| {
         let config = FuzzerConfig { eval_budget: 4, ..FuzzerConfig::swarmfuzz(deviation) };
         Fuzzer::new(controller(), config)

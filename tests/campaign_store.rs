@@ -242,7 +242,7 @@ fn plain_run_campaign_tolerates_mission_failures() {
 // Attack-zoo journal compatibility (PR 6).
 //
 // The fingerprint and the journal bytes below were captured from the build
-// *before* the trait-based attack model landed. They are load-bearing: if
+// *before* the attack-model zoo landed. They are load-bearing: if
 // either pin breaks, pre-existing campaign journals stop resuming.
 // ---------------------------------------------------------------------------
 

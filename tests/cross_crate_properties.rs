@@ -145,18 +145,19 @@ fn spoof_offset_window_algebra() {
         let atk =
             SpoofingAttack::new(DroneId(0), SpoofDirection::Right, *start, *duration, *deviation)
                 .map_err(|e| format!("valid window rejected: {e}"))?;
-        let offset = atk.offset_for(DroneId(0), *t, axis);
+        let offset = atk.offset_at(*t, DroneId(0), axis);
         if *t >= *start && *t < start + duration {
+            let offset = offset.ok_or("no offset inside the window")?;
             tk_ensure!((offset.norm() - deviation).abs() < 1e-9, "magnitude {}", offset.norm());
             // Horizontal only.
             tk_ensure!(offset.z == 0.0);
             // Perpendicular to the mission axis.
             tk_ensure!(offset.xy().dot(axis).abs() < 1e-9 * (1.0 + deviation));
         } else {
-            tk_ensure!(offset == Vec3::ZERO, "offset {offset:?} outside the window");
+            tk_ensure!(offset.is_none(), "offset {offset:?} outside the window");
         }
         // Never an offset for another drone.
-        tk_ensure!(atk.offset_for(DroneId(1), *t, axis) == Vec3::ZERO);
+        tk_ensure!(atk.offset_at(*t, DroneId(1), axis).is_none());
         Ok(())
     });
 }
