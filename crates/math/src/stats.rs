@@ -2,8 +2,8 @@
 //!
 //! These back the paper's evaluation artifacts: [`Ecdf`] regenerates the VDO
 //! CDF of Fig. 6d, [`cumulative_rate_by_threshold`] the cumulative success
-//! rate curves of Fig. 6a–c, and the online trackers feed the mission
-//! recorder in `swarm-sim`.
+//! rate curves of Fig. 6a–c, and [`OnlineMin`] tracks the per-drone VDO in
+//! the mission recorder of `swarm-sim`.
 
 /// Arithmetic mean of a slice. Returns `None` for an empty slice.
 ///
@@ -203,37 +203,6 @@ impl OnlineMin {
 impl Default for OnlineMin {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Incrementally tracks the mean of a stream (Welford-free: simple sum/count,
-/// fine for the magnitudes involved here).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct OnlineMean {
-    sum: f64,
-    count: u64,
-}
-
-impl OnlineMean {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one observation.
-    pub fn observe(&mut self, value: f64) {
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// The mean so far, or `None` when no observations were made.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// The number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 }
 
@@ -516,15 +485,5 @@ mod tests {
         m.observe(4.0, 7.0);
         assert_eq!(m.min(), Some(2.0));
         assert_eq!(m.at(), Some(3.0));
-    }
-
-    #[test]
-    fn online_mean_accumulates() {
-        let mut m = OnlineMean::new();
-        assert_eq!(m.mean(), None);
-        m.observe(1.0);
-        m.observe(3.0);
-        assert_eq!(m.mean(), Some(2.0));
-        assert_eq!(m.count(), 2);
     }
 }

@@ -109,18 +109,6 @@ pub fn min_inter_distance_grid(positions: &[Vec3], grid: &SpatialGrid) -> Option
     Some(best)
 }
 
-/// Grid variant of [`mean_inter_distance`].
-///
-/// The exact mean of *all* pairwise distances is inherently an O(n²)
-/// computation (every pair contributes to the sum), so this variant exists
-/// for API symmetry with the other grid metrics and delegates to the dense
-/// scan. For a sub-quadratic cohesion signal on large swarms, use
-/// [`mean_neighbor_distance`] instead.
-pub fn mean_inter_distance_grid(positions: &[Vec3], grid: &SpatialGrid) -> Option<f64> {
-    debug_assert_eq!(grid.len(), positions.len(), "grid must index `positions`");
-    mean_inter_distance(positions)
-}
-
 /// Mean 3-D distance over the pairs within horizontal `radius` of each
 /// other — a local-cohesion signal that, unlike the all-pairs mean, stays
 /// cheap on large swarms (O(n + close pairs) via the grid broad phase).
@@ -229,11 +217,6 @@ mod tests {
                 min_inter_distance_grid(&positions, &grid),
                 min_inter_distance(&positions),
                 "min diverged (case {case}, n {n}, cell {cell})"
-            );
-            assert_eq!(
-                mean_inter_distance_grid(&positions, &grid),
-                mean_inter_distance(&positions),
-                "mean diverged (case {case})"
             );
             assert_eq!(
                 swarm_extent_grid(&positions, &grid),

@@ -6,14 +6,25 @@
 //! considered as a victim), and (3) the mission duration. §IV-B additionally
 //! needs the time `t_clo` of the smallest average inter-drone distance, where
 //! the SVG is constructed.
+//!
+//! SwarmFuzz reads the average inter-drone distance only for that `t_clo`
+//! lookup, once per baseline, so sampling does not compute it: it is derived
+//! from the stored positions on first read, at O(ticks·n²) once per record,
+//! and cached until the next sample.
 
-use swarm_math::stats::{OnlineMean, OnlineMin};
+use std::sync::OnceLock;
+
+use swarm_math::stats::OnlineMin;
 use swarm_math::Vec3;
 
+use crate::metrics::mean_inter_distance;
 use crate::{CollisionEvent, DroneId};
 
 /// A full recording of one mission, sampled at the control rate.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares every recorded field but not the cached average
+/// inter-drone distances, which are a function of the recorded positions.
+#[derive(Debug, Clone)]
 pub struct MissionRecord {
     swarm_size: usize,
     /// Sampling period of the recording in seconds (= control period).
@@ -25,8 +36,9 @@ pub struct MissionRecord {
     velocities: Vec<Vec<Vec3>>,
     /// Per-drone minimum distance to the nearest obstacle surface.
     min_obstacle_distance: Vec<OnlineMin>,
-    /// Average pairwise inter-drone distance per tick.
-    avg_inter_distance: Vec<f64>,
+    /// Average pairwise inter-drone distance per tick, derived from
+    /// `positions` on first read; cleared by every new sample.
+    avg_inter_distance: OnceLock<Vec<f64>>,
     /// All collisions, in time order.
     collisions: Vec<CollisionEvent>,
     /// Arrival time per drone, when it reached the destination.
@@ -46,7 +58,7 @@ impl MissionRecord {
             positions: Vec::new(),
             velocities: Vec::new(),
             min_obstacle_distance: vec![OnlineMin::new(); swarm_size],
-            avg_inter_distance: Vec::new(),
+            avg_inter_distance: OnceLock::new(),
             collisions: Vec::new(),
             arrival_time: vec![None; swarm_size],
             duration: 0.0,
@@ -79,13 +91,7 @@ impl MissionRecord {
                 self.min_obstacle_distance[d].observe(dist, time);
             }
         }
-        let mut mean = OnlineMean::new();
-        for i in 0..self.swarm_size {
-            for j in (i + 1)..self.swarm_size {
-                mean.observe(positions[i].distance(positions[j]));
-            }
-        }
-        self.avg_inter_distance.push(mean.mean().unwrap_or(0.0));
+        self.avg_inter_distance.take();
         self.duration = time;
     }
 
@@ -194,23 +200,64 @@ impl MissionRecord {
 
     /// The sample index and time `t_clo` of the minimum average inter-drone
     /// distance (paper §IV-B). `None` for an empty record.
+    ///
+    /// The first read derives the per-tick means, as
+    /// [`MissionRecord::avg_inter_distances`] does.
     pub fn closest_approach(&self) -> Option<(usize, f64)> {
         let (idx, _) = self
-            .avg_inter_distance
+            .avg_inter_distances()
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))?;
         Some((idx, self.times[idx]))
     }
 
-    /// Average inter-drone distance per recorded tick.
+    /// Average inter-drone distance per recorded tick (`0.0` for a swarm of
+    /// fewer than two drones).
+    ///
+    /// The first read after a sample derives every tick's mean from the
+    /// stored positions, O(ticks·n²); later reads return the cached values.
     pub fn avg_inter_distances(&self) -> &[f64] {
-        &self.avg_inter_distance
+        self.avg_inter_distance.get_or_init(|| {
+            self.positions.iter().map(|row| mean_inter_distance(row).unwrap_or(0.0)).collect()
+        })
+    }
+}
+
+impl PartialEq for MissionRecord {
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured so that a new field cannot be silently left out. The
+        // `avg_inter_distance` cache is left out on purpose: it is a function
+        // of `positions`.
+        let MissionRecord {
+            swarm_size,
+            sample_dt,
+            times,
+            positions,
+            velocities,
+            min_obstacle_distance,
+            avg_inter_distance: _,
+            collisions,
+            arrival_time,
+            duration,
+        } = self;
+        *swarm_size == other.swarm_size
+            && *sample_dt == other.sample_dt
+            && *times == other.times
+            && *positions == other.positions
+            && *velocities == other.velocities
+            && *min_obstacle_distance == other.min_obstacle_distance
+            && *collisions == other.collisions
+            && *arrival_time == other.arrival_time
+            && *duration == other.duration
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
     use crate::CollisionKind;
 
@@ -290,8 +337,108 @@ mod tests {
         let r = MissionRecord::new(3, 0.1);
         assert!(r.is_empty());
         assert_eq!(r.closest_approach(), None);
+        assert!(r.avg_inter_distances().is_empty());
         assert_eq!(r.vdo(DroneId(0)), None);
         assert_eq!(r.mission_vdo(), None);
+    }
+
+    fn random_positions(rng: &mut StdRng, n: usize) -> Vec<Vec3> {
+        (0..n)
+            .map(|_| {
+                Vec3::new(
+                    rng.gen_range(-60.0..60.0),
+                    rng.gen_range(-60.0..60.0),
+                    rng.gen_range(0.0..20.0),
+                )
+            })
+            .collect()
+    }
+
+    /// Seeded random record of `ticks` samples of `n` drones.
+    fn random_record(seed: u64, ticks: usize, n: usize) -> MissionRecord {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut r = MissionRecord::new(n, 0.1);
+        for tick in 0..ticks {
+            let positions = random_positions(&mut rng, n);
+            let obstacle_distances: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..30.0)).collect();
+            r.push_sample(tick as f64 * 0.1, &positions, &vec![Vec3::ZERO; n], &obstacle_distances);
+        }
+        r
+    }
+
+    /// The mean as the recorder once computed it on every sample: one
+    /// running sum and count over the (i, j > i) pairs.
+    fn eager_mean(positions: &[Vec3]) -> f64 {
+        let (mut sum, mut count) = (0.0, 0u64);
+        for i in 0..positions.len() {
+            for j in (i + 1)..positions.len() {
+                sum += positions[i].distance(positions[j]);
+                count += 1;
+            }
+        }
+        if count > 0 {
+            sum / count as f64
+        } else {
+            0.0
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn derived_means_equal_the_eager_per_sample_loop_bitwise() {
+        let r = random_record(0x4d45_414e, 20, 37);
+        let eager: Vec<f64> = (0..r.len()).map(|tick| eager_mean(r.positions_at(tick))).collect();
+        assert_eq!(bits(r.avg_inter_distances()), bits(&eager));
+        // A second read returns the cached values.
+        assert_eq!(bits(r.avg_inter_distances()), bits(&eager));
+        let (tick, t) = r.closest_approach().unwrap();
+        let min = eager.iter().copied().fold(f64::INFINITY, f64::min);
+        assert_eq!(eager[tick], min);
+        assert_eq!(t, r.times()[tick]);
+    }
+
+    #[test]
+    fn equality_ignores_the_derived_mean_cache() {
+        let unread = random_record(7, 6, 9);
+        let read = unread.clone();
+        assert!(!read.avg_inter_distances().is_empty());
+        assert_eq!(read, unread);
+        assert_eq!(unread, read);
+        assert_eq!(read.clone(), read);
+        assert_eq!(read.clone(), unread);
+        // Records that differ in a position still differ.
+        let mut moved = unread.clone();
+        let mut positions = moved.positions_at(5).to_vec();
+        positions[3].x += 1.0;
+        moved.positions[5] = positions;
+        assert_ne!(moved, unread);
+    }
+
+    #[test]
+    fn a_sample_after_a_read_extends_the_means() {
+        let mut r = random_record(11, 5, 8);
+        let before = r.avg_inter_distances().to_vec();
+        let mut rng = StdRng::seed_from_u64(12);
+        let positions = random_positions(&mut rng, 8);
+        r.push_sample(0.5, &positions, &[Vec3::ZERO; 8], &[1.0; 8]);
+        let after = r.avg_inter_distances();
+        assert_eq!(after.len(), before.len() + 1);
+        assert_eq!(bits(&after[..before.len()]), bits(&before));
+        assert_eq!(after[before.len()].to_bits(), eager_mean(&positions).to_bits());
+    }
+
+    #[test]
+    fn single_drone_means_are_zero() {
+        let mut r = MissionRecord::new(1, 0.1);
+        for tick in 0..3 {
+            let p = Vec3::new(tick as f64, 0.0, 0.0);
+            r.push_sample(tick as f64 * 0.1, &[p], &[Vec3::ZERO], &[5.0]);
+        }
+        assert_eq!(r.avg_inter_distances(), &[0.0; 3]);
+        assert_eq!(r.closest_approach(), Some((0, 0.0)));
     }
 
     #[test]

@@ -945,9 +945,10 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
     /// accumulated by the snapshot's capture point, replaying the first
     /// [`SimSnapshot::record_ticks`] samples of `source` (any record of the
     /// same mission whose prefix covers the snapshot, e.g. the baseline the
-    /// snapshot was captured from). Derived quantities (per-drone obstacle
-    /// minima, average inter-drone distances) are recomputed through the same
-    /// code path as the live loop, so the result is bit-identical.
+    /// snapshot was captured from). The per-drone obstacle minima are
+    /// recomputed through the same code path as the live loop, so the result
+    /// is bit-identical; average inter-drone distances, as for any record,
+    /// are derived from the positions only when first read.
     ///
     /// # Errors
     ///

@@ -7,7 +7,9 @@
 //! three levels: raw `SpatialGrid` queries vs brute-force pair sets over
 //! randomized geometry (including the degenerate corners), the metrics
 //! helpers' grid variants, and full missions with the pipeline forced on vs
-//! forced off.
+//! forced off. An N=200 mission's per-tick average inter-drone distances,
+//! which the recorder derives only when read, are pinned to a digest under
+//! both policies.
 //!
 //! Style note: these are hand-rolled seeded property tests (fixed-seed
 //! `StdRng` + case loop), matching the repo's other property suites — the
@@ -140,11 +142,6 @@ fn metric_grid_variants_match_brute_force_bitwise() {
             "min_inter_distance diverged (case {case})"
         );
         assert_eq!(
-            metrics::mean_inter_distance_grid(&positions, &grid),
-            metrics::mean_inter_distance(&positions),
-            "mean_inter_distance diverged (case {case})"
-        );
-        assert_eq!(
             metrics::swarm_extent_grid(&positions, &grid),
             metrics::swarm_extent(&positions),
             "swarm_extent diverged (case {case})"
@@ -222,4 +219,38 @@ fn rangeless_mission_is_unaffected_by_the_policy() {
     let on = run_with_policy(&spec, SpatialPolicy::ForceOn);
     let off = run_with_policy(&spec, SpatialPolicy::ForceOff);
     assert_eq!(on.record, off.record);
+}
+
+/// FNV-1a over the bits of a record's per-tick average inter-drone distance
+/// and its closest approach (tick and time).
+fn mean_digest(record: &swarm_sim::recorder::MissionRecord) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for byte in w.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for &a in record.avg_inter_distances() {
+        word(a.to_bits());
+    }
+    let (tick, t_clo) = record.closest_approach().expect("non-empty record");
+    word(tick as u64);
+    word(t_clo.to_bits());
+    h
+}
+
+#[test]
+fn n200_inter_drone_means_are_pinned_grid_on_and_off() {
+    // The recorder derives the per-tick mean from the stored positions when
+    // it is first read. This digest was taken while every sample computed
+    // the mean as it was recorded, so a change to either the positions or
+    // the derivation shows up here.
+    const PINNED: u64 = 0x6aab_599a_41b5_a12a;
+    let mut spec = scenario::large_swarm(200, 7);
+    spec.duration = 10.0;
+    for policy in [SpatialPolicy::ForceOn, SpatialPolicy::ForceOff] {
+        let record = run_with_policy(&spec, policy).record;
+        assert_eq!(record.len(), 101, "{policy:?}");
+        assert_eq!(mean_digest(&record), PINNED, "{policy:?}: {:016x}", mean_digest(&record));
+    }
 }
