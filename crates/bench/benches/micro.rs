@@ -1,86 +1,69 @@
-//! Micro-benchmarks for the hot paths of the reproduction: PageRank power
-//! iteration, one full simulated mission, SVG construction, a single
-//! objective evaluation (one fuzzing "search iteration"), and two
-//! instrumentation overhead gates: a trace handle observing the
-//! mission-step hot path into a counting sink (budget: < 5%), and a ring
-//! sink recording every fuzzing event (budget: < 2%).
+//! Micro-benchmarks for the hot paths of the reproduction — PageRank power
+//! iteration, one full simulated mission, SVG construction and a single
+//! objective evaluation (one fuzzing "search iteration") — plus the
+//! repository's five performance gates. Each gate times side A against
+//! side B with [`paired_ratio`] and judges the median of the per-pair A/B
+//! time ratios:
 //!
-//! Hand-rolled harness (median of timed batches) — no external benchmark
+//! | gate | A vs B | bound |
+//! |---|---|---|
+//! | `observer_overhead_pct` | 30 s 5-drone mission observed by a counting trace vs plain | < 5% |
+//! | `trace_overhead_pct` | budget-4 fuzz into a ring sink vs untraced | < 2% |
+//! | `fork_speedup` | 5-drone, 3-mission campaign, snapshots off vs on | ≥ 1.02× |
+//! | `grid_mission_speedup_n200` | 10 s `large_swarm(200, 7)` flight, brute vs grid | ≥ 1.5× |
+//! | `grid_kernel_speedup_n200` | that flight's neighbor-search kernel, brute vs grid | ≥ 5× |
+//!
+//! Hand-rolled harness (median of timed batches), no external benchmark
 //! dependency. Results are printed per benchmark and written to
 //! `bench_results/micro.csv`.
 
-use std::time::Instant;
+use std::hint::black_box;
 
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::spoof::{SpoofDirection, SpoofingAttack};
-use swarm_sim::{DroneId, SimObserver, Simulation};
+use swarm_sim::{scenario, DroneId, SimConfig, SimObserver, Simulation, SpatialPolicy};
+use swarmfuzz::campaign::{
+    run_campaign_with_options, CampaignConfig, CampaignRunOptions, SwarmConfig,
+};
 use swarmfuzz::telemetry::Counter;
-use swarmfuzz::{SvgBuilder, Telemetry};
-use swarmfuzz_bench::{paper_controller, results_dir};
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Mean ns/iteration of one timed batch of `iters` calls.
-fn time_batch(iters: usize, f: &mut impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
+use swarmfuzz::{SvgBuilder, Telemetry, Trace};
+use swarmfuzz_bench::{
+    paired_ratio, paper_controller, quartiles, results_dir, swarmfuzz_fuzzer, time_batch,
+    NeighborKernel, PairedRatio,
+};
 
 /// Median ns/iteration over `batches` timed batches of `iters` calls each.
 fn bench<F: FnMut()>(name: &str, batches: usize, iters: usize, mut f: F) -> f64 {
     // Warm-up.
     f();
-    let median = median((0..batches).map(|_| time_batch(iters, &mut f)).collect());
+    let median = quartiles((0..batches).map(|_| time_batch(iters, &mut f)).collect())[1];
     println!("{name:<40} {:>12.0} ns/iter", median);
     median
 }
 
-/// Overhead of `on` over `off` in percent, as the median over `pairs`
-/// back-to-back batch pairs of the per-pair time ratio, plus each side's
-/// median ns/iteration. The side that runs first alternates every pair, so
-/// machine drift (clock frequency, other load) hits both sides alike
-/// instead of one block of batches.
-fn paired_overhead(
-    name: &str,
-    pairs: usize,
-    iters: usize,
-    mut off: impl FnMut(),
-    mut on: impl FnMut(),
-) -> (f64, f64, f64) {
-    // Warm-up.
-    off();
-    on();
-    let (mut offs, mut ons, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for pair in 0..pairs {
-        let (a, b) = if pair % 2 == 0 {
-            let a = time_batch(iters, &mut off);
-            (a, time_batch(iters, &mut on))
-        } else {
-            let b = time_batch(iters, &mut on);
-            (time_batch(iters, &mut off), b)
-        };
-        offs.push(a);
-        ons.push(b);
-        ratios.push(b / a);
-    }
-    let (off_ns, on_ns) = (median(offs), median(ons));
-    let overhead = (median(ratios) - 1.0) * 100.0;
-    println!("{:<40} {off_ns:>12.0} ns/iter", format!("{name}/off"));
-    println!("{:<40} {on_ns:>12.0} ns/iter", format!("{name}/on"));
-    (off_ns, on_ns, overhead)
+fn row(csv: &mut String, name: &str, value: String) {
+    csv.push_str(&format!("{name},{value}\n"));
+}
+
+/// Records both sides' median ns/iteration under `sides` (A, B) and the
+/// gate's median under `name`, prints the median beside its quartiles and
+/// returns the median for the caller's bound. `value` holds the quartiles
+/// of `r`'s A/B ratio in the gate's unit.
+fn gate(csv: &mut String, name: &str, sides: [&str; 2], r: &PairedRatio, value: [f64; 3]) -> f64 {
+    row(csv, sides[0], format!("{:.0}", r.a_ns));
+    row(csv, sides[1], format!("{:.0}", r.b_ns));
+    let [q1, median, q3] = value;
+    row(csv, name, format!("{median:.2}"));
+    println!("{name}: {median:.2} [quartiles {q1:.2}, {q3:.2}]");
+    median
+}
+
+fn overhead_pct(ratio: f64) -> f64 {
+    (ratio - 1.0) * 100.0
 }
 
 fn main() {
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut push = |name: &str, ns: f64| {
-        rows.push(vec![name.to_string(), format!("{ns:.0}")]);
-    };
+    let mut csv = String::from("benchmark,ns_per_iter\n");
 
     // PageRank power iteration on ring+chord graphs.
     {
@@ -98,9 +81,9 @@ fn main() {
                 }
             }
             let ns = bench(&format!("pagerank/{n}"), 7, 200, || {
-                std::hint::black_box(pagerank(&g, &PageRankConfig::default()));
+                black_box(pagerank(&g, &PageRankConfig::default()));
             });
-            push(&format!("pagerank/{n}"), ns);
+            row(&mut csv, &format!("pagerank/{n}"), format!("{ns:.0}"));
         }
     }
 
@@ -110,9 +93,9 @@ fn main() {
         spec.duration = 30.0;
         let sim = Simulation::new(spec, paper_controller()).unwrap();
         let ns = bench(&format!("mission/30s-no-attack/{n}"), 5, 3, || {
-            std::hint::black_box(sim.run(None).unwrap());
+            black_box(sim.run(None).unwrap());
         });
-        push(&format!("mission/30s-no-attack/{n}"), ns);
+        row(&mut csv, &format!("mission/30s-no-attack/{n}"), format!("{ns:.0}"));
     }
 
     // SVG construction from a recorded mission.
@@ -122,13 +105,13 @@ fn main() {
         let sim = Simulation::new(spec.clone(), controller).unwrap();
         let record = sim.run(None).unwrap().record;
         let ns = bench(&format!("svg_build/{n}"), 7, 20, || {
-            std::hint::black_box(
+            black_box(
                 SvgBuilder::new(&controller, &spec, &record, 10.0)
                     .build(SpoofDirection::Right)
                     .unwrap(),
             );
         });
-        push(&format!("svg_build/{n}"), ns);
+        row(&mut csv, &format!("svg_build/{n}"), format!("{ns:.0}"));
     }
 
     // One full attacked mission (one objective evaluation).
@@ -138,14 +121,14 @@ fn main() {
         let attack =
             SpoofingAttack::new(DroneId(0), SpoofDirection::Right, 20.0, 12.0, 10.0).unwrap();
         let ns = bench("attack_eval/5d-10m-full-mission", 5, 2, || {
-            std::hint::black_box(sim.run(Some(&attack)).unwrap());
+            black_box(sim.run(Some(&attack)).unwrap());
         });
-        push("attack_eval/5d-10m-full-mission", ns);
+        row(&mut csv, "attack_eval/5d-10m-full-mission", format!("{ns:.0}"));
     }
 
     // Observer overhead on the mission-step hot path: the same truncated
     // mission with and without a trace handle forwarding its run stats to a
-    // counting sink. Budget: < 5%.
+    // counting sink.
     {
         let mut spec = MissionSpec::paper_delivery(5, 1);
         spec.duration = 30.0;
@@ -153,67 +136,128 @@ fn main() {
         let telemetry = Telemetry::enabled(1);
         let trace = telemetry.trace();
         let observer: &dyn SimObserver = &trace;
-        let (plain, observed, overhead) = paired_overhead(
+        let r = paired_ratio(
             "observer_overhead",
             21,
             5,
             || {
-                std::hint::black_box(sim.run(None).unwrap());
+                black_box(sim.run_observed(None, Some(observer)).unwrap());
             },
             || {
-                std::hint::black_box(sim.run_observed(None, Some(observer)).unwrap());
+                black_box(sim.run(None).unwrap());
             },
         );
-        println!(
-            "observer overhead: {overhead:+.2}% ({} physics steps counted)",
-            telemetry.counter(Counter::SimPhysicsSteps)
-        );
-        push("observer_overhead/off", plain);
-        push("observer_overhead/on", observed);
-        rows.push(vec!["observer_overhead_pct".into(), format!("{overhead:.2}")]);
-        assert!(overhead < 5.0, "observer exceeded the 5% hot-path budget: {overhead:.2}%");
+        println!("({} physics steps counted)", telemetry.counter(Counter::SimPhysicsSteps));
+        let sides = ["observer_overhead/on", "observer_overhead/off"];
+        let pct = gate(&mut csv, "observer_overhead_pct", sides, &r, r.ratio.map(overhead_pct));
+        assert!(pct < 5.0, "observer exceeded the 5% hot-path budget: {pct:.2}%");
     }
 
     // Trace overhead on the fuzzing hot path: the same mission fuzzed with
-    // tracing off and with a ring sink attached (every probe, seed and
-    // gradient step recorded). Budget: < 2%.
+    // a ring sink attached (every probe, seed and gradient step recorded)
+    // and with tracing off.
     {
         use std::sync::Arc;
         use swarmfuzz::trace::RingSink;
-        use swarmfuzz::{Fuzzer, FuzzerConfig, Trace};
+        use swarmfuzz::{Fuzzer, FuzzerConfig};
 
         let spec = MissionSpec::paper_delivery(5, 1);
         let config = FuzzerConfig { eval_budget: 4, ..FuzzerConfig::swarmfuzz(10.0) };
         let ring = Arc::new(RingSink::new(1 << 14));
         let sink = ring.clone();
-        let (plain, traced, overhead) = paired_overhead(
+        let r = paired_ratio(
             "trace_overhead",
             21,
             1,
             || {
-                let fuzzer = Fuzzer::new(paper_controller(), config);
-                std::hint::black_box(fuzzer.fuzz(&spec).unwrap());
-            },
-            || {
                 let fuzzer =
                     Fuzzer::new(paper_controller(), config).with_trace(Trace::new(sink.clone()));
-                std::hint::black_box(fuzzer.fuzz(&spec).unwrap());
+                black_box(fuzzer.fuzz(&spec).unwrap());
+            },
+            || {
+                let fuzzer = Fuzzer::new(paper_controller(), config);
+                black_box(fuzzer.fuzz(&spec).unwrap());
             },
         );
-        println!("trace overhead: {overhead:+.2}% ({} events recorded)", ring.total());
-        rows.push(vec!["trace_overhead/off".into(), format!("{plain:.0}")]);
-        rows.push(vec!["trace_overhead/ring".into(), format!("{traced:.0}")]);
-        rows.push(vec!["trace_overhead_pct".into(), format!("{overhead:.2}")]);
-        assert!(overhead < 2.0, "trace sink exceeded the 2% hot-path budget: {overhead:.2}%");
+        println!("({} events recorded)", ring.total());
+        let sides = ["trace_overhead/ring", "trace_overhead/off"];
+        let pct = gate(&mut csv, "trace_overhead_pct", sides, &r, r.ratio.map(overhead_pct));
+        assert!(pct < 2.0, "trace sink exceeded the 2% hot-path budget: {pct:.2}%");
+    }
+
+    // Snapshot-and-fork execution: one small SwarmFuzz campaign with every
+    // search probe re-simulated from t = 0, and forked from the cached
+    // baseline snapshot. A fork only skips the no-attack prefix, so the
+    // floor catches the fast path turning into a slowdown; it does not
+    // certify a headline number (DESIGN.md §10).
+    {
+        let campaign = CampaignConfig {
+            configs: vec![SwarmConfig { swarm_size: 5, deviation: 10.0 }],
+            missions_per_config: 3,
+            base_seed: 0xC0FFEE,
+            workers: 1,
+        };
+        let run = |snapshot| {
+            let options = CampaignRunOptions { snapshot, ..Default::default() };
+            run_campaign_with_options(&campaign, swarmfuzz_fuzzer, &options, &Trace::off())
+                .expect("campaign must run")
+        };
+        assert_eq!(run(false), run(true), "snapshot execution must be invisible in the report");
+        let r = paired_ratio(
+            "fork",
+            21,
+            1,
+            || {
+                black_box(run(false));
+            },
+            || {
+                black_box(run(true));
+            },
+        );
+        let speedup = gate(&mut csv, "fork_speedup", ["fork/off", "fork/on"], &r, r.ratio);
+        assert!(speedup >= 1.02, "snapshot speedup below the 1.02x floor: {speedup:.2}x");
+    }
+
+    // The spatial grid at N=200: a whole 10 s flight (Amdahl-capped by the
+    // per-drone work both pipelines share, so its floor sits far below the
+    // kernel's) and the neighbor-search kernel alone on two consecutive
+    // mid-mission ticks of that flight.
+    {
+        let mut spec = scenario::large_swarm(200, 7);
+        spec.duration = 10.0;
+        let sim = |spatial| {
+            Simulation::new(spec.clone(), paper_controller())
+                .unwrap()
+                .with_config(SimConfig { spatial, ..Default::default() })
+        };
+        let (brute, grid) = (sim(SpatialPolicy::ForceOff), sim(SpatialPolicy::ForceOn));
+        let record = brute.run(None).unwrap().record;
+        assert_eq!(grid.run(None).unwrap().record, record, "grid and brute flights diverged");
+        let r = paired_ratio(
+            "grid_mission_n200",
+            21,
+            1,
+            || {
+                black_box(brute.run(None).unwrap());
+            },
+            || {
+                black_box(grid.run(None).unwrap());
+            },
+        );
+        let sides = ["grid_mission_n200/brute", "grid_mission_n200/grid"];
+        let speedup = gate(&mut csv, "grid_mission_speedup_n200", sides, &r, r.ratio);
+        assert!(speedup >= 1.5, "whole-mission grid speedup below the 1.5x floor: {speedup:.2}x");
+
+        let kernel = NeighborKernel::mid_mission(&spec, &record);
+        let r = paired_ratio("grid_kernel_n200", 21, 50, kernel.brute(), kernel.grid());
+        let sides = ["grid_kernel_n200/brute", "grid_kernel_n200/grid"];
+        let speedup = gate(&mut csv, "grid_kernel_speedup_n200", sides, &r, r.ratio);
+        assert!(speedup >= 5.0, "neighbor-search kernel speedup below the 5x floor: {speedup:.2}x");
     }
 
     let path = results_dir().join("micro.csv");
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).ok();
-    }
-    let mut csv = String::from("benchmark,ns_per_iter\n");
-    for row in &rows {
-        csv.push_str(&format!("{}\n", row.join(",")));
     }
     std::fs::write(&path, csv).expect("write micro csv");
     println!("csv: {}", path.display());

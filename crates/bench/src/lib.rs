@@ -13,13 +13,23 @@
 //!
 //! Results are printed as the paper's table rows and also written as CSV
 //! under `bench_results/`.
+//!
+//! Beside the regenerators' plumbing this crate holds the one timing
+//! harness behind every performance gate, [`paired_ratio`] (run by
+//! `benches/micro.rs`), and the neighbor-search kernel
+//! ([`NeighborKernel`]) that the scaling ladder and the micro gate time.
 
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
+use swarm_math::Vec3;
+use swarm_sim::mission::MissionSpec;
+use swarm_sim::recorder::MissionRecord;
 use swarm_sim::spoof::{SpoofDirection, Waveform, WaveformKind};
-use swarm_sim::DroneId;
+use swarm_sim::{DroneId, SpatialGrid};
 use swarmfuzz::campaign::{
     run_campaign_with_options, CampaignConfig, CampaignReport, MissionResult, SwarmConfig,
 };
@@ -202,145 +212,188 @@ fn load_campaign_csv(path: &Path) -> Option<CampaignReport> {
     (missions.len() == expected).then_some(CampaignReport { missions, failures: Vec::new() })
 }
 
-/// One metric's committed-vs-fresh comparison from [`diff_against_committed`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricDelta {
-    /// Metric name (first CSV column).
-    pub metric: String,
-    /// Value committed at `HEAD`.
-    pub committed: f64,
-    /// Freshly regenerated value.
-    pub fresh: f64,
-}
-
-impl MetricDelta {
-    /// Relative change in percent (+ = fresh is larger/slower).
-    pub fn delta_pct(&self) -> f64 {
-        if self.committed == 0.0 {
-            if self.fresh == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            (self.fresh - self.committed) / self.committed.abs() * 100.0
-        }
+/// Mean ns/iteration of one timed batch of `iters` calls.
+pub fn time_batch(iters: usize, f: &mut impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
     }
+    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Parses a two-column `metric,value` CSV (header skipped) into ordered
-/// pairs; non-numeric values and malformed lines are dropped.
-pub fn parse_metric_csv(text: &str) -> Vec<(String, f64)> {
-    text.lines()
-        .skip(1)
-        .filter_map(|line| {
-            let (metric, value) = line.split_once(',')?;
-            Some((metric.to_string(), value.trim().parse::<f64>().ok()?))
-        })
-        .collect()
-}
-
-/// Diffs a freshly generated `bench_results/<name>` CSV against the copy
-/// committed at `HEAD` (via `git show`), returning one [`MetricDelta`] per
-/// metric present in both. Returns `None` when either side is unavailable
-/// (no fresh file, no committed copy, not a git checkout) — the trajectory
-/// guard is warn-only by design: benchmark numbers drift with hardware, so
-/// the deltas belong in the CI log, not in the exit code.
-pub fn diff_against_committed(name: &str) -> Option<Vec<MetricDelta>> {
-    let fresh_text = std::fs::read_to_string(results_dir().join(name)).ok()?;
-    let root = results_dir();
-    let root = root.parent()?;
-    let out = std::process::Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .arg("show")
-        .arg(format!("HEAD:bench_results/{name}"))
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let committed_text = String::from_utf8(out.stdout).ok()?;
-    let committed = parse_metric_csv(&committed_text);
-    let fresh: std::collections::HashMap<String, f64> =
-        parse_metric_csv(&fresh_text).into_iter().collect();
-    Some(
-        committed
-            .into_iter()
-            .filter_map(|(metric, committed)| {
-                let fresh = *fresh.get(&metric)?;
-                Some(MetricDelta { metric, committed, fresh })
-            })
-            .collect(),
-    )
-}
-
-/// A hard-gated trajectory metric: when a fresh `bench_results/<file>`
-/// exists on the same machine, a value that moves more than `fail_pct`
-/// percent in the bad direction vs the committed copy fails the trajectory
-/// guard instead of merely warning. Missing files (e.g. a CI run that only
-/// executed the smoke benches) skip the gate — the guard can only judge a
-/// fresh full run against its own committed baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct GatedMetric {
-    /// Metric CSV under `bench_results/` (must be `metric,value` layout).
-    pub file: &'static str,
-    /// Metric name (first CSV column).
-    pub metric: &'static str,
-    /// Maximum tolerated regression in percent.
-    pub fail_pct: f64,
-    /// Direction: `true` = larger is better (throughput), `false` =
-    /// smaller is better (latency).
-    pub higher_is_better: bool,
-}
-
-impl GatedMetric {
-    /// Signed regression percent for a committed/fresh pair: positive =
-    /// worse (slower for throughput metrics, bigger for latency metrics).
-    pub fn regression_pct(&self, d: &MetricDelta) -> f64 {
-        if self.higher_is_better {
-            -d.delta_pct()
-        } else {
-            d.delta_pct()
-        }
-    }
-
-    /// Whether the pair regresses past the tolerated threshold.
-    pub fn fails(&self, d: &MetricDelta) -> bool {
-        self.regression_pct(d) > self.fail_pct
-    }
-}
-
-/// The trajectory metrics CI refuses to regress (see `benches/trajectory.rs`
-/// and DESIGN.md §13): the long-term large-swarm throughput headline.
-pub const GATED_METRICS: &[GatedMetric] = &[GatedMetric {
-    file: "scaling_trajectory.csv",
-    metric: "tps_at_n1000",
-    fail_pct: 10.0,
-    higher_is_better: true,
-}];
-
-/// Prints the [`diff_against_committed`] table for `name`, flagging metrics
-/// whose magnitude moved by more than `warn_pct`. Returns how many metrics
-/// were compared (0 = nothing to compare). Never fails the process.
-pub fn print_trajectory_diff(name: &str, warn_pct: f64) -> usize {
-    let Some(deltas) = diff_against_committed(name) else {
-        println!("[bench-diff] {name}: no committed/fresh pair to compare, skipping");
-        return 0;
+/// First quartile, median and third quartile of `xs`, linearly
+/// interpolated between order statistics (so an odd-length median is the
+/// middle value and an even-length one the mean of the two middle values).
+pub fn quartiles(mut xs: Vec<f64>) -> [f64; 3] {
+    assert!(!xs.is_empty(), "quartiles of an empty sample");
+    xs.sort_by(f64::total_cmp);
+    let at = |p: f64| {
+        let h = (xs.len() - 1) as f64 * p;
+        let (lo, frac) = (h.floor() as usize, h.fract());
+        let hi = (lo + 1).min(xs.len() - 1);
+        xs[lo] + frac * (xs[hi] - xs[lo])
     };
-    if deltas.is_empty() {
-        // Not a `metric,value` CSV (campaign caches, figure data, ...).
-        println!("[bench-diff] {name}: no comparable metrics, skipping");
-        return 0;
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// What [`paired_ratio`] measured.
+#[derive(Debug, Clone, Copy)]
+pub struct PairedRatio {
+    /// First quartile, median and third quartile of the per-pair ratio of
+    /// A's time to B's time.
+    pub ratio: [f64; 3],
+    /// Median ns/iteration of side A.
+    pub a_ns: f64,
+    /// Median ns/iteration of side B.
+    pub b_ns: f64,
+}
+
+/// Times `pairs` back-to-back pairs of batches of `iters` calls of side `a`
+/// and side `b`, after one warm-up call of each. The side that runs first
+/// alternates every pair (A first on even pairs), so machine drift (clock
+/// frequency, other load) hits both sides alike instead of one block of
+/// batches. Prints each side's median ns/iteration and returns them with
+/// the quartiles of the per-pair A/B time ratio.
+pub fn paired_ratio(
+    name: &str,
+    pairs: usize,
+    iters: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> PairedRatio {
+    a();
+    b();
+    let (mut a_ns, mut b_ns, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (ta, tb) = if pair % 2 == 0 {
+            let ta = time_batch(iters, &mut a);
+            (ta, time_batch(iters, &mut b))
+        } else {
+            let tb = time_batch(iters, &mut b);
+            (time_batch(iters, &mut a), tb)
+        };
+        a_ns.push(ta);
+        b_ns.push(tb);
+        ratios.push(ta / tb);
     }
-    println!("\n=== bench trajectory: {name} (vs HEAD) ===");
-    println!("{:<44} {:>14} {:>14} {:>9}", "metric", "committed", "fresh", "delta");
-    for d in &deltas {
-        let pct = d.delta_pct();
-        let flag = if pct.abs() > warn_pct { "  <-- WARN" } else { "" };
-        println!("{:<44} {:>14.2} {:>14.2} {:>+8.1}%{flag}", d.metric, d.committed, d.fresh, pct);
+    let r = PairedRatio {
+        ratio: quartiles(ratios),
+        a_ns: quartiles(a_ns)[1],
+        b_ns: quartiles(b_ns)[1],
+    };
+    println!(
+        "{name:<40} A {:>12.0} ns/iter, B {:>12.0} ns/iter (medians of {pairs} pairs)",
+        r.a_ns, r.b_ns
+    );
+    r
+}
+
+/// The neighbor-search work of two consecutive control periods of a
+/// recorded flight, done brute force ([`NeighborKernel::brute`]) and
+/// through the spatial grid ([`NeighborKernel::grid`]), each structured as
+/// the mission runner structures it. This isolates exactly the work the
+/// grid replaces; the scaling ladder and the micro bench's
+/// `grid_kernel_speedup_n200` gate both time it.
+pub struct NeighborKernel {
+    snapshots: [Vec<Vec3>; 2],
+    steps_per_control: usize,
+    range: f64,
+    diameter: f64,
+    broad_radius: f64,
+}
+
+impl NeighborKernel {
+    /// The kernel on ticks `len / 2` and `len / 2 + 1` of `record`, a
+    /// flight of `spec` (which must set a comms range). Two consecutive
+    /// ticks, alternated, let the grid's rebuild fast path see realistic
+    /// drone motion rather than a frozen swarm.
+    pub fn mid_mission(spec: &MissionSpec, record: &MissionRecord) -> Self {
+        let mid = record.len() / 2;
+        let steps_per_control = spec.steps_per_control();
+        let diameter = 2.0 * spec.drone.radius;
+        let broad_slack =
+            (2.0 * steps_per_control as f64 * spec.drone.max_speed * spec.physics_dt).max(diameter);
+        NeighborKernel {
+            snapshots: [record.positions_at(mid).to_vec(), record.positions_at(mid + 1).to_vec()],
+            steps_per_control,
+            range: spec.comms.range.expect("the neighbor kernel needs a comms range"),
+            diameter,
+            broad_radius: diameter + broad_slack,
+        }
     }
-    deltas.len()
+
+    /// Brute force, one call per two control periods: per tick,
+    /// `steps_per_control` alive-checked collision pair scans emitting
+    /// candidate pairs as `check_pair` consumes them, plus one dense n×n
+    /// comms range scan emitting per-sender candidate lists.
+    pub fn brute(&self) -> impl FnMut() + '_ {
+        let n = self.snapshots[0].len();
+        let alive = vec![true; n];
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut candidates = Vec::new();
+        move || {
+            for positions in &self.snapshots {
+                for _ in 0..self.steps_per_control {
+                    pairs.clear();
+                    for i in 0..n {
+                        for j in (i + 1)..n {
+                            if alive[i]
+                                && alive[j]
+                                && positions[i].distance(positions[j]) <= self.diameter
+                            {
+                                pairs.push((i, j));
+                            }
+                        }
+                    }
+                    black_box(pairs.len());
+                }
+                for &sender in positions {
+                    candidates.clear();
+                    for (j, &receiver) in positions.iter().enumerate() {
+                        if receiver.distance(sender) <= self.range {
+                            candidates.push((DroneId(j), receiver));
+                        }
+                    }
+                    black_box(candidates.len());
+                }
+            }
+        }
+    }
+
+    /// The grid, one call per two control periods: per tick, the per-step
+    /// displacement guard, one broad-phase re-index plus pair enumeration
+    /// (the lazy broad phase re-indexes about once per control period at
+    /// full speed), and one comms re-index plus a range query per drone.
+    /// Allocations are reused across calls, as in the runner.
+    pub fn grid(&self) -> impl FnMut() + '_ {
+        let mut broad = SpatialGrid::build(&self.snapshots[0], self.broad_radius);
+        let mut comms = SpatialGrid::build(&self.snapshots[0], self.range);
+        let mut pairs = Vec::new();
+        let mut candidates = Vec::new();
+        let guard = self.broad_radius * self.broad_radius / 4.0;
+        move || {
+            for (s, positions) in self.snapshots.iter().enumerate() {
+                let anchor = &self.snapshots[1 - s];
+                let mut moved = 0usize;
+                for _ in 0..self.steps_per_control {
+                    for (p, a) in positions.iter().zip(anchor) {
+                        if p.distance_squared(*a) > guard {
+                            moved += 1;
+                        }
+                    }
+                }
+                black_box(moved);
+                broad.rebuild(positions, self.broad_radius);
+                broad.close_pairs(self.broad_radius, &mut pairs);
+                black_box(pairs.len());
+                comms.rebuild(positions, self.range);
+                for &p in positions {
+                    comms.within_into(p, self.range, &mut candidates);
+                    black_box(candidates.len());
+                }
+            }
+        }
+    }
 }
 
 /// Formats a success rate as the paper prints it ("49%").
@@ -392,51 +445,17 @@ mod tests {
     }
 
     #[test]
-    fn metric_csv_parses_and_skips_garbage() {
-        let rows = parse_metric_csv(
-            "benchmark,ns_per_iter\npagerank/5,1200\nbroken-line\nno_value,\nsvg/15,88.5\n",
-        );
-        assert_eq!(rows, vec![("pagerank/5".into(), 1200.0), ("svg/15".into(), 88.5)]);
+    fn quartiles_interpolate_odd_and_even_samples() {
+        assert_eq!(quartiles(vec![5.0, 1.0, 3.0, 2.0, 4.0]), [2.0, 3.0, 4.0]);
+        assert_eq!(quartiles(vec![4.0, 1.0, 3.0, 2.0]), [1.75, 2.5, 3.25]);
+        assert_eq!(quartiles(vec![7.0]), [7.0, 7.0, 7.0]);
     }
 
     #[test]
-    fn delta_pct_handles_zero_baselines() {
-        let d = |committed, fresh| MetricDelta { metric: "m".into(), committed, fresh };
-        assert_eq!(d(100.0, 110.0).delta_pct(), 10.0);
-        assert_eq!(d(100.0, 90.0).delta_pct(), -10.0);
-        assert_eq!(d(0.0, 0.0).delta_pct(), 0.0);
-        assert!(d(0.0, 5.0).delta_pct().is_infinite());
-    }
-
-    #[test]
-    fn missing_files_are_a_skip_not_a_failure() {
-        assert_eq!(diff_against_committed("definitely-not-a-bench.csv"), None);
-        assert_eq!(print_trajectory_diff("definitely-not-a-bench.csv", 10.0), 0);
-    }
-
-    #[test]
-    fn gated_metric_regression_respects_direction() {
-        let gate =
-            GatedMetric { file: "f.csv", metric: "m", fail_pct: 10.0, higher_is_better: true };
-        let d = |committed, fresh| MetricDelta { metric: "m".into(), committed, fresh };
-        // Throughput dropping is a regression; rising is an improvement.
-        assert_eq!(gate.regression_pct(&d(100.0, 80.0)), 20.0);
-        assert!(gate.fails(&d(100.0, 80.0)));
-        assert!(!gate.fails(&d(100.0, 95.0))); // within tolerance
-        assert!(!gate.fails(&d(100.0, 150.0))); // faster never fails
-                                                // Latency metrics gate in the opposite direction.
-        let lat = GatedMetric { higher_is_better: false, ..gate };
-        assert!(lat.fails(&d(100.0, 120.0)));
-        assert!(!lat.fails(&d(100.0, 80.0)));
-    }
-
-    #[test]
-    fn gated_metrics_cover_the_n1000_throughput_headline() {
-        assert!(GATED_METRICS
-            .iter()
-            .any(|g| g.file == "scaling_trajectory.csv" && g.metric == "tps_at_n1000"));
-        for g in GATED_METRICS {
-            assert!(g.fail_pct > 0.0, "a zero-tolerance gate would fail on noise");
-        }
+    fn paired_ratio_alternates_the_first_side_every_pair() {
+        let log = std::cell::RefCell::new(String::new());
+        paired_ratio("order", 4, 2, || log.borrow_mut().push('a'), || log.borrow_mut().push('b'));
+        // Warm-up, then A first on even pairs and B first on odd ones.
+        assert_eq!(log.into_inner(), ["ab", "aabb", "bbaa", "aabb", "bbaa"].concat());
     }
 }
