@@ -22,9 +22,7 @@ use std::hint::black_box;
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::spoof::{SpoofDirection, SpoofingAttack};
 use swarm_sim::{scenario, DroneId, SimConfig, SimObserver, Simulation, SpatialPolicy};
-use swarmfuzz::campaign::{
-    run_campaign_with_options, CampaignConfig, CampaignRunOptions, SwarmConfig,
-};
+use swarmfuzz::campaign::{run_campaign, CampaignConfig, SwarmConfig};
 use swarmfuzz::telemetry::Counter;
 use swarmfuzz::{SvgBuilder, Telemetry, Trace};
 use swarmfuzz_bench::{
@@ -186,8 +184,8 @@ fn main() {
     }
 
     // Snapshot-and-fork execution: one small SwarmFuzz campaign with every
-    // search probe re-simulated from t = 0, and forked from the cached
-    // baseline snapshot. A fork only skips the no-attack prefix, so the
+    // search probe re-simulated from t = 0, and forked from its mission's
+    // baseline snapshot ring. A fork only skips the no-attack prefix, so the
     // floor catches the fast path turning into a slowdown; it does not
     // certify a headline number (DESIGN.md §10).
     {
@@ -198,8 +196,7 @@ fn main() {
             workers: 1,
         };
         let run = |snapshot| {
-            let options = CampaignRunOptions { snapshot, ..Default::default() };
-            run_campaign_with_options(&campaign, swarmfuzz_fuzzer, &options, &Trace::off())
+            run_campaign(&campaign, |d| swarmfuzz_fuzzer(d).with_snapshots(snapshot))
                 .expect("campaign must run")
         };
         assert_eq!(run(false), run(true), "snapshot execution must be invisible in the report");
@@ -228,7 +225,7 @@ fn main() {
         let sim = |spatial| {
             Simulation::new(spec.clone(), paper_controller())
                 .unwrap()
-                .with_config(SimConfig { spatial, ..Default::default() })
+                .with_config(SimConfig { spatial })
         };
         let (brute, grid) = (sim(SpatialPolicy::ForceOff), sim(SpatialPolicy::ForceOn));
         let record = brute.run(None).unwrap().record;

@@ -56,7 +56,7 @@ impl Timed {
 fn run_timed(spec: &swarm_sim::mission::MissionSpec, policy: SpatialPolicy, reps: usize) -> Timed {
     let sim = Simulation::new(spec.clone(), paper_controller())
         .unwrap()
-        .with_config(SimConfig { spatial: policy, ..Default::default() });
+        .with_config(SimConfig { spatial: policy });
     let mut best: Option<Timed> = None;
     for _ in 0..reps {
         let start = Instant::now();

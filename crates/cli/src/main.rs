@@ -245,11 +245,8 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
     let mut campaign = CampaignConfig::paper_grid(opts.missions, 0xC0FFEE);
     campaign.workers = workers;
     let ctrl = controller();
-    let options = CampaignRunOptions {
-        journal: opts.journal.clone(),
-        max_retries: opts.max_retries,
-        snapshot: opts.snapshot,
-    };
+    let options =
+        CampaignRunOptions { journal: opts.journal.clone(), max_retries: opts.max_retries };
     let attacks = opts.attacks;
 
     // Sinks are observational and live outside `CampaignRunOptions` (which
@@ -283,7 +280,10 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
 
     let report = run_campaign_with_options(
         &campaign,
-        |d| Fuzzer::new(ctrl, FuzzerConfig::swarmfuzz(d).with_waveforms(attacks)),
+        |d| {
+            Fuzzer::new(ctrl, FuzzerConfig::swarmfuzz(d).with_waveforms(attacks))
+                .with_snapshots(opts.snapshot)
+        },
         &options,
         &trace,
     )
@@ -404,8 +404,7 @@ fn cmd_stress(opts: &StressOpts) -> Result<(), CliError> {
         .comms
         .range
         .ok_or_else(|| CliError::Other("large_swarm scenario did not set a radio range".into()))?;
-    let sim = Simulation::new(spec.clone(), controller())?
-        .with_config(SimConfig { spatial, ..Default::default() });
+    let sim = Simulation::new(spec.clone(), controller())?.with_config(SimConfig { spatial });
 
     let started = std::time::Instant::now();
     let out = sim.run_observed(None, Some(&telemetry.trace()))?;

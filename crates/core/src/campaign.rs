@@ -12,10 +12,9 @@ use std::path::PathBuf;
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::SwarmController;
 
-use crate::executor::{ExecutionProfile, InProcessExecutor, MissionJob};
+use crate::executor::{ExecutorOptions, InProcessExecutor, MissionJob};
 use crate::fuzzer::{Fuzzer, FuzzerConfig, SpvFinding};
 use crate::server::run_scheduled;
-use crate::snapshot::SnapshotCache;
 use crate::store::{campaign_fingerprint, CampaignJournal, JournalRow};
 use crate::trace::{Trace, TraceEvent, TraceKey};
 use crate::FuzzError;
@@ -218,17 +217,11 @@ pub struct CampaignRunOptions {
     /// Retries per mission before it is quarantined as a `failed` row
     /// (0 = fail fast into the report).
     pub max_retries: usize,
-    /// Snapshot-and-fork execution: cache each mission's baseline trajectory
-    /// plus a snapshot ring (shared across all workers and fuzzer variants)
-    /// and fork every search probe from the newest snapshot preceding its
-    /// spoofing start instead of re-simulating the prefix. Bit-identical to
-    /// running with it off — only faster (`tests/snapshot_equivalence.rs`).
-    pub snapshot: bool,
 }
 
 impl Default for CampaignRunOptions {
     fn default() -> Self {
-        CampaignRunOptions { journal: None, max_retries: 1, snapshot: true }
+        CampaignRunOptions { journal: None, max_retries: 1 }
     }
 }
 
@@ -319,10 +312,6 @@ where
     let jobs: Vec<MissionJob> =
         all_jobs.into_iter().filter(|job| !completed.contains(&job.key())).collect();
 
-    // One snapshot cache for the whole campaign: every worker (and every
-    // fuzzer variant) forks from the same per-mission baselines.
-    let snapshot_cache = options.snapshot.then(SnapshotCache::new);
-
     // From here on the legacy runner is a thin client of the scheduler /
     // executor split: the same `InProcessExecutor` + `run_scheduled` path
     // the multi-tenant `CampaignServer` drives (bit-identical reports,
@@ -331,8 +320,7 @@ where
         campaign.base_seed,
         &make_fuzzer,
         trace.clone(),
-        ExecutionProfile { max_retries: options.max_retries },
-        snapshot_cache,
+        ExecutorOptions { max_retries: options.max_retries },
     );
 
     run_scheduled(&executor, jobs, campaign.workers, trace, |row| {

@@ -25,7 +25,6 @@ use crate::campaign::{
     campaign_mission, mission_base_seed, MissionFailure, MissionResult, SwarmConfig,
 };
 use crate::fuzzer::Fuzzer;
-use crate::snapshot::SnapshotCache;
 use crate::store::JournalRow;
 use crate::trace::{Trace, TraceEvent};
 use crate::FuzzError;
@@ -65,16 +64,18 @@ pub trait MissionExecutor: Send + Sync {
 
 /// Execution knobs orthogonal to a campaign's identity — none of these
 /// affect journal fingerprints or report contents (the same contract as
-/// [`crate::campaign::CampaignRunOptions`], which they mirror).
+/// [`crate::campaign::CampaignRunOptions`], minus journaling, which the
+/// scheduler owns). Whether probes fork from snapshots is the fuzzer's own
+/// setting ([`Fuzzer::with_snapshots`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecutionProfile {
+pub struct ExecutorOptions {
     /// Retries per mission before it is quarantined as a `failed` row.
     pub max_retries: usize,
 }
 
-impl Default for ExecutionProfile {
+impl Default for ExecutorOptions {
     fn default() -> Self {
-        ExecutionProfile { max_retries: 1 }
+        ExecutorOptions { max_retries: 1 }
     }
 }
 
@@ -86,8 +87,7 @@ pub struct InProcessExecutor<C, F> {
     base_seed: u64,
     make_fuzzer: F,
     trace: Trace,
-    profile: ExecutionProfile,
-    snapshot_cache: Option<SnapshotCache>,
+    options: ExecutorOptions,
     _controller: std::marker::PhantomData<fn() -> C>,
 }
 
@@ -97,22 +97,13 @@ where
     F: Fn(f64) -> Fuzzer<C>,
 {
     /// Builds an executor over `make_fuzzer` for the campaign seeded with
-    /// `base_seed`. `trace` instruments every job (scoped per mission);
-    /// `snapshot_cache` enables snapshot-and-fork execution (shared across
-    /// every job this executor runs).
-    pub fn new(
-        base_seed: u64,
-        make_fuzzer: F,
-        trace: Trace,
-        profile: ExecutionProfile,
-        snapshot_cache: Option<SnapshotCache>,
-    ) -> Self {
+    /// `base_seed`. `trace` instruments every job (scoped per mission).
+    pub fn new(base_seed: u64, make_fuzzer: F, trace: Trace, options: ExecutorOptions) -> Self {
         InProcessExecutor {
             base_seed,
             make_fuzzer,
             trace,
-            profile,
-            snapshot_cache,
+            options,
             _controller: std::marker::PhantomData,
         }
     }
@@ -125,12 +116,7 @@ where
         mission_trace: &Trace,
     ) -> Result<MissionResult, FuzzError> {
         let config = job.config;
-        let mut fuzzer = (self.make_fuzzer)(config.deviation)
-            .with_trace(mission_trace.clone())
-            .with_snapshots(self.snapshot_cache.is_some());
-        if let Some(cache) = &self.snapshot_cache {
-            fuzzer = fuzzer.with_snapshot_cache(cache.clone());
-        }
+        let fuzzer = (self.make_fuzzer)(config.deviation).with_trace(mission_trace.clone());
         // Deterministic, collision-free per-(config, index) seed stream.
         let start_seed = mission_base_seed(self.base_seed, config, job.index);
         let (seed, report) = with_baseline_skips(config, start_seed, 100, |seed| {
@@ -170,8 +156,8 @@ where
     ///
     /// Panics unwind no further than this frame: the simulation, fuzzer and
     /// controller run under `catch_unwind`, and every shared structure a
-    /// mission touches (snapshot cache, trace sinks) recovers from lock
-    /// poisoning, so the surviving workers keep draining the queue.
+    /// mission touches (the trace sinks) recovers from lock poisoning, so
+    /// the surviving workers keep draining the queue.
     fn execute(&self, job: &MissionJob) -> JournalRow {
         // One scoped handle per mission: every event of this mission is
         // keyed by its grid coordinates plus a fresh sequence counter,
@@ -184,7 +170,7 @@ where
                 .unwrap_or_else(|payload| Err(FuzzError::MissionPanic(panic_payload(payload))));
             match attempt {
                 Ok(result) => return JournalRow::Done { index: job.index, result },
-                Err(e) if retries < self.profile.max_retries => {
+                Err(e) if retries < self.options.max_retries => {
                     retries += 1;
                     mission_trace
                         .emit(TraceEvent::MissionRetry { attempt: retries, error: e.to_string() });

@@ -18,14 +18,13 @@
 //! | `S_Fuzz`   | SVG             | random           |
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use swarm_math::rng::{rng_for, streams};
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::recorder::MissionRecord;
 use swarm_sim::spoof::{Waveform, WaveformKind, WaveformSet};
-use swarm_sim::{DroneId, MissionOutcome, SimObserver, Simulation, SwarmController};
+use swarm_sim::{DroneId, SimObserver, Simulation, SwarmController};
 
 use crate::objective::{Evaluation, Objective};
 use crate::schedule::{
@@ -35,7 +34,7 @@ use crate::search::{
     gradient_search_traced, random_search, GradientConfig, SearchResult, ShapeBounds,
 };
 use crate::seed::Seed;
-use crate::snapshot::{cache_key, MissionCache, SnapshotCache, SnapshotRing};
+use crate::snapshot::{MissionCache, SnapshotRing};
 use crate::svg::CentralityKind;
 use crate::telemetry::Phase;
 use crate::trace::{Measurement, Trace, TraceEvent};
@@ -203,7 +202,6 @@ pub struct Fuzzer<C> {
     config: FuzzerConfig,
     trace: Trace,
     snapshots: bool,
-    snapshot_cache: Option<SnapshotCache>,
 }
 
 impl<C: SwarmController + Clone> Fuzzer<C> {
@@ -211,7 +209,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
     /// Snapshot forking is on by default (it is bit-identical to fresh
     /// simulation — see `tests/snapshot_equivalence.rs`).
     pub fn new(controller: C, config: FuzzerConfig) -> Self {
-        Fuzzer { controller, config, trace: Trace::off(), snapshots: true, snapshot_cache: None }
+        Fuzzer { controller, config, trace: Trace::off(), snapshots: true }
     }
 
     /// Attaches the instrumentation handle: typed pipeline events (probes,
@@ -234,20 +232,6 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
     pub fn with_snapshots(mut self, snapshots: bool) -> Self {
         self.snapshots = snapshots;
         self
-    }
-
-    /// Shares a baseline snapshot cache with other fuzzers (the campaign
-    /// layer hands every worker the same handle, so a mission's baseline is
-    /// simulated once across all fuzzer variants). Only consulted while
-    /// snapshots are enabled and the evaluation budget is non-zero.
-    pub fn with_snapshot_cache(mut self, cache: SnapshotCache) -> Self {
-        self.snapshot_cache = Some(cache);
-        self
-    }
-
-    /// `true` when snapshot-and-fork execution is enabled.
-    pub fn snapshots_enabled(&self) -> bool {
-        self.snapshots
     }
 
     /// The fuzzer configuration.
@@ -273,67 +257,47 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
 
         // Step 1: initial no-attack test. With snapshots on, the baseline
         // run also captures a snapshot ring for the window search to fork
-        // from; a shared campaign cache may already hold both. A search
-        // without an evaluation budget never probes, so it builds no ring.
-        let mut mission_cache: Option<Arc<MissionCache>> = None;
-        let mut owned_baseline: Option<MissionOutcome> = None;
-        if self.snapshots && self.config.eval_budget > 0 {
-            let key = cache_key(spec, sim.config().spatial);
-            let shared = self.snapshot_cache.as_ref();
-            if let Some(hit) = shared.and_then(|c| c.get(&key)) {
-                mission_cache = Some(hit);
-            } else {
-                let ring = RefCell::new(SnapshotRing::new(spec.steps_per_gps()));
-                let outcome = {
-                    let _span = self.trace.span(Phase::Baseline);
-                    sim.run_observed_with_snapshots(
-                        None,
-                        observer,
-                        |step| ring.borrow().wants(step),
-                        |snap| ring.borrow_mut().push(snap),
-                    )?
-                };
-                if let Some(c) = outcome.first_collision() {
-                    self.trace.emit(TraceEvent::BaselineRejected {
-                        mission_seed: spec.seed,
-                        time: c.time,
-                    });
-                    return Err(FuzzError::BaselineCollision(*c));
-                }
-                let built = Arc::new(MissionCache::from_ring(outcome.record, ring.into_inner()));
-                if let Some(shared) = shared {
-                    shared.insert(key, built.clone());
-                }
-                mission_cache = Some(built);
-            }
-        } else {
+        // from; the ring lives until this call returns. A search without an
+        // evaluation budget never probes, so it builds no ring.
+        let (baseline, ring) = if self.snapshots && self.config.eval_budget > 0 {
+            let ring = RefCell::new(SnapshotRing::new(spec.steps_per_gps()));
             let outcome = {
                 let _span = self.trace.span(Phase::Baseline);
-                sim.run_observed(None, observer)?
+                sim.run_observed_with_snapshots(
+                    None,
+                    observer,
+                    |step| ring.borrow().wants(step),
+                    |snap| ring.borrow_mut().push(snap),
+                )?
             };
-            if let Some(c) = outcome.first_collision() {
-                self.trace
-                    .emit(TraceEvent::BaselineRejected { mission_seed: spec.seed, time: c.time });
-                return Err(FuzzError::BaselineCollision(*c));
-            }
-            owned_baseline = Some(outcome);
+            (outcome, Some(ring.into_inner()))
+        } else {
+            let _span = self.trace.span(Phase::Baseline);
+            (sim.run_observed(None, observer)?, None)
+        };
+        if let Some(c) = baseline.first_collision() {
+            self.trace.emit(TraceEvent::BaselineRejected { mission_seed: spec.seed, time: c.time });
+            return Err(FuzzError::BaselineCollision(*c));
         }
-        let record: &MissionRecord = match (&mission_cache, &owned_baseline) {
+        let (mission_cache, unforked) = match ring {
+            Some(ring) => (Some(MissionCache::from_ring(baseline.record, ring)), None),
+            None => (None, Some(baseline.record)),
+        };
+        let record: &MissionRecord = match (&mission_cache, &unforked) {
             (Some(cache), _) => cache.baseline(),
-            (None, Some(outcome)) => &outcome.record,
+            (None, Some(record)) => record,
             (None, None) => unreachable!("one baseline source is always populated"),
         };
         let (vdo_drone, mission_vdo) = record.mission_vdo().ok_or(FuzzError::NoObstacle)?;
-        // Emitted whether the baseline was freshly simulated or served from
-        // the shared cache: the cache entry is built deterministically from
-        // the same mission, so the event content — and with it the trace —
-        // is independent of cache hit patterns (i.e. of the worker count).
+        // `snapshots` and `stride` describe the ring built above (0 without
+        // one); canonical traces strip them with the other execution-detail
+        // fields.
         self.trace.emit(TraceEvent::BaselineDone {
             vdo: mission_vdo,
             vdo_drone: vdo_drone.index(),
             duration: record.duration(),
-            snapshots: mission_cache.as_ref().map_or(0, |c| c.ring_len()),
-            stride: mission_cache.as_ref().map_or(0, |c| c.stride()),
+            snapshots: mission_cache.as_ref().map_or(0, MissionCache::ring_len),
+            stride: mission_cache.as_ref().map_or(0, MissionCache::stride),
         });
 
         // Step 2: seed scheduling.
@@ -379,7 +343,7 @@ impl<C: SwarmController + Clone> Fuzzer<C> {
             });
             let result = self.search_seed(
                 &sim,
-                mission_cache.as_deref(),
+                mission_cache.as_ref(),
                 record,
                 *seed,
                 remaining,

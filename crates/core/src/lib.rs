@@ -71,14 +71,14 @@ pub mod trace;
 pub mod wire;
 
 pub use error::FuzzError;
-pub use executor::{ExecutionProfile, InProcessExecutor, MissionExecutor, MissionJob};
+pub use executor::{InProcessExecutor, MissionExecutor, MissionJob};
 pub use fuzzer::{FuzzReport, Fuzzer, FuzzerConfig, SearchStrategy, SeedStrategy, SpvFinding};
 pub use seed::{Seed, Seedpool};
 pub use server::{
     CampaignServer, CampaignSpec, FairQueue, FuzzerVariant, JobPhase, JobStatus, ServerConfig,
     ServerError,
 };
-pub use snapshot::{MissionCache, SnapshotCache, SnapshotRing};
+pub use snapshot::{MissionCache, SnapshotRing};
 pub use store::{CampaignJournal, StoreError};
 pub use svg::{CentralityKind, SvgAnalysis, SvgBuilder};
 pub use telemetry::{Telemetry, TelemetryReport};

@@ -35,9 +35,9 @@ use swarm_sim::spoof::WaveformSet;
 use swarm_sim::SwarmController;
 
 use crate::campaign::{report_from_rows, CampaignConfig, CampaignReport, SwarmConfig};
-use crate::executor::{ExecutionProfile, InProcessExecutor, MissionExecutor, MissionJob};
+pub use crate::executor::ExecutorOptions;
+use crate::executor::{InProcessExecutor, MissionExecutor, MissionJob};
 use crate::fuzzer::{Fuzzer, FuzzerConfig};
-use crate::snapshot::SnapshotCache;
 use crate::store::{
     campaign_fingerprint, parse_json, push_field_f64, push_json_string, CampaignJournal,
     JournalRow, Json, StoreError,
@@ -768,9 +768,9 @@ pub struct JobStatus {
 struct JobState {
     tenant: String,
     fingerprint: String,
-    /// The job's executor while missions are pending; dropped (with its
-    /// snapshot cache) when the job turns `Done` or `Failed`, so finished
-    /// jobs keep only their rows and report.
+    /// The job's executor while missions are pending; dropped when the job
+    /// turns `Done` or `Failed`, so finished jobs keep only their rows and
+    /// report.
     executor: Option<Arc<dyn MissionExecutor>>,
     total: usize,
     rows: Vec<JournalRow>,
@@ -797,28 +797,12 @@ struct ServerState {
 /// backend choice) lives entirely inside the factory.
 pub type ExecutorFactory = Box<dyn Fn(&CampaignSpec) -> Arc<dyn MissionExecutor> + Send + Sync>;
 
-/// Execution knobs for [`in_process_factory`] (the server-side mirror of
-/// [`crate::campaign::CampaignRunOptions`], minus journaling — the server
-/// owns shard journals).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecutorOptions {
-    /// Retries per mission before quarantine.
-    pub max_retries: usize,
-    /// Snapshot-and-fork execution (fresh cache per job, as a direct run).
-    pub snapshot: bool,
-}
-
-impl Default for ExecutorOptions {
-    fn default() -> Self {
-        ExecutorOptions { max_retries: 1, snapshot: true }
-    }
-}
-
 /// The standard in-process executor factory: one [`InProcessExecutor`] per
 /// job, configured exactly like a direct
-/// [`crate::campaign::run_campaign_with_options`] of the same spec (fresh
-/// snapshot cache per campaign), so served reports are bit-identical to
-/// direct runs. An enabled `telemetry` counts every job's events.
+/// [`crate::campaign::run_campaign_with_options`] of the same spec (default
+/// fuzzers, so every probe forks from its own mission's ring), so served
+/// reports are bit-identical to direct runs. An enabled `telemetry` counts
+/// every job's events.
 pub fn in_process_factory<C>(
     controller: C,
     options: ExecutorOptions,
@@ -832,14 +816,11 @@ where
         let spec = spec.clone();
         let controller = controller.clone();
         let base_seed = spec.campaign.base_seed;
-        let cache = options.snapshot.then(SnapshotCache::new);
-        let profile = ExecutionProfile { max_retries: options.max_retries };
         Arc::new(InProcessExecutor::new(
             base_seed,
             move |deviation| Fuzzer::new(controller.clone(), spec.fuzzer_config(deviation)),
             trace.clone(),
-            profile,
-            cache,
+            options.clone(),
         ))
     })
 }

@@ -1,4 +1,4 @@
-//! Baseline snapshot cache for fork-from-prefix fuzzing.
+//! Baseline snapshot ring for fork-from-prefix fuzzing.
 //!
 //! Every candidate window `(t_s, Δt)` the window search probes used to
 //! re-simulate the identical no-attack prefix `[0, t_s)` from scratch — the
@@ -10,42 +10,17 @@
 //! every probe forks from the newest snapshot admitting its start time
 //! ([`SimSnapshot::admits_attack_start`]) instead of re-simulating.
 //!
-//! [`SnapshotCache`] shares these per-mission caches across the fuzzer
-//! configurations of a campaign: all four ablation variants (and both
-//! deviations) fuzz the same `(mission fingerprint, seed, grid policy)`
-//! missions, so the baseline is simulated once and forked everywhere.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+//! [`crate::Fuzzer::fuzz`] builds one per mission and drops it when the
+//! mission's search returns: no other mission could fork from it, because
+//! every campaign mission has its own seed.
 
 use swarm_sim::dynamics::PointMass;
-use swarm_sim::mission::MissionSpec;
 use swarm_sim::recorder::MissionRecord;
-use swarm_sim::{SimSnapshot, SpatialPolicy};
+use swarm_sim::SimSnapshot;
 
 /// Ring size that triggers thinning: when the ring outgrows this, every
 /// other snapshot is dropped and the capture stride doubles.
 const RING_CAPACITY: usize = 256;
-
-/// Missions kept in a shared [`SnapshotCache`] before the oldest entry is
-/// evicted. Bounds campaign memory: a paper-scale mission cache (record +
-/// ring) is a few megabytes, and a campaign can visit hundreds of missions.
-const CACHE_CAPACITY: usize = 16;
-
-/// The key identifying one cached mission: `(MissionSpec fingerprint,
-/// mission seed, spatial-policy tag)`. The fingerprint already covers the
-/// seed; it is kept separately so human-readable keys survive debugging.
-pub type CacheKey = (u64, u64, u8);
-
-/// Derives the [`CacheKey`] for a mission run under `policy`.
-pub fn cache_key(spec: &MissionSpec, policy: SpatialPolicy) -> CacheKey {
-    let tag = match policy {
-        SpatialPolicy::Auto => 0,
-        SpatialPolicy::ForceOn => 1,
-        SpatialPolicy::ForceOff => 2,
-    };
-    (spec.fingerprint(), spec.seed, tag)
-}
 
 /// One mission's fork sources: the collision-free baseline record and a ring
 /// of snapshots along its trajectory (ascending capture step).
@@ -57,21 +32,15 @@ pub struct MissionCache {
 }
 
 impl MissionCache {
-    /// Bundles a baseline record with its snapshot ring.
-    pub fn new(baseline: MissionRecord, ring: Vec<SimSnapshot<PointMass>>) -> Self {
-        MissionCache { baseline, ring, stride: 0 }
-    }
-
     /// Bundles a baseline record with a finalized [`SnapshotRing`],
     /// preserving the ring's self-tuned capture stride so trace consumers
-    /// can report it whether the cache was freshly built or shared.
+    /// can report it.
     pub fn from_ring(baseline: MissionRecord, ring: SnapshotRing) -> Self {
         let stride = ring.stride();
         MissionCache { baseline, ring: ring.into_snapshots(), stride }
     }
 
-    /// Capture stride of the ring in physics steps (0 when unknown, e.g. a
-    /// cache built from bare snapshots via [`MissionCache::new`]).
+    /// Capture stride of the ring in physics steps.
     pub fn stride(&self) -> usize {
         self.stride
     }
@@ -155,106 +124,16 @@ impl SnapshotRing {
     }
 }
 
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<CacheKey, Arc<MissionCache>>,
-    /// Insertion order, oldest first (FIFO eviction).
-    order: Vec<CacheKey>,
-}
-
-/// A thread-safe, bounded `(mission, policy) → MissionCache` map shared by
-/// every worker of a campaign run. Cloning the handle shares the store.
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotCache {
-    inner: Arc<Mutex<CacheInner>>,
-}
-
-impl SnapshotCache {
-    /// An empty shared cache.
-    pub fn new() -> Self {
-        SnapshotCache::default()
-    }
-
-    /// Looks up a mission's fork sources.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<MissionCache>> {
-        self.lock().map.get(key).cloned()
-    }
-
-    /// Inserts a mission's fork sources, evicting the oldest entry beyond
-    /// [`CACHE_CAPACITY`]. Re-inserting an existing key replaces the value
-    /// without refreshing its eviction age.
-    pub fn insert(&self, key: CacheKey, cache: Arc<MissionCache>) {
-        let mut inner = self.lock();
-        if inner.map.insert(key, cache).is_none() {
-            inner.order.push(key);
-        }
-        while inner.order.len() > CACHE_CAPACITY {
-            let oldest = inner.order.remove(0);
-            inner.map.remove(&oldest);
-        }
-    }
-
-    /// Number of cached missions.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        // A worker that panicked mid-insert leaves at worst a consistent
-        // (map, order) pair from before its mutation; recover rather than
-        // cascade the poison to every other campaign worker.
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn dummy_record() -> MissionRecord {
-        MissionRecord::new(1, 0.1)
-    }
-
-    #[test]
-    fn cache_key_distinguishes_spec_seed_and_policy() {
-        let a = MissionSpec::paper_delivery(5, 1);
-        let b = MissionSpec::paper_delivery(5, 2);
-        assert_ne!(cache_key(&a, SpatialPolicy::Auto), cache_key(&b, SpatialPolicy::Auto));
-        assert_ne!(cache_key(&a, SpatialPolicy::Auto), cache_key(&a, SpatialPolicy::ForceOn));
-        assert_eq!(cache_key(&a, SpatialPolicy::Auto), cache_key(&a, SpatialPolicy::Auto));
-    }
-
-    #[test]
-    fn snapshot_cache_is_bounded_fifo() {
-        let cache = SnapshotCache::new();
-        for i in 0..(CACHE_CAPACITY as u64 + 4) {
-            let key = (i, i, 0);
-            cache.insert(key, Arc::new(MissionCache::new(dummy_record(), Vec::new())));
-        }
-        assert_eq!(cache.len(), CACHE_CAPACITY);
-        assert!(cache.get(&(0, 0, 0)).is_none(), "oldest entries must be evicted");
-        assert!(cache.get(&(CACHE_CAPACITY as u64 + 3, CACHE_CAPACITY as u64 + 3, 0)).is_some());
-    }
-
-    #[test]
-    fn snapshot_cache_is_shared_across_clones() {
-        let a = SnapshotCache::new();
-        let b = a.clone();
-        a.insert((1, 1, 0), Arc::new(MissionCache::new(dummy_record(), Vec::new())));
-        assert!(b.get(&(1, 1, 0)).is_some());
-    }
 
     #[test]
     fn ring_thins_and_doubles_stride() {
         // Feed snapshots for every step of a long "mission" through the
         // wants/push protocol and check the bound holds.
-        use swarm_sim::Simulation;
-        use swarm_sim::{ControlContext, SwarmController};
+        use swarm_sim::mission::MissionSpec;
+        use swarm_sim::{ControlContext, Simulation, SwarmController};
         struct Hover;
         impl SwarmController for Hover {
             fn desired_velocity(&self, _ctx: &ControlContext<'_>) -> swarm_math::Vec3 {

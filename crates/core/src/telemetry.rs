@@ -88,8 +88,7 @@ impl Phase {
 /// [`Counter::PrefixStepsSaved`] are derived from trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Collision-free baselines, simulated or served from the snapshot
-    /// cache (`baseline` events).
+    /// Collision-free baselines (`baseline` events).
     MissionsRun,
     /// Objective evaluations (attacked missions) spent (`probe` events).
     Evaluations,

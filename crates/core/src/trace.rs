@@ -23,7 +23,7 @@
 //!
 //! # The measurement side channel
 //!
-//! What depends on the machine, the worker or the snapshot cache — phase
+//! What depends on the machine, the worker or snapshot forking — phase
 //! wall-clock ([`Trace::span`]), simulation loop counts
 //! ([`Trace`]'s [`SimObserver`] impl), prefix steps a fork skipped and
 //! per-worker progress — travels as a [`Measurement`] through
@@ -613,7 +613,7 @@ pub fn validate_json(text: &str) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 /// An execution measurement no [`TraceEvent`] may carry: it depends on the
-/// machine, the worker or the snapshot cache, so it would break the
+/// machine, the worker or snapshot forking, so it would break the
 /// logical-time contract. Delivered through [`TraceSink::measure`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Measurement {

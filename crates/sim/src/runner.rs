@@ -131,29 +131,16 @@ pub trait SimObserver: Sync {
     fn on_run_end(&self, stats: &RunStats);
 }
 
-/// Runtime options of the simulation loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Runtime options of the simulation loop. The loop always stops at the
+/// first collision (the fuzzer's objective is already decided there) and
+/// once every drone has reached the destination.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimConfig {
-    /// Stop the mission at the first collision (the fuzzer's objective is
-    /// already decided at that point).
-    pub stop_on_collision: bool,
-    /// Stop once every drone has reached the destination.
-    pub stop_when_all_arrived: bool,
     /// Neighbor-engine selection: brute-force O(n²) scans vs the spatial
     /// grid. The default ([`SpatialPolicy::Auto`]) keeps paper-scale swarms
     /// on the exact code path the reproduction has always used and switches
     /// large swarms to the (bit-identical) grid pipeline.
     pub spatial: SpatialPolicy,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            stop_on_collision: true,
-            stop_when_all_arrived: true,
-            spatial: SpatialPolicy::Auto,
-        }
-    }
 }
 
 /// The outcome of one simulated mission.
@@ -719,7 +706,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
                     record.mark_arrival(DroneId(d), t);
                 }
             }
-            if self.config.stop_when_all_arrived && record.all_arrived() {
+            if record.all_arrived() {
                 st.done = true;
                 return Ok(true);
             }
@@ -813,7 +800,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
                 }
             }
         }
-        if collided && self.config.stop_on_collision {
+        if collided {
             st.done = true;
             return Ok(true);
         }
@@ -1261,10 +1248,10 @@ mod tests {
         spec.comms.range = Some(25.0);
         let brute = Simulation::new(spec.clone(), BeeLine)
             .unwrap()
-            .with_config(SimConfig { spatial: SpatialPolicy::ForceOff, ..Default::default() });
+            .with_config(SimConfig { spatial: SpatialPolicy::ForceOff });
         let grid = Simulation::new(spec, BeeLine)
             .unwrap()
-            .with_config(SimConfig { spatial: SpatialPolicy::ForceOn, ..Default::default() });
+            .with_config(SimConfig { spatial: SpatialPolicy::ForceOn });
 
         let capture_off = Capture(Mutex::new(None));
         let capture_on = Capture(Mutex::new(None));

@@ -25,10 +25,8 @@ use swarm_sim::spoof::{SpoofDirection, SpoofingAttack, Waveform, WaveformKind, W
 use swarm_sim::{DroneId, SimConfig, Simulation, SpatialPolicy};
 use swarm_testkit::gens::{f64_in, one_of, u64_in, usize_in, zip2, zip3, zip4};
 use swarm_testkit::{cases, check_budgeted, tk_ensure, Gen};
-use swarmfuzz::campaign::{
-    run_campaign_with_options, CampaignConfig, CampaignRunOptions, SwarmConfig,
-};
-use swarmfuzz::{Fuzzer, FuzzerConfig, Trace};
+use swarmfuzz::campaign::{run_campaign, CampaignConfig, SwarmConfig};
+use swarmfuzz::{Fuzzer, FuzzerConfig};
 
 fn controller() -> VasarhelyiController {
     VasarhelyiController::new(VasarhelyiParams::default())
@@ -74,7 +72,7 @@ fn short_mission(case: &ZooCase) -> MissionSpec {
 fn sim_for(case: &ZooCase) -> Result<Simulation<VasarhelyiController>, String> {
     Ok(Simulation::new(short_mission(case), controller())
         .map_err(|e| e.to_string())?
-        .with_config(SimConfig { spatial: case.policy, ..Default::default() }))
+        .with_config(SimConfig { spatial: case.policy }))
 }
 
 /// Every class of the zoo at a representative shape, over `case`'s window.
@@ -134,7 +132,7 @@ fn attack_records_are_pinned_for_every_class_and_grid_policy() {
     for policy in policies() {
         let sim = Simulation::new(spec.clone(), controller())
             .unwrap()
-            .with_config(SimConfig { spatial: policy, ..Default::default() });
+            .with_config(SimConfig { spatial: policy });
         for (waveform, expected) in pinned {
             let attack = SpoofingAttack::from_waveform(
                 waveform,
@@ -450,14 +448,12 @@ fn tiny_campaign(workers: usize) -> CampaignConfig {
 
 #[test]
 fn campaign_reports_are_identical_across_workers_and_snapshots() {
-    let make = |deviation: f64| {
-        let config = FuzzerConfig { eval_budget: 4, ..FuzzerConfig::swarmfuzz(deviation) };
-        Fuzzer::new(controller(), config)
-    };
     let run = |workers: usize, snapshot: bool| {
-        let options = CampaignRunOptions { snapshot, ..Default::default() };
-        run_campaign_with_options(&tiny_campaign(workers), make, &options, &Trace::off())
-            .expect("campaign must run")
+        let make = |deviation: f64| {
+            let config = FuzzerConfig { eval_budget: 4, ..FuzzerConfig::swarmfuzz(deviation) };
+            Fuzzer::new(controller(), config).with_snapshots(snapshot)
+        };
+        run_campaign(&tiny_campaign(workers), make).expect("campaign must run")
     };
     let reference = run(1, false);
     assert_eq!(reference.missions.len(), 4);

@@ -38,13 +38,12 @@ fn tiny_campaign(workers: usize) -> CampaignConfig {
     }
 }
 
-fn fuzzer(deviation: f64) -> Fuzzer<VasarhelyiController> {
-    let config = FuzzerConfig { eval_budget: 2, ..FuzzerConfig::swarmfuzz(deviation) };
-    Fuzzer::new(controller(), config)
-}
-
 fn run(workers: usize, trace: &Trace, snapshot: bool) -> CampaignReport {
-    let options = CampaignRunOptions { snapshot, ..CampaignRunOptions::default() };
+    let fuzzer = |deviation: f64| {
+        let config = FuzzerConfig { eval_budget: 2, ..FuzzerConfig::swarmfuzz(deviation) };
+        Fuzzer::new(controller(), config).with_snapshots(snapshot)
+    };
+    let options = CampaignRunOptions::default();
     run_campaign_with_options(&tiny_campaign(workers), fuzzer, &options, trace)
         .expect("campaign must run")
 }

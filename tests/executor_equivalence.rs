@@ -4,7 +4,7 @@
 //! `run_scheduled` + `InProcessExecutor` path the multi-tenant
 //! [`CampaignServer`] drives. That refactor is only admissible because it is
 //! *bit-identical*: this suite pins served reports against direct runs
-//! across the worker × snapshot matrix, through shard-journal resume
+//! across worker counts and snapshot settings, through shard-journal resume
 //! (instant, partial, and mid-shutdown), through panic quarantine on both
 //! paths, and end-to-end over the TCP wire protocol.
 
@@ -25,8 +25,8 @@ use swarmfuzz::server::{
 };
 use swarmfuzz::wire::{serve, serve_connection, Client, ClientMsg, WireError};
 use swarmfuzz::{
-    CampaignServer, CampaignSpec, ExecutionProfile, Fuzzer, FuzzerConfig, InProcessExecutor,
-    JobPhase, MissionExecutor, ServerConfig, Telemetry, Trace,
+    CampaignServer, CampaignSpec, Fuzzer, FuzzerConfig, InProcessExecutor, JobPhase,
+    MissionExecutor, ServerConfig, Telemetry, Trace,
 };
 
 fn controller() -> VasarhelyiController {
@@ -100,18 +100,21 @@ fn serve_report(
 
 #[test]
 fn served_reports_match_direct_runs_across_workers_and_toggles() {
+    // The server's fuzzers always fork; its reports must equal direct runs
+    // whose fuzzers fork and whose fuzzers re-simulate every probe.
     let spec = tiny_spec(21);
-    for snapshot in [true, false] {
-        let direct = direct_report(&spec, &CampaignRunOptions { snapshot, ..Default::default() });
-        assert_eq!(direct.missions.len() + direct.failures.len(), 4);
-        for workers in [1usize, 4] {
-            let options = ExecutorOptions { snapshot, ..Default::default() };
-            let served = serve_report(&spec, workers, options, None);
-            assert_eq!(
-                served, direct,
-                "served report diverged (workers={workers}, snapshot={snapshot})"
-            );
-        }
+    let direct = |snapshot: bool| {
+        run_campaign(&spec.campaign, |deviation| {
+            Fuzzer::new(controller(), spec.fuzzer_config(deviation)).with_snapshots(snapshot)
+        })
+        .expect("direct campaign must run")
+    };
+    let (fresh, forked) = (direct(false), direct(true));
+    assert_eq!(fresh.missions.len() + fresh.failures.len(), 4);
+    for workers in [1usize, 4] {
+        let served = serve_report(&spec, workers, ExecutorOptions::default(), None);
+        assert_eq!(served, fresh, "served report diverged (workers={workers}, snapshots off)");
+        assert_eq!(served, forked, "served report diverged (workers={workers}, snapshots on)");
     }
 }
 
@@ -282,8 +285,7 @@ fn panicking_missions_are_quarantined_on_the_server_path() {
                 Fuzzer::new(controller(), spec.fuzzer_config(deviation))
             },
             Trace::off(),
-            ExecutionProfile::default(),
-            None,
+            ExecutorOptions::default(),
         ))
     });
     let server = CampaignServer::start(

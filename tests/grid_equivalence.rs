@@ -159,7 +159,7 @@ fn run_with_policy(
 ) -> swarm_sim::MissionOutcome {
     Simulation::new(spec.clone(), controller())
         .unwrap()
-        .with_config(SimConfig { spatial: policy, ..Default::default() })
+        .with_config(SimConfig { spatial: policy })
         .run(None)
         .unwrap()
 }

@@ -133,7 +133,8 @@ fn olfati_saber_baseline_also_flies_collision_free() {
 fn crashed_drone_stays_out_of_the_mission() {
     // Force a crash by placing a bee-line controller swarm of one drone on a
     // collision course; after the crash the recording must stop growing
-    // (stop_on_collision) and the collision must be attributed correctly.
+    // (the loop stops at the first collision) and the collision must be
+    // attributed correctly.
     use swarm_math::Vec2;
     use swarm_sim::{ControlContext, SwarmController};
 

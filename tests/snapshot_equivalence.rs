@@ -16,6 +16,8 @@
 //!   and the paper's eval budget is conserved: a forked probe counts
 //!   exactly one search iteration.
 
+use std::sync::Arc;
+
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::spoof::SpoofingAttack;
@@ -23,9 +25,12 @@ use swarm_sim::{SimConfig, Simulation, SpatialPolicy};
 use swarm_testkit::gens::{f64_in, one_of, u64_in, usize_in, zip2, zip4};
 use swarm_testkit::{cases, check_budgeted, gens, tk_ensure, Gen};
 use swarmfuzz::campaign::{
-    run_campaign_with_options, CampaignConfig, CampaignRunOptions, SwarmConfig,
+    run_campaign, run_campaign_with_options, CampaignConfig, CampaignReport, CampaignRunOptions,
+    SwarmConfig,
 };
-use swarmfuzz::{Fuzzer, FuzzerConfig, SnapshotCache, Telemetry, Trace};
+use swarmfuzz::telemetry::Counter;
+use swarmfuzz::trace::RingSink;
+use swarmfuzz::{Fuzzer, FuzzerConfig, Telemetry, Trace, TraceEvent};
 
 fn controller() -> VasarhelyiController {
     VasarhelyiController::new(VasarhelyiParams::default())
@@ -67,7 +72,7 @@ fn fork_case() -> Gen<ForkCase> {
 fn assert_fork_matches_fresh(spec: &MissionSpec, case: &ForkCase) -> Result<(), String> {
     let sim = Simulation::new(spec.clone(), controller())
         .map_err(|e| e.to_string())?
-        .with_config(SimConfig { spatial: case.policy, ..Default::default() });
+        .with_config(SimConfig { spatial: case.policy });
     let attack = SpoofingAttack::new(
         0.into(),
         swarm_sim::spoof::SpoofDirection::Right,
@@ -196,9 +201,9 @@ fn eval_budget_is_conserved_under_forking() {
         assert_eq!(on, off, "snapshot toggle changed the report at budget {budget}");
         // Every evaluation was either a fork hit or a fork miss — no probe
         // escapes the accounting.
-        let hits = telemetry.counter(swarmfuzz::telemetry::Counter::ForkHits);
-        let misses = telemetry.counter(swarmfuzz::telemetry::Counter::ForkMisses);
-        let evaluations = telemetry.counter(swarmfuzz::telemetry::Counter::Evaluations);
+        let hits = telemetry.counter(Counter::ForkHits);
+        let misses = telemetry.counter(Counter::ForkMisses);
+        let evaluations = telemetry.counter(Counter::Evaluations);
         assert_eq!(evaluations, on.evaluations as u64, "one probe event per evaluation");
         assert_eq!(
             hits + misses,
@@ -208,17 +213,39 @@ fn eval_budget_is_conserved_under_forking() {
     }
 }
 
+/// Fuzzes `spec` with snapshots on under `budget` and returns the
+/// `(snapshots, stride)` of the ring its `baseline` event reports.
+fn baseline_ring(spec: &MissionSpec, budget: usize) -> (usize, usize) {
+    let ring = Arc::new(RingSink::new(1 << 12));
+    fuzzer_with(10.0, budget, true)
+        .with_trace(Trace::new(ring.clone()))
+        .fuzz(spec)
+        .expect("fuzz must run");
+    let rings: Vec<(usize, usize)> = ring
+        .records()
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::BaselineDone { snapshots, stride, .. } => Some((snapshots, stride)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rings.len(), 1, "one baseline per fuzzed mission");
+    rings[0]
+}
+
 #[test]
 fn budget_zero_search_builds_no_fork_ring() {
     // A search with no evaluation budget never probes, so a snapshot ring
-    // would never be read: the shared cache stays empty and the report is
-    // the snapshots-off report.
+    // would never be read: none is built and the report is the
+    // snapshots-off report. The same mission with a budget does build one,
+    // so the check can fail.
     for seed in [3u64, 11, 29] {
         let spec = MissionSpec::paper_delivery(5, seed);
-        let cache = SnapshotCache::new();
-        let on = fuzzer_with(10.0, 0, true).with_snapshot_cache(cache.clone()).fuzz(&spec);
+        assert_eq!(baseline_ring(&spec, 0), (0, 0), "budget-0 fuzz built a ring (seed {seed})");
+        let (snapshots, stride) = baseline_ring(&spec, 20);
+        assert!(snapshots > 0 && stride > 0, "budget-20 fuzz built no ring (seed {seed})");
+        let on = fuzzer_with(10.0, 0, true).fuzz(&spec);
         let off = fuzzer_with(10.0, 0, false).fuzz(&spec);
-        assert!(cache.is_empty(), "budget-0 fuzz cached a ring (seed {seed})");
         assert_eq!(format!("{on:?}"), format!("{off:?}"), "report diverged (seed {seed})");
     }
 }
@@ -235,15 +262,15 @@ fn tiny_campaign(workers: usize) -> CampaignConfig {
     }
 }
 
+/// The campaign tests' fuzzer, with the default snapshot setting.
+fn tiny_fuzzer(deviation: f64) -> Fuzzer<VasarhelyiController> {
+    Fuzzer::new(controller(), FuzzerConfig { eval_budget: 4, ..FuzzerConfig::swarmfuzz(deviation) })
+}
+
 #[test]
 fn campaign_reports_are_bit_identical_snapshots_on_vs_off_across_workers() {
-    let make = |deviation: f64| {
-        let config = FuzzerConfig { eval_budget: 4, ..FuzzerConfig::swarmfuzz(deviation) };
-        Fuzzer::new(controller(), config)
-    };
     let run = |workers: usize, snapshot: bool| {
-        let options = CampaignRunOptions { snapshot, ..Default::default() };
-        run_campaign_with_options(&tiny_campaign(workers), make, &options, &Trace::off())
+        run_campaign(&tiny_campaign(workers), |d| tiny_fuzzer(d).with_snapshots(snapshot))
             .expect("campaign must run")
     };
     let reference = run(1, false);
@@ -254,26 +281,49 @@ fn campaign_reports_are_bit_identical_snapshots_on_vs_off_across_workers() {
     }
 }
 
-#[test]
-fn campaign_snapshot_cache_is_shared_and_forking_dominates() {
-    // With snapshots on, the campaign shares one cache across workers: each
-    // mission's baseline is simulated once and the window-search probes fork
-    // from it. The hit counters prove the fast path actually engaged.
-    let make = |deviation: f64| {
-        let config = FuzzerConfig { eval_budget: 4, ..FuzzerConfig::swarmfuzz(deviation) };
-        Fuzzer::new(controller(), config)
-    };
+/// Runs `tiny_campaign` on two workers through the instrumented runner
+/// with default options, counting its events.
+fn counted_campaign<F>(make: F) -> (CampaignReport, Telemetry)
+where
+    F: Fn(f64) -> Fuzzer<VasarhelyiController> + Sync,
+{
     let telemetry = Telemetry::enabled(2);
     let options = CampaignRunOptions::default();
     let report = run_campaign_with_options(&tiny_campaign(2), make, &options, &telemetry.trace())
         .expect("campaign must run");
+    (report, telemetry)
+}
+
+#[test]
+fn campaign_probes_fork_from_their_missions_ring() {
+    // With snapshots on, each mission's baseline run builds a snapshot ring
+    // and that mission's window-search probes fork from it. The hit
+    // counters prove the fast path actually engaged.
+    let (report, telemetry) = counted_campaign(tiny_fuzzer);
     let evals: u64 = report.missions.iter().map(|m| m.evaluations as u64).sum();
-    let hits = telemetry.counter(swarmfuzz::telemetry::Counter::ForkHits);
-    let misses = telemetry.counter(swarmfuzz::telemetry::Counter::ForkMisses);
+    let hits = telemetry.counter(Counter::ForkHits);
+    let misses = telemetry.counter(Counter::ForkMisses);
     assert_eq!(hits + misses, evals);
-    assert!(hits > 0, "campaign probes must fork from cached snapshots");
+    assert!(hits > 0, "campaign probes must fork from their mission's snapshots");
     assert!(
-        telemetry.counter(swarmfuzz::telemetry::Counter::PrefixStepsSaved) > 0,
+        telemetry.counter(Counter::PrefixStepsSaved) > 0,
         "forking must skip prefix physics steps"
     );
+}
+
+#[test]
+fn fuzzers_own_snapshot_setting_is_the_only_one() {
+    // Default campaign options leave a fuzzer built with snapshots off
+    // re-simulating every probe (`fork: None` on every probe event), with
+    // the report of the default, forking fuzzer.
+    let (forked, forked_counts) = counted_campaign(tiny_fuzzer);
+    let (fresh, fresh_counts) = counted_campaign(|d| tiny_fuzzer(d).with_snapshots(false));
+    assert!(forked_counts.counter(Counter::ForkHits) > 0, "the default fuzzer forks");
+    assert!(fresh_counts.counter(Counter::Evaluations) > 0, "the campaign probed");
+    assert_eq!(
+        fresh_counts.counter(Counter::ForkHits) + fresh_counts.counter(Counter::ForkMisses),
+        0,
+        "a fuzzer built with snapshots off must not fork"
+    );
+    assert_eq!(fresh, forked, "snapshot forking must not change the report");
 }
