@@ -112,7 +112,8 @@ fn main() {
         row(&mut csv, &format!("svg_build/{n}"), format!("{ns:.0}"));
     }
 
-    // One full attacked mission (one objective evaluation).
+    // One whole attacked mission (an objective evaluation's search probe
+    // stops earlier, at the obstacle horizon).
     {
         let spec = MissionSpec::paper_delivery(5, 1);
         let sim = Simulation::new(spec, paper_controller()).unwrap();

@@ -3,8 +3,12 @@
 //! For a fixed seed `<T-V, θ>` and spoofing deviation `d`, the objective is
 //! `f(t_s, Δt)` = the minimum distance between the victim drone and the
 //! obstacle over the attacked mission (minus the drone's collision radius, so
-//! a collision corresponds to `f ≤ 0`). Every evaluation runs one full
-//! simulated mission — the unit the paper calls a *search iteration*.
+//! a collision corresponds to `f ≤ 0`). Every evaluation runs one simulated
+//! mission — the unit the paper calls a *search iteration* — as a search
+//! probe ([`Simulation::run_probe`], or [`Simulation::resume_probe`] when
+//! forked): the run ends at the obstacle horizon, once the spoofing window
+//! has closed and every drone is past the obstacle, since neither the
+//! victim's closest approach nor the first collision changes after it.
 //!
 //! Each probe flies one [`SpoofingAttack`] of the seed's class: the paper's
 //! constant offset for constant seeds, and for the other classes the
@@ -97,7 +101,7 @@ impl<'a, C: SwarmController, D: Dynamics> Objective<'a, C, D> {
         &self.seed
     }
 
-    /// Evaluates `f(start, duration)` by running one attacked mission.
+    /// Evaluates `f(start, duration)` by flying one attacked search probe.
     ///
     /// Negative inputs are clamped to zero (mirroring the paper's projected
     /// gradient update, Eq. 1).
@@ -127,12 +131,17 @@ impl<'a, C: SwarmController, D: Dynamics> Objective<'a, C, D> {
         let start = start.max(0.0);
         let duration = duration.max(0.0);
         let attack = self.attack(start, duration, shape)?;
-        let outcome = self.sim.run_observed(Some(&attack), self.observer)?;
+        let outcome = self.sim.run_probe(&attack, self.observer)?;
         Ok(self.classify(&outcome, start, duration))
     }
 
-    /// Builds the seed's attack for a (pre-clamped) window and shape.
-    fn attack(
+    /// The seed's attack for a window and shape, as an evaluation flies it
+    /// (the evaluations clamp `start` and `duration` to zero first).
+    ///
+    /// # Errors
+    ///
+    /// [`FuzzError::Sim`]-wrapped attack-validation failures.
+    pub fn attack(
         &self,
         start: f64,
         duration: f64,
@@ -148,8 +157,9 @@ impl<'a, C: SwarmController, D: Dynamics> Objective<'a, C, D> {
         )?)
     }
 
-    /// Derives the [`Evaluation`] from an attacked mission's outcome.
-    fn classify(&self, outcome: &MissionOutcome, start: f64, duration: f64) -> Evaluation {
+    /// Derives the [`Evaluation`] of the window `(start, duration)` from an
+    /// attacked mission's outcome: a search probe's, or a whole run's.
+    pub fn classify(&self, outcome: &MissionOutcome, start: f64, duration: f64) -> Evaluation {
         let eval_outcome = match outcome.spv_collision(self.seed.target) {
             Some((victim, time)) => EvalOutcome::SpvCollision { victim, time },
             None => match outcome.first_collision() {
@@ -213,8 +223,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Objective<'_, C, D> {
         let start = start.max(0.0);
         let duration = duration.max(0.0);
         let attack = self.attack(start, duration, shape)?;
-        let outcome =
-            self.sim.resume_record_observed(snapshot, prefix, Some(&attack), self.observer)?;
+        let outcome = self.sim.resume_probe(snapshot, prefix, &attack, self.observer)?;
         Ok(self.classify(&outcome, start, duration))
     }
 }

@@ -20,7 +20,7 @@ use crate::campaign::{CampaignReport, MissionResult, SwarmConfig};
 pub struct ConfigMetric {
     /// The configuration.
     pub config: SwarmConfig,
-    /// The aggregated value (success rate in [0,1], or mean iterations).
+    /// The aggregated value (success rate in `[0, 1]`, or mean iterations).
     pub value: f64,
     /// Number of missions behind the aggregate.
     pub missions: usize,

@@ -71,7 +71,7 @@ impl MissionCache {
 /// Bounded, stride-doubling collector for the baseline's snapshot ring.
 ///
 /// Starts capturing every `stride` physics steps (one GPS period). When the
-/// ring exceeds [`RING_CAPACITY`], every other snapshot is dropped and the
+/// ring exceeds `RING_CAPACITY`, every other snapshot is dropped and the
 /// stride doubles, so arbitrarily long missions converge to ≤ `2 ×
 /// RING_CAPACITY` retained snapshots at a self-tuning cadence while the
 /// kept capture steps stay exact multiples of the current stride.
@@ -96,7 +96,7 @@ impl SnapshotRing {
     }
 
     /// Accepts a captured snapshot, thinning the ring when it outgrows
-    /// [`RING_CAPACITY`].
+    /// `RING_CAPACITY`.
     pub fn push(&mut self, snap: SimSnapshot<PointMass>) {
         if !self.wants(snap.next_step()) {
             return;

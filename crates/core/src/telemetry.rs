@@ -84,7 +84,7 @@ impl Phase {
     }
 }
 
-/// Monotonic counters: all but the four simulation-loop counters and
+/// Monotonic counters: all but the five simulation-loop counters and
 /// [`Counter::PrefixStepsSaved`] are derived from trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
@@ -103,6 +103,9 @@ pub enum Counter {
     SimPhysicsSteps,
     /// Control ticks across all simulated missions.
     SimControlTicks,
+    /// Search probes that ended at the obstacle horizon (see
+    /// [`swarm_sim::Simulation::run_probe`]).
+    SimHorizonStops,
     /// Spatial-grid rebuilds across all simulated missions (0 when the
     /// brute-force neighbor path is active).
     GridRebuilds,
@@ -135,7 +138,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 20] = [
         Counter::MissionsRun,
         Counter::Evaluations,
         Counter::SpvFound,
@@ -143,6 +146,7 @@ impl Counter {
         Counter::SeedsTried,
         Counter::SimPhysicsSteps,
         Counter::SimControlTicks,
+        Counter::SimHorizonStops,
         Counter::GridRebuilds,
         Counter::GridCellsScanned,
         Counter::JournalAppends,
@@ -167,6 +171,7 @@ impl Counter {
             Counter::SeedsTried => "seeds_tried",
             Counter::SimPhysicsSteps => "sim_physics_steps",
             Counter::SimControlTicks => "sim_control_ticks",
+            Counter::SimHorizonStops => "sim_horizon_stops",
             Counter::GridRebuilds => "grid_rebuilds",
             Counter::GridCellsScanned => "grid_cells_scanned",
             Counter::JournalAppends => "journal_appends",
@@ -375,6 +380,7 @@ impl TraceSink for Telemetry {
             Measurement::Run(stats) => {
                 r.add(Counter::SimPhysicsSteps, stats.physics_steps);
                 r.add(Counter::SimControlTicks, stats.control_ticks);
+                r.add(Counter::SimHorizonStops, stats.horizon_stops);
                 r.add(Counter::GridRebuilds, stats.grid_rebuilds);
                 r.add(Counter::GridCellsScanned, stats.grid_cells_scanned);
             }
@@ -746,13 +752,19 @@ mod tests {
         SimObserver::on_run_end(&trace, &stats);
         assert_eq!(t.counter(Counter::SimPhysicsSteps), 2_000);
         assert_eq!(t.counter(Counter::SimControlTicks), 200);
+        assert_eq!(t.counter(Counter::SimHorizonStops), 0);
         assert_eq!(t.counter(Counter::GridRebuilds), 0);
 
-        let grid_stats =
-            RunStats { grid_rebuilds: 11, grid_cells_scanned: 250, ..Default::default() };
+        let grid_stats = RunStats {
+            grid_rebuilds: 11,
+            grid_cells_scanned: 250,
+            horizon_stops: 1,
+            ..Default::default()
+        };
         SimObserver::on_run_end(&trace, &grid_stats);
         assert_eq!(t.counter(Counter::GridRebuilds), 11);
         assert_eq!(t.counter(Counter::GridCellsScanned), 250);
+        assert_eq!(t.counter(Counter::SimHorizonStops), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! ## Snapshot and fork
 //!
-//! The loop's entire evolving state lives in one private [`SimState`] value,
+//! The loop's entire evolving state lives in one private `SimState` value,
 //! which [`SimSnapshot`] captures verbatim. [`Simulation::run_to`] simulates
 //! the no-attack prefix up to a time and returns the snapshot;
 //! [`Simulation::resume`] forks from it under an attack whose window opens
@@ -20,6 +20,18 @@
 //! through the GPS offsets sampled inside its half-open window
 //! `[t_s, t_s + Δt)`, the forked run is bit-identical to simulating the whole
 //! mission from scratch (proven by `tests/snapshot_equivalence.rs`).
+//!
+//! ## Search probes
+//!
+//! [`Simulation::run_probe`] and [`Simulation::resume_probe`] fly one
+//! attacked search probe, fresh or forked. They end the run at the *obstacle
+//! horizon*: the first control tick at which the spoofing window has closed,
+//! `max_neighbor_age` more has passed, and every live drone is past every
+//! obstacle along the mission axis. From there on no drone's closest
+//! obstacle distance and no first collision changed on any probe of the
+//! pinned campaigns (`tests/horizon_equivalence.rs`), and those are the only
+//! figures the fuzzer's objective reads. Every other entry point flies the
+//! whole mission.
 
 use rand::rngs::StdRng;
 use swarm_math::rng::{rng_for, streams};
@@ -104,7 +116,9 @@ pub struct RunStats {
     pub control_ticks: u64,
     /// GPS sampling rounds executed.
     pub gps_rounds: u64,
-    /// Simulated time actually covered, in seconds.
+    /// Simulated time actually covered, in seconds: the mission duration,
+    /// or the time of the first collision, of the all-arrived stop or (for a
+    /// search probe) of the obstacle-horizon stop.
     pub sim_time: f64,
     /// Spatial-grid rebuilds (comms index per control tick + collision
     /// broad-phase index per physics step). 0 on the brute-force path.
@@ -112,6 +126,8 @@ pub struct RunStats {
     /// Grid cells probed across all neighbor/pair queries. 0 on the
     /// brute-force path.
     pub grid_cells_scanned: u64,
+    /// 1 when a search probe ended at the obstacle horizon, else 0.
+    pub horizon_stops: u64,
 }
 
 /// Passive observer of simulation runs, for telemetry.
@@ -133,7 +149,9 @@ pub trait SimObserver: Sync {
 
 /// Runtime options of the simulation loop. The loop always stops at the
 /// first collision (the fuzzer's objective is already decided there) and
-/// once every drone has reached the destination.
+/// once every drone has reached the destination; a search probe
+/// ([`Simulation::run_probe`], [`Simulation::resume_probe`]) also stops at
+/// the obstacle horizon.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimConfig {
     /// Neighbor-engine selection: brute-force O(n²) scans vs the spatial
@@ -320,10 +338,13 @@ struct LoopParams {
     collision_diameter: f64,
     broad_slack: f64,
     broad_radius: f64,
+    /// Time from which a search probe may stop at the obstacle horizon;
+    /// `None` flies the whole mission.
+    horizon: Option<f64>,
 }
 
 impl LoopParams {
-    fn of(spec: &MissionSpec, config: &SimConfig) -> Self {
+    fn of(spec: &MissionSpec, config: &SimConfig, horizon: Option<f64>) -> Self {
         let n = spec.swarm_size;
         let dt = spec.physics_dt;
         let steps_per_control = spec.steps_per_control();
@@ -349,6 +370,7 @@ impl LoopParams {
             collision_diameter,
             broad_slack,
             broad_radius: collision_diameter + broad_slack,
+            horizon,
         }
     }
 }
@@ -479,14 +501,75 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
         attack: Option<&SpoofingAttack>,
         observer: Option<&dyn SimObserver>,
     ) -> Result<MissionOutcome, SimError> {
+        self.fly(attack, None, observer)
+    }
+
+    /// Flies one attacked search probe from scratch: [`Simulation::run_observed`]
+    /// under `attack`, except that the run also ends at the obstacle horizon
+    /// — the first control tick at which all of these hold:
+    ///
+    /// * the spoofing window has closed and `max_neighbor_age` more has
+    ///   passed, so no spoofed broadcast is still heard;
+    /// * the world has at least one obstacle;
+    /// * every live drone's true position, projected on the mission axis from
+    ///   each obstacle's centre, lies beyond that obstacle's radius plus the
+    ///   drone radius.
+    ///
+    /// The record is then a prefix of the whole run's. The rule is empirical
+    /// (a drone past the obstacle could in principle turn back):
+    /// `tests/horizon_equivalence.rs` checks on every probe of the pinned
+    /// campaigns that the first collision and every drone's closest obstacle
+    /// distance match the whole run's. Arrivals after the horizon are not
+    /// recorded.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Simulation::run`].
+    pub fn run_probe(
+        &self,
+        attack: &SpoofingAttack,
+        observer: Option<&dyn SimObserver>,
+    ) -> Result<MissionOutcome, SimError> {
+        self.fly(Some(attack), self.horizon(attack), observer)
+    }
+
+    /// A fresh run from the initial state, stopping at the obstacle horizon
+    /// from `horizon` on.
+    fn fly(
+        &self,
+        attack: Option<&SpoofingAttack>,
+        horizon: Option<f64>,
+        observer: Option<&dyn SimObserver>,
+    ) -> Result<MissionOutcome, SimError> {
         self.check_attack(attack)?;
         let mut st = self.init_state();
         let mut record = MissionRecord::new(self.spec.swarm_size, self.spec.control_period);
-        self.drive(&mut st, &mut record, attack, None, None)?;
+        self.drive(&mut st, &mut record, attack, horizon, None, None)?;
         if let Some(obs) = observer {
             obs.on_run_end(&st.stats);
         }
         Ok(MissionOutcome { record })
+    }
+
+    /// The time from which a probe under `attack` may stop at the obstacle
+    /// horizon: the window's end plus `max_neighbor_age`. `None` in a world
+    /// without obstacles.
+    fn horizon(&self, attack: &SpoofingAttack) -> Option<f64> {
+        (!self.spec.world.obstacles.is_empty()).then(|| attack.end() + self.spec.max_neighbor_age)
+    }
+
+    /// `true` when every live drone, projected on the mission axis from each
+    /// obstacle's centre, lies beyond that obstacle's radius plus the drone
+    /// radius.
+    fn past_every_obstacle(&self, positions: &[Vec3], alive: &[bool], axis: Vec2) -> bool {
+        let margin = self.spec.drone.radius;
+        self.spec.world.obstacles.iter().all(|o| {
+            let (centre, reach) = (o.center().xy(), o.radius() + margin);
+            positions
+                .iter()
+                .zip(alive)
+                .all(|(p, &live)| !live || (p.xy() - centre).dot(axis) > reach)
+        })
     }
 
     /// Rejects attacks that reference a drone outside the swarm.
@@ -528,11 +611,12 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
     /// Advances `st`/`record` through the mission loop.
     ///
     /// Runs from `st.next_step` until the mission ends (duration, collision
-    /// stop or all-arrived stop — `st.done` is set) or, when `stop_before`
-    /// is given, until the loop *would* execute that step (the step itself is
-    /// not executed and `st.done` stays `false`). `on_step`, when present, is
-    /// invoked at the top of every executed iteration — before the step's
-    /// GPS sampling — which is exactly the state a [`SimSnapshot`] captures.
+    /// stop, all-arrived stop or, from `horizon` on, the obstacle-horizon
+    /// stop — `st.done` is set) or, when `stop_before` is given, until the
+    /// loop *would* execute that step (the step itself is not executed and
+    /// `st.done` stays `false`). `on_step`, when present, is invoked at the
+    /// top of every executed iteration — before the step's GPS sampling —
+    /// which is exactly the state a [`SimSnapshot`] captures.
     ///
     /// # Errors
     ///
@@ -544,13 +628,14 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
         st: &mut SimState<D>,
         record: &mut MissionRecord,
         attack: Option<&SpoofingAttack>,
+        horizon: Option<f64>,
         stop_before: Option<usize>,
         mut on_step: Option<StepHook<'_, D>>,
     ) -> Result<(), SimError> {
         if st.done {
             return Ok(());
         }
-        let p = LoopParams::of(&self.spec, &self.config);
+        let p = LoopParams::of(&self.spec, &self.config, horizon);
         let mut scratch = StepScratch::new(&p);
         loop {
             let step = st.next_step;
@@ -573,9 +658,10 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
     }
 
     /// Executes exactly one physics step: GPS sampling, then (at the control
-    /// rate) broadcast, neighbor gather, control and recording, then
-    /// integration and collision detection. Returns `Ok(true)` when the
-    /// mission terminated inside the step (`st.done` is set).
+    /// rate) broadcast, neighbor gather, control, recording and the
+    /// all-arrived and obstacle-horizon stops, then integration and collision
+    /// detection. Returns `Ok(true)` when the mission terminated inside the
+    /// step (`st.done` is set).
     fn step(
         &self,
         st: &mut SimState<D>,
@@ -707,6 +793,13 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
                 }
             }
             if record.all_arrived() {
+                st.done = true;
+                return Ok(true);
+            }
+            if p.horizon.is_some_and(|h| t >= h)
+                && self.past_every_obstacle(true_positions, &st.alive, axis)
+            {
+                st.stats.horizon_stops += 1;
                 st.done = true;
                 return Ok(true);
             }
@@ -892,7 +985,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         let stop = self.stop_step(t)?;
         let mut st = self.init_state();
         let mut record = MissionRecord::new(self.spec.swarm_size, self.spec.control_period);
-        self.drive(&mut st, &mut record, None, Some(stop), None)?;
+        self.drive(&mut st, &mut record, None, None, Some(stop), None)?;
         Ok((self.snapshot_of(&st, &record), record))
     }
 
@@ -914,7 +1007,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         let stop = self.stop_step(t)?;
         let mut record = self.prefix_record(snapshot, source)?;
         let mut st = self.state_of(snapshot);
-        self.drive(&mut st, &mut record, None, Some(stop), None)?;
+        self.drive(&mut st, &mut record, None, None, Some(stop), None)?;
         Ok((self.snapshot_of(&st, &record), record))
     }
 
@@ -1005,6 +1098,38 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         attack: Option<&SpoofingAttack>,
         observer: Option<&dyn SimObserver>,
     ) -> Result<MissionOutcome, SimError> {
+        self.fork(snapshot, prefix, attack, None, observer)
+    }
+
+    /// Flies one attacked search probe forked from `snapshot` — the forked
+    /// counterpart of [`Simulation::run_probe`], with `prefix` the record
+    /// returned by [`Simulation::prefix_record`] for this snapshot. Stops at
+    /// the same tick, with the same record and observer stats, as
+    /// [`Simulation::run_probe`] under the same attack.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Simulation::resume_record_observed`].
+    pub fn resume_probe(
+        &self,
+        snapshot: &SimSnapshot<D>,
+        prefix: MissionRecord,
+        attack: &SpoofingAttack,
+        observer: Option<&dyn SimObserver>,
+    ) -> Result<MissionOutcome, SimError> {
+        self.fork(snapshot, prefix, Some(attack), self.horizon(attack), observer)
+    }
+
+    /// A run forked from `snapshot`, stopping at the obstacle horizon from
+    /// `horizon` on.
+    fn fork(
+        &self,
+        snapshot: &SimSnapshot<D>,
+        prefix: MissionRecord,
+        attack: Option<&SpoofingAttack>,
+        horizon: Option<f64>,
+        observer: Option<&dyn SimObserver>,
+    ) -> Result<MissionOutcome, SimError> {
         self.check_attack(attack)?;
         self.check_snapshot(snapshot)?;
         if prefix.swarm_size() != self.spec.swarm_size || prefix.len() != snapshot.record_ticks {
@@ -1026,7 +1151,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         }
         let mut record = prefix;
         let mut st = self.state_of(snapshot);
-        self.drive(&mut st, &mut record, attack, None, None)?;
+        self.drive(&mut st, &mut record, attack, horizon, None, None)?;
         if let Some(obs) = observer {
             obs.on_run_end(&st.stats);
         }
@@ -1091,7 +1216,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
                 sink(self.snapshot_of(state, rec));
             }
         };
-        self.drive(&mut st, &mut record, attack, None, Some(&mut hook))?;
+        self.drive(&mut st, &mut record, attack, None, None, Some(&mut hook))?;
         if let Some(obs) = observer {
             obs.on_run_end(&st.stats);
         }
@@ -1119,6 +1244,22 @@ mod tests {
     impl SwarmController for Hover {
         fn desired_velocity(&self, _ctx: &ControlContext<'_>) -> Vec3 {
             Vec3::ZERO
+        }
+    }
+
+    /// Captures the stats of the one run it observes.
+    #[derive(Default)]
+    struct LastRun(std::sync::Mutex<Option<RunStats>>);
+
+    impl SimObserver for LastRun {
+        fn on_run_end(&self, stats: &RunStats) {
+            *self.0.lock().unwrap() = Some(*stats);
+        }
+    }
+
+    impl LastRun {
+        fn stats(&self) -> RunStats {
+            self.0.lock().unwrap().expect("observer called")
         }
     }
 
@@ -1206,22 +1347,13 @@ mod tests {
 
     #[test]
     fn observer_sees_counts_and_never_alters_the_outcome() {
-        use std::sync::Mutex;
-
-        struct Capture(Mutex<Option<RunStats>>);
-        impl SimObserver for Capture {
-            fn on_run_end(&self, stats: &RunStats) {
-                *self.0.lock().unwrap() = Some(*stats);
-            }
-        }
-
         let sim = Simulation::new(short_spec(3), Hover).unwrap();
         let plain = sim.run(None).unwrap();
-        let capture = Capture(Mutex::new(None));
+        let capture = LastRun::default();
         let observed = sim.run_observed(None, Some(&capture)).unwrap();
         assert_eq!(plain.record, observed.record, "observer must not change the run");
 
-        let stats = capture.0.lock().unwrap().expect("observer called");
+        let stats = capture.stats();
         let spec = short_spec(3);
         assert_eq!(stats.physics_steps, spec.physics_steps() as u64 + 1);
         // Control runs every steps_per_control-th physics step, inclusive.
@@ -1235,15 +1367,6 @@ mod tests {
 
     #[test]
     fn forced_grid_pipeline_matches_brute_force_and_counts_work() {
-        use std::sync::Mutex;
-
-        struct Capture(Mutex<Option<RunStats>>);
-        impl SimObserver for Capture {
-            fn on_run_end(&self, stats: &RunStats) {
-                *self.0.lock().unwrap() = Some(*stats);
-            }
-        }
-
         let mut spec = short_spec(6);
         spec.comms.range = Some(25.0);
         let brute = Simulation::new(spec.clone(), BeeLine)
@@ -1253,14 +1376,14 @@ mod tests {
             .unwrap()
             .with_config(SimConfig { spatial: SpatialPolicy::ForceOn });
 
-        let capture_off = Capture(Mutex::new(None));
-        let capture_on = Capture(Mutex::new(None));
+        let capture_off = LastRun::default();
+        let capture_on = LastRun::default();
         let a = brute.run_observed(None, Some(&capture_off)).unwrap();
         let b = grid.run_observed(None, Some(&capture_on)).unwrap();
         assert_eq!(a.record, b.record, "grid pipeline must be bit-identical to brute force");
 
-        let off = capture_off.0.lock().unwrap().unwrap();
-        let on = capture_on.0.lock().unwrap().unwrap();
+        let off = capture_off.stats();
+        let on = capture_on.stats();
         assert_eq!(off.grid_rebuilds, 0);
         assert_eq!(off.grid_cells_scanned, 0);
         // Comms grid per control tick + the lazy collision broad phase
@@ -1312,23 +1435,14 @@ mod tests {
 
     #[test]
     fn forked_observer_stats_match_fresh_run() {
-        use std::sync::Mutex;
-
-        struct Capture(Mutex<Option<RunStats>>);
-        impl SimObserver for Capture {
-            fn on_run_end(&self, stats: &RunStats) {
-                *self.0.lock().unwrap() = Some(*stats);
-            }
-        }
-
         let sim = Simulation::new(short_spec(2), BeeLine).unwrap();
-        let fresh = Capture(Mutex::new(None));
+        let fresh = LastRun::default();
         sim.run_observed(None, Some(&fresh)).unwrap();
-        let fresh_stats = fresh.0.lock().unwrap().unwrap();
+        let fresh_stats = fresh.stats();
         let (snap, source) = sim.run_to(7.5).unwrap();
-        let forked = Capture(Mutex::new(None));
+        let forked = LastRun::default();
         sim.resume_observed(&snap, &source, None, Some(&forked)).unwrap();
-        let forked_stats = forked.0.lock().unwrap().unwrap();
+        let forked_stats = forked.stats();
         assert_eq!(fresh_stats, forked_stats, "forked stats must cover the whole mission");
     }
 
@@ -1377,6 +1491,147 @@ mod tests {
         assert!(out.collision_free());
         // 30 s mission at dt = 0.01 → steps 0, 500, ..., 3000.
         assert_eq!(captured, (0..=3000).step_by(500).collect::<Vec<_>>());
+    }
+
+    /// Flies each drone along +x toward its own waypoint `x`, slowing as it
+    /// nears it (critically damped against the point mass's velocity lag, so
+    /// it never overshoots).
+    struct Waypoints(Vec<f64>);
+
+    impl SwarmController for Waypoints {
+        fn desired_velocity(&self, ctx: &ControlContext<'_>) -> Vec3 {
+            let err = self.0[ctx.id.index()] - ctx.self_state.position.x;
+            Vec3::new((0.5 * err).clamp(-2.0, 2.0), 0.0, 0.0)
+        }
+    }
+
+    /// Two drones flying along +x on lateral lines y ∈ [6, 20], with one
+    /// 2 m cylinder at (30, 0) beside their path: the far edge of the
+    /// obstacle horizon is x = 30 + 2 + drone radius. Destination and
+    /// duration keep every run short of arrival.
+    const FAR_EDGE: f64 = 32.25;
+
+    fn horizon_spec() -> MissionSpec {
+        let mut spec = MissionSpec::paper_delivery(2, 5);
+        spec.start_min = Vec2::new(0.0, 6.0);
+        spec.start_max = Vec2::new(2.0, 20.0);
+        spec.destination = Vec3::new(200.0, 13.0, 10.0);
+        spec.world = World::with_obstacles(vec![crate::world::Obstacle::Cylinder {
+            center: Vec2::new(30.0, 0.0),
+            radius: 2.0,
+        }]);
+        spec.duration = 40.0;
+        assert_eq!(FAR_EDGE, 30.0 + 2.0 + spec.drone.radius);
+        spec
+    }
+
+    fn spoof(start: f64, duration: f64) -> SpoofingAttack {
+        SpoofingAttack::new(DroneId(0), SpoofDirection::Right, start, duration, 5.0).unwrap()
+    }
+
+    /// The whole run and the probe of `attack`, with the probe's stats.
+    fn whole_and_probe(
+        sim: &Simulation<Waypoints>,
+        attack: &SpoofingAttack,
+    ) -> (MissionOutcome, MissionOutcome, RunStats) {
+        let whole = sim.run(Some(attack)).unwrap();
+        let observer = LastRun::default();
+        let probe = sim.run_probe(attack, Some(&observer)).unwrap();
+        (whole, probe, observer.stats())
+    }
+
+    #[test]
+    fn probe_stops_at_the_first_tick_past_the_obstacle_horizon() {
+        let sim = Simulation::new(horizon_spec(), Waypoints(vec![60.0, 60.0])).unwrap();
+        let attack = spoof(2.0, 2.0);
+        let (whole, probe, stats) = whole_and_probe(&sim, &attack);
+        assert_eq!(stats.horizon_stops, 1);
+        let (w, h) = (&whole.record, &probe.record);
+        assert!(h.len() < w.len(), "probe flew {} of {} ticks", h.len(), w.len());
+
+        // A prefix of the whole run, stopped at the first tick where every
+        // drone is past the far edge.
+        for tick in 0..h.len() {
+            assert_eq!(h.times()[tick], w.times()[tick]);
+            assert_eq!(h.positions_at(tick), w.positions_at(tick));
+            assert_eq!(h.velocities_at(tick), w.velocities_at(tick));
+        }
+        let past = |tick: usize| w.positions_at(tick).iter().all(|p| p.x - 30.0 > 2.25);
+        assert!(past(h.len() - 1));
+        assert!(!past(h.len() - 2));
+        assert!(h.duration() >= attack.end() + sim.spec().max_neighbor_age);
+        for d in 0..2 {
+            assert_eq!(h.vdo(DroneId(d)), w.vdo(DroneId(d)));
+            assert_eq!(h.vdo_time(DroneId(d)), w.vdo_time(DroneId(d)));
+        }
+        assert!(whole.collision_free() && probe.collision_free());
+        assert!((stats.sim_time - h.duration()).abs() < 1e-9);
+
+        // Forking the probe stops at the same tick with the same stats.
+        let (snap, source) = sim.run_to(attack.start).unwrap();
+        let prefix = sim.prefix_record(&snap, &source).unwrap();
+        let observer = LastRun::default();
+        let forked = sim.resume_probe(&snap, prefix, &attack, Some(&observer)).unwrap();
+        assert_eq!(forked.record, probe.record);
+        assert_eq!(observer.stats(), stats);
+    }
+
+    #[test]
+    fn probe_flies_on_while_spoofed_broadcasts_may_still_be_heard() {
+        // Every drone is past the obstacle by ~17 s. A window open to the
+        // end, or closing less than `max_neighbor_age` before it, never
+        // reaches the horizon; one closing at 20 s stops no earlier than
+        // 21 s.
+        let sim = Simulation::new(horizon_spec(), Waypoints(vec![60.0, 60.0])).unwrap();
+        for attack in [spoof(2.0, 40.0), spoof(2.0, 37.5)] {
+            let (whole, probe, stats) = whole_and_probe(&sim, &attack);
+            assert_eq!(stats.horizon_stops, 0, "window ends at {}", attack.end());
+            assert_eq!(probe.record, whole.record);
+        }
+        let attack = spoof(2.0, 18.0);
+        let (_, probe, stats) = whole_and_probe(&sim, &attack);
+        assert_eq!(stats.horizon_stops, 1);
+        let age = sim.spec().max_neighbor_age;
+        let stop = probe.record.duration();
+        assert!(stop >= attack.end() + age && stop < attack.end() + age + 0.1, "stopped at {stop}");
+    }
+
+    #[test]
+    fn probe_flies_on_while_one_drone_is_short_of_the_far_edge() {
+        // Drone 1 settles past the obstacle's radius but within the drone
+        // radius of it.
+        let short = FAR_EDGE - 0.1;
+        let sim = Simulation::new(horizon_spec(), Waypoints(vec![60.0, short])).unwrap();
+        let (whole, probe, stats) = whole_and_probe(&sim, &spoof(2.0, 2.0));
+        assert_eq!(stats.horizon_stops, 0);
+        assert_eq!(probe.record, whole.record);
+        let last = whole.record.positions_at(whole.record.len() - 1);
+        assert!(last[0].x > FAR_EDGE + 20.0, "drone 0 must be far past: {}", last[0].x);
+        assert!(last[1].x > 32.0 && last[1].x <= FAR_EDGE, "drone 1 at {}", last[1].x);
+    }
+
+    #[test]
+    fn probe_in_an_obstacle_free_world_flies_the_whole_mission() {
+        let mut spec = horizon_spec();
+        spec.world = World::new();
+        let sim = Simulation::new(spec, Waypoints(vec![60.0, 60.0])).unwrap();
+        let (whole, probe, stats) = whole_and_probe(&sim, &spoof(2.0, 2.0));
+        assert_eq!(stats.horizon_stops, 0);
+        assert_eq!(probe.record, whole.record);
+    }
+
+    #[test]
+    fn runs_that_are_not_probes_never_stop_at_the_horizon() {
+        // The geometry and window of the stopping probe above: a baseline
+        // and a plain attacked run both fly the whole mission.
+        let sim = Simulation::new(horizon_spec(), Waypoints(vec![60.0, 60.0])).unwrap();
+        let attack = spoof(2.0, 2.0);
+        for attack in [None, Some(&attack)] {
+            let observer = LastRun::default();
+            let out = sim.run_observed(attack, Some(&observer)).unwrap();
+            assert_eq!(observer.stats().horizon_stops, 0);
+            assert!(out.record.duration() >= sim.spec().duration - 1e-9);
+        }
     }
 
     #[test]

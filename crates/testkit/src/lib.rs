@@ -2,10 +2,10 @@
 //!
 //! A registry-free property-testing engine built for this repository's
 //! offline build: composable [`Gen<T>`] generators over a recorded *choice
-//! tape*, integrated greedy [shrinking](shrink), and a committed failure
-//! [corpus] under `tests/corpus/` that is replayed before every fresh
-//! search. On top sit [domain] generators for the workspace's types and
-//! [metamorphic] oracle helpers for relation-based invariants.
+//! tape*, integrated greedy shrinking, and a committed failure corpus under
+//! `tests/corpus/` that is replayed before every fresh search. On top sit
+//! [domain] generators for the workspace's types and [metamorphic] oracle
+//! helpers for relation-based invariants.
 //!
 //! ## Writing a property
 //!

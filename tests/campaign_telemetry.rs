@@ -115,12 +115,45 @@ fn telemetry_counters_match_the_report() {
     assert_eq!(worker_missions, report.missions.len() as u64);
 }
 
+#[test]
+fn search_probes_stop_at_the_obstacle_horizon_and_baselines_never_do() {
+    let counted = |eval_budget: usize| {
+        let telemetry = Telemetry::enabled(2);
+        let campaign = CampaignConfig { workers: 2, ..CampaignConfig::paper_grid(1, 0xC0FFEE) };
+        let make = |deviation| {
+            let config = FuzzerConfig { eval_budget, ..FuzzerConfig::swarmfuzz(deviation) };
+            Fuzzer::new(controller(), config)
+        };
+        run_campaign_with_options(
+            &campaign,
+            make,
+            &CampaignRunOptions::default(),
+            &telemetry.trace(),
+        )
+        .expect("campaign must run");
+        telemetry
+    };
+
+    // The paper's budget: probes end at the horizon, each at most once.
+    let probed = counted(20);
+    let stops = probed.counter(Counter::SimHorizonStops);
+    let evaluations = probed.counter(Counter::Evaluations);
+    assert!(0 < stops && stops <= evaluations, "{stops} horizon stops over {evaluations} probes");
+
+    // No budget: only the baselines fly, and they fly whole missions.
+    let unprobed = counted(0);
+    assert_eq!(unprobed.counter(Counter::Evaluations), 0);
+    assert!(unprobed.counter(Counter::MissionsRun) > 0);
+    assert_eq!(unprobed.counter(Counter::SimHorizonStops), 0);
+}
+
 /// The counters measured on the side channel rather than folded from events.
 fn is_measured(counter: Counter) -> bool {
     matches!(
         counter,
         Counter::SimPhysicsSteps
             | Counter::SimControlTicks
+            | Counter::SimHorizonStops
             | Counter::GridRebuilds
             | Counter::GridCellsScanned
             | Counter::PrefixStepsSaved
