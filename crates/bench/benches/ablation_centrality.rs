@@ -5,11 +5,12 @@
 //! with each centrality scoring the Swarm Vulnerability Graph and compares
 //! success rates and iteration counts on the 10-drone / 10 m configuration.
 
-use swarmfuzz::campaign::{run_campaign, CampaignConfig, SwarmConfig};
+use swarmfuzz::campaign::{CampaignConfig, SwarmConfig};
 use swarmfuzz::report::write_csv;
 use swarmfuzz::{CentralityKind, Fuzzer, FuzzerConfig};
 use swarmfuzz_bench::{
-    missions_per_config, paper_controller, percent, print_table, results_dir, workers,
+    missions_per_config, paper_controller, percent, print_table, results_dir, run_with_progress,
+    workers,
 };
 
 fn main() {
@@ -33,11 +34,10 @@ fn main() {
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();
     for kind in kinds {
-        let report = run_campaign(&campaign, |d| {
+        let report = run_with_progress(&campaign, |d| {
             let cfg = FuzzerConfig { centrality: kind, ..FuzzerConfig::swarmfuzz(d) };
             Fuzzer::new(controller, cfg)
-        })
-        .expect("campaign");
+        });
         let rate = report.success_rate(config).expect("missions ran");
         let iters = report.mean_iterations(config).expect("missions ran");
         rows.push(vec![format!("{kind:?}"), percent(rate), format!("{iters:.2}")]);

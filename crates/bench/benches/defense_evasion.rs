@@ -12,13 +12,13 @@ use swarm_sim::Simulation;
 use swarmfuzz::campaign::campaign_mission;
 use swarmfuzz::defense::screen_attack;
 use swarmfuzz::report::write_csv;
-use swarmfuzz_bench::{cached_paper_campaign, paper_controller, percent, print_table, results_dir};
+use swarmfuzz_bench::{paper_campaign_report, paper_controller, percent, print_table, results_dir};
 
 /// Standard-GPS-noise level used for the screening streams (m, 1σ).
 const GPS_NOISE_STD: f64 = 1.5;
 
 fn main() {
-    let report = cached_paper_campaign();
+    let report = paper_campaign_report();
     let controller = paper_controller();
     let thresholds = [2.0f64, 4.0, 6.0, 8.0, 10.0, 12.0];
 

@@ -6,7 +6,9 @@
 //! the obstacle on its original side; too long and it overshoots to the
 //! other side; the collision lies at the bottom of a valley in between. This
 //! bench sweeps Δt at the fuzzer-chosen t_s (and also sweeps t_s at the
-//! chosen Δt) and prints the resulting objective curve.
+//! chosen Δt) and prints the resulting objective curve. It calls the Δt
+//! curve a valley only when f is above its minimum at both ends of the
+//! sweep, and otherwise names the shape it has.
 
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::Simulation;
@@ -59,21 +61,21 @@ fn main() {
         println!("  Δt = {dt:5.1} s  ->  f = {:7.2} m", e.value);
         rows.push(vec!["dt_sweep".into(), format!("{dt:.1}"), format!("{:.4}", e.value)]);
     }
-    // Shape check: minimum is interior (valley), not at the boundary.
-    let min_idx = valley
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-        .map(|(i, _)| i)
-        .expect("non-empty");
+    // Shape check: a valley needs f above its minimum at both ends of the
+    // sweep ("too short" on one side, "too long" on the other).
+    let min = valley.iter().copied().fold(f64::INFINITY, f64::min);
+    let first = valley.iter().position(|&f| f == min).expect("non-empty sweep");
+    let last = valley.iter().rposition(|&f| f == min).expect("non-empty sweep");
+    let shape = match (valley[0] > min, valley[valley.len() - 1] > min) {
+        (true, true) => "above it at both ends — convex valley as in Fig. 5-(e)",
+        (true, false) => "at it at the longest Δt — no overshoot side, not a valley",
+        (false, true) => "at it at the shortest Δt — no too-short side, not a valley",
+        (false, false) => "at it at both ends — not a valley",
+    };
     println!(
-        "\nvalley bottom at Δt = {:.1} s (index {min_idx}/16): {}",
-        min_idx as f64 * 2.5,
-        if min_idx > 0 && min_idx < 16 {
-            "interior minimum — convex valley as in Fig. 5-(e)"
-        } else {
-            "boundary minimum"
-        }
+        "\nminimum f = {min:.2} m at Δt = {:.1}..{:.1} s: {shape}",
+        first as f64 * 2.5,
+        last as f64 * 2.5
     );
 
     println!("\nobjective f(t_s, Δt fixed):");

@@ -12,10 +12,10 @@
 
 use swarmfuzz::campaign::SwarmConfig;
 use swarmfuzz::report::{vdo_cdf, vdo_success_curve, write_csv};
-use swarmfuzz_bench::{cached_paper_campaign, results_dir};
+use swarmfuzz_bench::{paper_campaign_report, results_dir};
 
 fn main() {
-    let report = cached_paper_campaign();
+    let report = paper_campaign_report();
     let thresholds: Vec<f64> = (1..=16).map(|i| i as f64 * 0.5).collect();
 
     let mut rows = Vec::new();

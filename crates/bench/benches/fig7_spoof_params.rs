@@ -10,10 +10,10 @@
 use swarm_math::stats::{mean, percentile};
 use swarmfuzz::campaign::SwarmConfig;
 use swarmfuzz::report::{spoof_param_stats, write_csv};
-use swarmfuzz_bench::{cached_paper_campaign, print_table, results_dir};
+use swarmfuzz_bench::{paper_campaign_report, print_table, results_dir};
 
 fn main() {
-    let report = cached_paper_campaign();
+    let report = paper_campaign_report();
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();
 

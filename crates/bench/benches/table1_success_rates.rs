@@ -19,12 +19,12 @@
 //! and skipping the full Table I campaign.
 
 use swarm_sim::spoof::{WaveformKind, WaveformSet};
-use swarmfuzz::campaign::{run_campaign, CampaignConfig, SwarmConfig};
+use swarmfuzz::campaign::{CampaignConfig, SwarmConfig};
 use swarmfuzz::report::{success_rate_table, write_csv};
 use swarmfuzz::{Fuzzer, FuzzerConfig};
 use swarmfuzz_bench::{
-    cached_paper_campaign, missions_per_config, paper_configs, paper_controller, percent,
-    print_table, results_dir, workers,
+    paper_campaign, paper_campaign_report, paper_configs, paper_controller, percent, print_table,
+    results_dir, run_with_progress, workers,
 };
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
 }
 
 fn paper_table1() {
-    let report = cached_paper_campaign();
+    let report = paper_campaign_report();
     let configs = paper_configs();
     let table = success_rate_table(&report, &configs);
 
@@ -90,9 +90,7 @@ fn attack_class_table(smoke: bool) {
             workers: workers(),
         }
     } else {
-        let mut c = CampaignConfig::paper_grid(missions_per_config(), 0xC0FFEE);
-        c.workers = workers();
-        c
+        paper_campaign()
     };
     let eval_budget = if smoke { 4 } else { FuzzerConfig::swarmfuzz(10.0).eval_budget };
     let missions = campaign.configs.len() * campaign.missions_per_config;
@@ -107,7 +105,7 @@ fn attack_class_table(smoke: bool) {
             Fuzzer::new(paper_controller(), config)
         };
         eprintln!("[bench] attack class {kind}: {missions} missions");
-        let report = run_campaign(&campaign, make).expect("campaign must run");
+        let report = run_with_progress(&campaign, make);
         let successes = report.missions.iter().filter(|m| m.success).count();
         let rate = successes as f64 / report.missions.len().max(1) as f64;
         let evals: usize = report.missions.iter().map(|m| m.evaluations).sum();

@@ -15,10 +15,10 @@
 
 use swarmfuzz::campaign::SwarmConfig;
 use swarmfuzz::report::write_csv;
-use swarmfuzz_bench::{cached_paper_campaign, print_table, results_dir};
+use swarmfuzz_bench::{paper_campaign_report, print_table, results_dir};
 
 fn main() {
-    let report = cached_paper_campaign();
+    let report = paper_campaign_report();
 
     let success_only = |config: SwarmConfig| -> Option<f64> {
         let rows: Vec<f64> = report

@@ -17,11 +17,12 @@
 //! (see EXPERIMENTS.md).
 
 use swarm_control::VasarhelyiController;
-use swarmfuzz::campaign::{run_campaign, CampaignConfig, SwarmConfig};
+use swarmfuzz::campaign::{CampaignConfig, SwarmConfig};
 use swarmfuzz::report::write_csv;
 use swarmfuzz::{Fuzzer, FuzzerConfig};
 use swarmfuzz_bench::{
-    missions_per_config, paper_controller, percent, print_table, results_dir, workers,
+    missions_per_config, paper_controller, percent, print_table, results_dir, run_with_progress,
+    workers,
 };
 
 fn main() {
@@ -44,8 +45,7 @@ fn main() {
         let mut names = vec![String::new()];
         for make in variants {
             let name = make(10.0).variant_name();
-            let report =
-                run_campaign(&campaign, |d| Fuzzer::new(controller, make(d))).expect("campaign");
+            let report = run_with_progress(&campaign, |d| Fuzzer::new(controller, make(d)));
             let rate = report.success_rate(config).expect("missions ran");
             let iters = report.mean_iterations(config).expect("missions ran");
             names.push(name.to_string());

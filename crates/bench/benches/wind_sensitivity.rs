@@ -12,10 +12,10 @@ use swarm_sim::wind::WindConfig;
 use swarm_sim::Simulation;
 use swarmfuzz::campaign::campaign_mission;
 use swarmfuzz::report::write_csv;
-use swarmfuzz_bench::{cached_paper_campaign, paper_controller, percent, print_table, results_dir};
+use swarmfuzz_bench::{paper_campaign_report, paper_controller, percent, print_table, results_dir};
 
 fn main() {
-    let report = cached_paper_campaign();
+    let report = paper_campaign_report();
     let controller = paper_controller();
     let levels: [(f64, f64); 4] = [(0.0, 0.0), (0.5, 0.3), (1.0, 0.6), (2.0, 1.0)];
 

@@ -2,17 +2,21 @@
 //!
 //! Every table/figure regenerator (`benches/*.rs`, `harness = false`) uses
 //! these helpers so the whole suite is driven by the same controller
-//! configuration, mission counts and output conventions.
+//! configuration, mission counts and output conventions. Each
+//! campaign-driven regenerator flies its own campaign through
+//! [`run_with_progress`] and reads nothing back from disk, so every
+//! committed CSV is what the code gives.
 //!
 //! Mission counts are environment-tunable:
 //!
 //! * `SWARMFUZZ_MISSIONS` — missions per configuration for campaign-style
-//!   benches (default [`DEFAULT_MISSIONS`]; the paper uses 100);
+//!   benches (default [`DEFAULT_MISSIONS`], the paper's 100);
 //! * `SWARMFUZZ_WORKERS` — worker threads for campaigns (default: available
-//!   parallelism).
+//!   parallelism). Reports do not depend on it.
 //!
 //! Results are printed as the paper's table rows and also written as CSV
-//! under `bench_results/`.
+//! under `bench_results/`; a run at the default mission count rewrites the
+//! committed files byte for byte.
 //!
 //! Beside the regenerators' plumbing this crate holds the one timing
 //! harness behind every performance gate, [`paired_ratio`] (run by
@@ -20,7 +24,7 @@
 //! ([`NeighborKernel`]) that the scaling ladder and the micro gate time.
 
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -28,18 +32,14 @@ use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_math::Vec3;
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::recorder::MissionRecord;
-use swarm_sim::spoof::{SpoofDirection, Waveform, WaveformKind};
-use swarm_sim::{DroneId, SpatialGrid};
-use swarmfuzz::campaign::{
-    run_campaign_with_options, CampaignConfig, CampaignReport, MissionResult, SwarmConfig,
-};
-use swarmfuzz::seed::Seed;
-use swarmfuzz::trace::{ProgressSink, TeeSink};
-use swarmfuzz::{Fuzzer, FuzzerConfig, SpvFinding, Telemetry, Trace};
+use swarm_sim::{DroneId, SpatialGrid, SwarmController};
+use swarmfuzz::campaign::{run_campaign_with_options, CampaignConfig, CampaignReport, SwarmConfig};
+use swarmfuzz::trace::ProgressSink;
+use swarmfuzz::{Fuzzer, FuzzerConfig, Trace};
 
-/// Default number of missions per configuration (kept modest so the full
-/// bench suite completes on a single CI core; the paper uses 100).
-pub const DEFAULT_MISSIONS: usize = 40;
+/// Default number of missions per configuration: the paper's 100, so the
+/// committed tables and figures are the paper's sample size.
+pub const DEFAULT_MISSIONS: usize = 100;
 
 /// The controller configuration every experiment runs with (the crate
 /// defaults are the tuned reproduction parameters).
@@ -86,130 +86,34 @@ pub fn results_dir() -> PathBuf {
     p
 }
 
-/// Runs the paper's six-configuration SwarmFuzz campaign, caching the result
-/// as CSV under `bench_results/` so the four campaign-driven bench targets
-/// (Tables I/II, Figs. 6/7) share one execution.
-pub fn cached_paper_campaign() -> CampaignReport {
-    let campaign = paper_campaign();
-    let cache = results_dir().join(format!(
-        "campaign_cache_m{}_s{:x}.csv",
-        campaign.missions_per_config, campaign.base_seed
-    ));
-    if let Some(report) = load_campaign_csv(&cache) {
-        eprintln!("[bench] loaded cached campaign from {}", cache.display());
-        return report;
-    }
+/// Flies `campaign` with `make_fuzzer`, printing a progress line to stderr
+/// every `missions_per_config` missions (every 5 when there are fewer).
+/// Every campaign-driven regenerator flies its own campaign through this
+/// runner; nothing is read back from an earlier run.
+pub fn run_with_progress<C, F>(campaign: &CampaignConfig, make_fuzzer: F) -> CampaignReport
+where
+    C: SwarmController + Clone + Send + 'static,
+    F: Fn(f64) -> Fuzzer<C> + Sync,
+{
     eprintln!(
         "[bench] running campaign: {} configs x {} missions (set SWARMFUZZ_MISSIONS to change)",
         campaign.configs.len(),
         campaign.missions_per_config
     );
-    let telemetry = Telemetry::enabled(campaign.workers);
     let progress = ProgressSink::new((campaign.missions_per_config as u64).max(5));
-    let trace =
-        Trace::new(Arc::new(TeeSink::new(vec![Arc::new(telemetry.clone()), Arc::new(progress)])));
-    let report =
-        run_campaign_with_options(&campaign, swarmfuzz_fuzzer, &Default::default(), &trace)
-            .expect("campaign must run");
-    store_campaign_csv(&cache, &report);
-    if let Some(snapshot) = telemetry.snapshot() {
-        let stem = format!(
-            "telemetry_campaign_m{}_s{:x}",
-            campaign.missions_per_config, campaign.base_seed
-        );
-        let json = results_dir().join(format!("{stem}.json"));
-        let csv = results_dir().join(format!("{stem}.csv"));
-        std::fs::write(&json, snapshot.to_json()).ok();
-        std::fs::write(&csv, snapshot.to_csv()).ok();
-        eprintln!("[bench] telemetry: {} / {}", json.display(), csv.display());
-    }
-    report
+    run_campaign_with_options(
+        campaign,
+        make_fuzzer,
+        &Default::default(),
+        &Trace::new(Arc::new(progress)),
+    )
+    .expect("campaign must run")
 }
 
-const CAMPAIGN_HEADER: &str = "swarm_size,deviation,mission_seed,vdo,success,evaluations,seeds_tried,target,victim,theta,start,duration,actual_victim,collision_time";
-
-fn store_campaign_csv(path: &Path, report: &CampaignReport) {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    let mut out = String::from(CAMPAIGN_HEADER);
-    out.push('\n');
-    for m in &report.missions {
-        let f = m.finding.as_ref();
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            m.config.swarm_size,
-            m.config.deviation,
-            m.mission_seed,
-            m.vdo,
-            m.success,
-            m.evaluations,
-            m.seeds_tried,
-            f.map_or(String::new(), |f| f.seed.target.index().to_string()),
-            f.map_or(String::new(), |f| f.seed.victim.index().to_string()),
-            f.map_or(String::new(), |f| f.seed.direction.theta().to_string()),
-            f.map_or(String::new(), |f| f.start.to_string()),
-            f.map_or(String::new(), |f| f.duration.to_string()),
-            f.map_or(String::new(), |f| f.actual_victim.index().to_string()),
-            f.map_or(String::new(), |f| f.collision_time.to_string()),
-        ));
-    }
-    std::fs::write(path, out).ok();
-}
-
-fn load_campaign_csv(path: &Path) -> Option<CampaignReport> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut lines = text.lines();
-    if lines.next()? != CAMPAIGN_HEADER {
-        return None;
-    }
-    let mut missions = Vec::new();
-    for line in lines {
-        let c: Vec<&str> = line.split(',').collect();
-        if c.len() != 14 {
-            return None;
-        }
-        let config = SwarmConfig { swarm_size: c[0].parse().ok()?, deviation: c[1].parse().ok()? };
-        let vdo: f64 = c[3].parse().ok()?;
-        let success: bool = c[4].parse().ok()?;
-        let finding = if success && !c[7].is_empty() {
-            Some(SpvFinding {
-                seed: Seed {
-                    target: DroneId(c[7].parse().ok()?),
-                    victim: DroneId(c[8].parse().ok()?),
-                    direction: if c[9] == "1" {
-                        SpoofDirection::Right
-                    } else {
-                        SpoofDirection::Left
-                    },
-                    influence: 0.0,
-                    victim_vdo: vdo,
-                    // The cache CSV predates the attack zoo; every cached
-                    // finding is the paper's constant-offset attack.
-                    waveform: WaveformKind::Constant,
-                },
-                start: c[10].parse().ok()?,
-                duration: c[11].parse().ok()?,
-                deviation: config.deviation,
-                actual_victim: DroneId(c[12].parse().ok()?),
-                collision_time: c[13].parse().ok()?,
-                waveform: Waveform::Constant,
-            })
-        } else {
-            None
-        };
-        missions.push(MissionResult {
-            config,
-            mission_seed: c[2].parse().ok()?,
-            vdo,
-            success,
-            finding,
-            evaluations: c[5].parse().ok()?,
-            seeds_tried: c[6].parse().ok()?,
-        });
-    }
-    let expected = missions_per_config() * paper_configs().len();
-    (missions.len() == expected).then_some(CampaignReport { missions, failures: Vec::new() })
+/// The paper's SwarmFuzz campaign over [`paper_campaign`]'s grid, the one
+/// Tables I–II, Figs. 6–7 and the defense-evasion and wind extensions read.
+pub fn paper_campaign_report() -> CampaignReport {
+    run_with_progress(&paper_campaign(), swarmfuzz_fuzzer)
 }
 
 /// Mean ns/iteration of one timed batch of `iters` calls.

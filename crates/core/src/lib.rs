@@ -54,7 +54,6 @@ pub mod dashboard;
 pub mod defense;
 mod error;
 pub mod executor;
-pub mod exhaustive;
 pub mod fuzzer;
 pub mod minimize;
 pub mod objective;

@@ -50,7 +50,6 @@
 pub mod comms;
 pub mod dynamics;
 mod error;
-pub mod estimator;
 pub mod metrics;
 pub mod mission;
 pub mod pid;

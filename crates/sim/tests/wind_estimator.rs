@@ -1,12 +1,10 @@
-//! Edge-case properties for `sim::wind` and `sim::estimator`, run on
-//! `swarm-testkit`: degenerate gust configurations (zero standard
-//! deviation, zero correlation time) and GPS dropout patterns must never
-//! destabilize the samplers or the α-β tracker.
+//! Edge-case properties for `sim::wind`, run on `swarm-testkit`:
+//! degenerate gust configurations (zero standard deviation, zero
+//! correlation time) must never destabilize the gust sampler.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use swarm_math::Vec3;
-use swarm_sim::estimator::{AlphaBeta, EstimatorConfig};
 use swarm_sim::wind::{Wind, WindConfig};
 use swarm_testkit::domain::vec3_in;
 use swarm_testkit::{check, gens, tk_ensure, Gen};
@@ -70,100 +68,6 @@ fn wind_samples_stay_finite_for_degenerate_configs() {
             let s = wind.sample(dt, &mut rng);
             tk_ensure!(s.is_finite(), "wind diverged: {s:?} under {config:?}");
         }
-        Ok(())
-    });
-}
-
-/// The first fix initializes the tracker exactly, wherever and whenever it
-/// arrives (negative mission clock included).
-#[test]
-fn first_gps_fix_initializes_estimator_exactly() {
-    let gen = gens::zip2(&vec3_in(1e6), &gens::f64_in(-1e3, 1e3));
-    check("sim-estimator-first-fix", &gen, |(measured, time)| {
-        let mut filter = AlphaBeta::new(EstimatorConfig::default());
-        tk_ensure!(filter.update(*measured, *time) == *measured);
-        tk_ensure!(filter.position() == *measured);
-        tk_ensure!(filter.velocity() == Vec3::ZERO, "no velocity from a single fix");
-        Ok(())
-    });
-}
-
-/// GPS dropouts leave time gaps between updates. The tracker must absorb
-/// any dropout pattern without diverging, and — fed an exact
-/// constant-velocity track — reconverge once fixes resume.
-#[test]
-fn estimator_reconverges_after_dropped_gps_samples() {
-    let gen = gens::zip3(
-        &vec3_in(8.0),
-        &gens::vec_of(&gens::bool_any(), 0..=40),
-        &gens::f64_in(0.02, 0.5),
-    );
-    check("sim-estimator-dropped-gps", &gen, |(velocity, drops, dt)| {
-        let mut filter = AlphaBeta::new(EstimatorConfig::default());
-        let truth = |t: f64| *velocity * t;
-        let mut tick = 0usize;
-        // Phase 1: patchy coverage — every `true` in the mask drops a fix.
-        for &dropped in drops {
-            if !dropped {
-                let t = tick as f64 * dt;
-                let est = filter.update(truth(t), t);
-                tk_ensure!(est.is_finite(), "estimate diverged during dropouts: {est:?}");
-            }
-            tick += 1;
-        }
-        // Phase 2: coverage restored; the filter reconverges geometrically.
-        let mut est = Vec3::ZERO;
-        let mut t = 0.0;
-        for _ in 0..160 {
-            t = tick as f64 * dt;
-            est = filter.update(truth(t), t);
-            tk_ensure!(est.is_finite(), "estimate diverged after recovery: {est:?}");
-            tick += 1;
-        }
-        tk_ensure!(
-            est.distance(truth(t)) < 1e-3,
-            "filter failed to reconverge: {} m off after 160 clean fixes",
-            est.distance(truth(t))
-        );
-        tk_ensure!(filter.velocity().distance(*velocity) < 1e-2);
-        Ok(())
-    });
-}
-
-/// A gated-out measurement is a prediction-only update: the estimate moves
-/// to the prediction exactly, the rejection counter increments, and the
-/// velocity estimate is untouched.
-#[test]
-fn gated_measurements_update_by_prediction_only() {
-    let gen = gens::zip4(
-        &vec3_in(5.0),
-        &gens::f64_in(1.0, 20.0),
-        &gens::f64_in(0.1, 50.0),
-        &gens::f64_in(0.02, 0.5),
-    );
-    check("sim-estimator-gate-prediction-only", &gen, |(velocity, gate, excess, dt)| {
-        let config = EstimatorConfig { gate: Some(*gate), ..Default::default() };
-        let mut filter = AlphaBeta::new(config);
-        // Converge on an exact constant-velocity track first.
-        let mut t = 0.0;
-        for i in 0..100 {
-            t = i as f64 * dt;
-            filter.update(*velocity * t, t);
-        }
-        let before_velocity = filter.velocity();
-        // Warmup steps can themselves be gated (a fast track with a tight
-        // gate), so count rejections relative to here.
-        let before_rejected = filter.rejected();
-        // Replicate the filter's own prediction: its step is (t+dt)-t, which
-        // is not bit-identical to dt in floating point.
-        let t_next = t + dt;
-        let predicted = filter.position() + before_velocity * (t_next - t);
-        // An outlier strictly beyond the gate (spoof onset).
-        let outlier = predicted + Vec3::new(gate + excess, 0.0, 0.0);
-        let est = filter.update(outlier, t_next);
-        tk_ensure!(est == predicted, "gated update must coast on the prediction");
-        tk_ensure!(filter.rejected() == before_rejected + 1, "rejection must be counted");
-        tk_ensure!(filter.velocity() == before_velocity, "gated update must not steer velocity");
         Ok(())
     });
 }
