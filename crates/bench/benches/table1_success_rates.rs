@@ -2,7 +2,8 @@
 //! SPVs across the six swarm configurations ({5, 10, 15} drones × {5, 10} m
 //! spoofing), then extends it beyond the paper with a per-attack-class
 //! success-rate table over the waveform zoo (constant / drift / circular /
-//! jump), one single-class campaign per waveform.
+//! jump), one single-class campaign per waveform. The `constant` row reuses
+//! Table I's campaign, which already spoofs with the constant class only.
 //!
 //! Paper values for reference:
 //!
@@ -16,10 +17,11 @@
 //!
 //! Pass `--smoke` for the CI mode: a single tiny configuration with a small
 //! eval budget, exercising all four attack classes end-to-end in seconds
-//! and skipping the full Table I campaign.
+//! and skipping the full Table I campaign (so it flies the `constant` row
+//! too).
 
 use swarm_sim::spoof::{WaveformKind, WaveformSet};
-use swarmfuzz::campaign::{CampaignConfig, SwarmConfig};
+use swarmfuzz::campaign::{CampaignConfig, CampaignReport, SwarmConfig};
 use swarmfuzz::report::{success_rate_table, write_csv};
 use swarmfuzz::{Fuzzer, FuzzerConfig};
 use swarmfuzz_bench::{
@@ -29,13 +31,13 @@ use swarmfuzz_bench::{
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    if !smoke {
-        paper_table1();
-    }
-    attack_class_table(smoke);
+    let table1 = (!smoke).then(paper_table1);
+    attack_class_table(table1.as_ref());
 }
 
-fn paper_table1() {
+/// Flies the paper campaign, prints and writes Table I, and returns the
+/// campaign's report.
+fn paper_table1() -> CampaignReport {
     let report = paper_campaign_report();
     let configs = paper_configs();
     let table = success_rate_table(&report, &configs);
@@ -77,11 +79,15 @@ fn paper_table1() {
     write_csv(&path, &["swarm_size", "deviation_m", "success_rate", "missions"], &csv_rows)
         .expect("write table1 csv");
     println!("csv: {}", path.display());
+    report
 }
 
 /// Per-attack-class success rates: one campaign per waveform class, same
 /// seeds and grid, so the rates are directly comparable across classes.
-fn attack_class_table(smoke: bool) {
+/// Given Table I's report, the `constant` row reads it instead of flying
+/// the same campaign again; without it (`--smoke`) every class flies.
+fn attack_class_table(table1: Option<&CampaignReport>) {
+    let smoke = table1.is_none();
     let campaign = if smoke {
         CampaignConfig {
             configs: vec![SwarmConfig { swarm_size: 5, deviation: 10.0 }],
@@ -98,14 +104,21 @@ fn attack_class_table(smoke: bool) {
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();
     for kind in WaveformKind::ALL {
-        let set = WaveformSet::parse(kind.name()).expect("class names parse");
-        let make = move |deviation: f64| {
-            let config = FuzzerConfig { eval_budget, ..FuzzerConfig::swarmfuzz(deviation) }
-                .with_waveforms(set);
-            Fuzzer::new(paper_controller(), config)
+        let flown;
+        let report = match table1 {
+            Some(report) if kind == WaveformKind::Constant => report,
+            _ => {
+                let set = WaveformSet::parse(kind.name()).expect("class names parse");
+                let make = move |deviation: f64| {
+                    let config = FuzzerConfig { eval_budget, ..FuzzerConfig::swarmfuzz(deviation) }
+                        .with_waveforms(set);
+                    Fuzzer::new(paper_controller(), config)
+                };
+                eprintln!("[bench] attack class {kind}: {missions} missions");
+                flown = run_with_progress(&campaign, make);
+                &flown
+            }
         };
-        eprintln!("[bench] attack class {kind}: {missions} missions");
-        let report = run_with_progress(&campaign, make);
         let successes = report.missions.iter().filter(|m| m.success).count();
         let rate = successes as f64 / report.missions.len().max(1) as f64;
         let evals: usize = report.missions.iter().map(|m| m.evaluations).sum();

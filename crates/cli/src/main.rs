@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use parse::{
     AuditOpts, BaselineOpts, CampaignOpts, Command, DashboardOpts, ParseError, ReplayOpts,
-    ResultsOpts, ServeOpts, StatusOpts, StressOpts, SubmitOpts, TelemetryMode, TraceMode,
+    ResultsOpts, ServeOpts, StatusOpts, StressOpts, SubmitOpts, TelemetryMode,
 };
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_sim::mission::MissionSpec;
@@ -30,7 +30,7 @@ use swarmfuzz::campaign::{
     report_from_rows, run_campaign_with_options, CampaignConfig, CampaignRunOptions,
 };
 use swarmfuzz::dashboard::render_dashboard;
-use swarmfuzz::trace::{chrome_trace, parse_ndjson, FileSink, ProgressSink, RingSink, TeeSink};
+use swarmfuzz::trace::{chrome_trace, parse_ndjson, FileSink, ProgressSink, TeeSink};
 use swarmfuzz::{CampaignJournal, FuzzError, Fuzzer, FuzzerConfig, Telemetry, Trace, TraceSink};
 
 const USAGE: &str = "\
@@ -49,7 +49,7 @@ COMMANDS:
                 --snapshot on|off (on)
                 --telemetry off|summary|json (off)
                 --attacks constant,drift,circular,jump (constant)
-                --trace off|ring|FILE (off)  --progress off|every-N (off)
+                --trace off|FILE (off)  --progress off|every-N (off)
     dashboard render a campaign journal (+ optional trace) as one
               self-contained HTML file, no external assets
                 --journal PATH  --trace PATH (off)  --out PATH (dashboard.html)
@@ -250,19 +250,14 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
     let attacks = opts.attacks;
 
     // Sinks are observational and live outside `CampaignRunOptions` (which
-    // participates in journal fingerprints): file or ring, progress and
-    // counting all hang off one trace.
+    // participates in journal fingerprints): file, progress and counting
+    // all hang off one trace.
     let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
     let mut file_sink: Option<Arc<FileSink>> = None;
-    match &opts.trace {
-        TraceMode::Off => {}
-        TraceMode::Ring => sinks.push(Arc::new(RingSink::new(1 << 16))),
-        TraceMode::File(path) => {
-            let sink =
-                Arc::new(FileSink::create(path).map_err(|e| CliError::Other(e.to_string()))?);
-            file_sink = Some(sink.clone());
-            sinks.push(sink);
-        }
+    if let Some(path) = &opts.trace {
+        let sink = Arc::new(FileSink::create(path).map_err(|e| CliError::Other(e.to_string()))?);
+        file_sink = Some(sink.clone());
+        sinks.push(sink);
     }
     if opts.progress > 0 {
         sinks.push(Arc::new(ProgressSink::new(opts.progress)));

@@ -57,18 +57,6 @@ impl From<ArgError> for ParseError {
     }
 }
 
-/// Where `--trace` sends the campaign's structured event stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceMode {
-    /// No tracing (the default; zero overhead).
-    Off,
-    /// In-memory ring buffer — events are collected but not persisted;
-    /// useful to exercise the trace path without touching disk.
-    Ring,
-    /// NDJSON stream appended to the given file.
-    File(PathBuf),
-}
-
 /// `swarmfuzz audit` options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditOpts {
@@ -89,7 +77,9 @@ pub struct CampaignOpts {
     pub snapshot: bool,
     pub attacks: WaveformSet,
     pub telemetry: TelemetryMode,
-    pub trace: TraceMode,
+    /// NDJSON file the campaign's structured event stream is written to
+    /// (`None`, the default, traces nothing).
+    pub trace: Option<PathBuf>,
     /// Print a progress line every N finished missions (0 = off).
     pub progress: u64,
 }
@@ -308,11 +298,7 @@ fn parse_campaign(args: &Args) -> Result<CampaignOpts, ParseError> {
             WaveformSet::parse(list).map_err(|e| ParseError::Invalid(format!("--attacks: {e}")))?
         }
     };
-    let trace = match args.raw("trace") {
-        None | Some("off") => TraceMode::Off,
-        Some("ring") => TraceMode::Ring,
-        Some(path) => TraceMode::File(path.into()),
-    };
+    let trace = args.raw("trace").filter(|&v| v != "off").map(PathBuf::from);
     let progress = match args.raw("progress") {
         None | Some("off") => 0,
         Some(v) => v
@@ -658,18 +644,24 @@ mod tests {
     #[test]
     fn campaign_trace_flag_modes() {
         let Ok(Command::Campaign(opts)) = parse("campaign") else { panic!("campaign must parse") };
-        assert_eq!(opts.trace, TraceMode::Off, "tracing defaults to off");
+        assert_eq!(opts.trace, None, "tracing defaults to off");
         assert_eq!(opts.progress, 0, "progress lines default to off");
 
-        let Ok(Command::Campaign(opts)) = parse("campaign --trace ring") else {
-            panic!("--trace ring must parse")
+        let Ok(Command::Campaign(opts)) = parse("campaign --trace off") else {
+            panic!("--trace off must parse")
         };
-        assert_eq!(opts.trace, TraceMode::Ring);
+        assert_eq!(opts.trace, None);
 
         let Ok(Command::Campaign(opts)) = parse("campaign --trace out/trace.ndjson") else {
             panic!("--trace PATH must parse")
         };
-        assert_eq!(opts.trace, TraceMode::File(PathBuf::from("out/trace.ndjson")));
+        assert_eq!(opts.trace, Some(PathBuf::from("out/trace.ndjson")));
+
+        // Any value but `off` names the trace file.
+        let Ok(Command::Campaign(opts)) = parse("campaign --trace ring") else {
+            panic!("--trace ring must parse")
+        };
+        assert_eq!(opts.trace, Some(PathBuf::from("ring")));
     }
 
     #[test]

@@ -319,9 +319,14 @@ mod tests {
         let sim = Simulation::new(spec(), FollowY).unwrap();
         let obj = Objective::new(&sim, seed(), 10.0);
         let fresh = obj.evaluate(10.0, 70.0).unwrap();
-        let (snap, source) = sim.run_to(10.0).unwrap();
-        let prefix = sim.prefix_record(&snap, &source).unwrap();
-        let forked = obj.evaluate_forked(&snap, prefix, 10.0, 70.0).unwrap();
+        let mut snaps = Vec::new();
+        let baseline = sim
+            .run_observed_with_snapshots(None, None, |step| step == 1000, |s| snaps.push(s))
+            .unwrap();
+        let snap = &snaps[0];
+        assert!(snap.admits_attack_start(10.0), "the snapshot at t = 10 s admits the window");
+        let prefix = sim.prefix_record(snap, &baseline.record).unwrap();
+        let forked = obj.evaluate_forked(snap, prefix, 10.0, 70.0).unwrap();
         assert_eq!(fresh, forked);
         assert!(forked.is_success(), "the known SPV must survive forking");
     }

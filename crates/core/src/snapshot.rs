@@ -61,10 +61,7 @@ impl MissionCache {
     /// fork from the initial state saves nothing over a fresh run, so the
     /// caller should treat that case as a miss and simulate from scratch.
     pub fn newest_admitting(&self, start: f64) -> Option<&SimSnapshot<PointMass>> {
-        self.ring
-            .iter()
-            .rev()
-            .find(|s| !s.is_terminal() && s.next_step() > 0 && s.admits_attack_start(start))
+        self.ring.iter().rev().find(|s| s.next_step() > 0 && s.admits_attack_start(start))
     }
 }
 

@@ -576,7 +576,9 @@ pub fn encode_row(row: &JournalRow) -> String {
     out
 }
 
-fn field<'j, T>(
+/// Reads `obj[key]` through `get` (`Json::f64`, `Json::str`, ...), naming
+/// the key when it is missing or of the wrong kind.
+pub(crate) fn field<'j, T>(
     obj: &'j Json,
     key: &str,
     get: impl Fn(&'j Json) -> Option<T>,

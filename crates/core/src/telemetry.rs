@@ -18,7 +18,8 @@
 //! [`crate::campaign::CampaignReport`] and trace whether telemetry is
 //! attached or not (gated by `tests/campaign_telemetry.rs` and
 //! `tests/campaign_trace.rs`). [`Telemetry::snapshot`] freezes everything
-//! into a [`TelemetryReport`] with hand-rolled JSON/CSV writers.
+//! into a [`TelemetryReport`] with a hand-rolled JSON writer and a plain-text
+//! summary.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -515,29 +516,6 @@ impl TelemetryReport {
         out
     }
 
-    /// Renders the report as CSV rows `kind,name,field,value` (one flat
-    /// table, trivially greppable and spreadsheet-importable).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("kind,name,field,value\n");
-        for c in &self.counters {
-            out.push_str(&format!("counter,{},value,{}\n", c.name, c.value));
-        }
-        for p in &self.phases {
-            out.push_str(&format!("phase,{},count,{}\n", p.name, p.count));
-            out.push_str(&format!("phase,{},total_ns,{}\n", p.name, p.total_ns));
-            out.push_str(&format!("phase,{},mean_ns,{:.1}\n", p.name, p.mean_ns));
-            out.push_str(&format!("phase,{},p50_ns,{:.1}\n", p.name, p.p50_ns));
-            out.push_str(&format!("phase,{},p95_ns,{:.1}\n", p.name, p.p95_ns));
-            out.push_str(&format!("phase,{},max_ns,{}\n", p.name, p.max_ns));
-        }
-        for w in &self.workers {
-            out.push_str(&format!("worker,{},missions,{}\n", w.worker, w.missions));
-            out.push_str(&format!("worker,{},spvs,{}\n", w.worker, w.spvs));
-            out.push_str(&format!("worker,{},evaluations,{}\n", w.worker, w.evaluations));
-        }
-        out
-    }
-
     /// A short human-readable summary (one line per non-zero entry).
     pub fn summary(&self) -> String {
         let mut out = String::from("telemetry summary\n");
@@ -768,7 +746,7 @@ mod tests {
     }
 
     #[test]
-    fn json_and_csv_render_all_sections() {
+    fn json_and_summary_render_all_sections() {
         let t = Telemetry::enabled(2);
         feed(
             &t,
@@ -789,12 +767,6 @@ mod tests {
         assert!(json.contains("\"name\": \"mission_sim\", \"count\": 1"));
         assert!(json.contains("\"worker\": 1, \"missions\": 1, \"spvs\": 1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-
-        let csv = report.to_csv();
-        assert!(csv.starts_with("kind,name,field,value\n"));
-        assert!(csv.contains("counter,missions_run,value,1\n"));
-        assert!(csv.contains("phase,mission_sim,count,1\n"));
-        assert!(csv.contains("worker,1,evaluations,9\n"));
 
         let summary = report.summary();
         assert!(summary.contains("missions_run"));

@@ -57,7 +57,7 @@ use std::time::Instant;
 
 use swarm_sim::{RunStats, SimObserver};
 
-use crate::store::{self, Json, StoreError};
+use crate::store::{self, field, Json, StoreError};
 use crate::telemetry::{span_ns, Phase};
 
 // ---------------------------------------------------------------------------
@@ -407,35 +407,6 @@ pub fn encode_record(record: &TraceRecord) -> String {
     out
 }
 
-fn need<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn need_u64(v: &Json, key: &str) -> Result<u64, String> {
-    need(v, key)?.u64().ok_or_else(|| format!("field {key:?} is not a u64"))
-}
-
-fn need_usize(v: &Json, key: &str) -> Result<usize, String> {
-    need(v, key)?.usize().ok_or_else(|| format!("field {key:?} is not a usize"))
-}
-
-fn need_f64(v: &Json, key: &str) -> Result<f64, String> {
-    need(v, key)?.f64().ok_or_else(|| format!("field {key:?} is not a number"))
-}
-
-fn need_bool(v: &Json, key: &str) -> Result<bool, String> {
-    need(v, key)?.boolean().ok_or_else(|| format!("field {key:?} is not a bool"))
-}
-
-fn need_str(v: &Json, key: &str) -> Result<String, String> {
-    Ok(need(v, key)?.str().ok_or_else(|| format!("field {key:?} is not a string"))?.to_string())
-}
-
-fn need_i8(v: &Json, key: &str) -> Result<i8, String> {
-    let x = need_f64(v, key)?;
-    Ok(x as i8)
-}
-
 /// Parses one NDJSON line back into a record (inverse of [`encode_record`]).
 ///
 /// # Errors
@@ -444,90 +415,91 @@ fn need_i8(v: &Json, key: &str) -> Result<i8, String> {
 pub fn decode_record(line: &str) -> Result<TraceRecord, String> {
     let v = store::parse_json(line.trim_end_matches('\n'))?;
     let key = TraceKey {
-        swarm_size: need_u64(&v, "s")?,
-        deviation_bits: need_u64(&v, "db")?,
-        index: need_u64(&v, "i")?,
-        seq: need_u64(&v, "q")?,
+        swarm_size: field(&v, "s", Json::u64)?,
+        deviation_bits: field(&v, "db", Json::u64)?,
+        index: field(&v, "i", Json::u64)?,
+        seq: field(&v, "q", Json::u64)?,
     };
-    let kind = need_str(&v, "ev")?;
-    let event = match kind.as_str() {
+    let event = match field(&v, "ev", Json::str)? {
         "campaign_start" => TraceEvent::CampaignStart {
-            configs: need_usize(&v, "configs")?,
-            missions_per_config: need_usize(&v, "missions")?,
+            configs: field(&v, "configs", Json::usize)?,
+            missions_per_config: field(&v, "missions", Json::usize)?,
         },
         "campaign_end" => TraceEvent::CampaignEnd {
-            missions: need_usize(&v, "missions")?,
-            failures: need_usize(&v, "failures")?,
+            missions: field(&v, "missions", Json::usize)?,
+            failures: field(&v, "failures", Json::usize)?,
         },
         "resume_skip" => TraceEvent::ResumeSkip,
-        "journal_append" => TraceEvent::JournalAppend { row: need_str(&v, "row")? },
-        "mission_start" => TraceEvent::MissionStart { mission_seed: need_u64(&v, "seed")? },
+        "journal_append" => {
+            TraceEvent::JournalAppend { row: field(&v, "row", Json::str)?.to_string() }
+        }
+        "mission_start" => TraceEvent::MissionStart { mission_seed: field(&v, "seed", Json::u64)? },
         "baseline_rejected" => TraceEvent::BaselineRejected {
-            mission_seed: need_u64(&v, "seed")?,
-            time: need_f64(&v, "time")?,
+            mission_seed: field(&v, "seed", Json::u64)?,
+            time: field(&v, "time", Json::f64)?,
         },
         "baseline" => TraceEvent::BaselineDone {
-            vdo: need_f64(&v, "vdo")?,
-            vdo_drone: need_usize(&v, "drone")?,
-            duration: need_f64(&v, "duration")?,
-            snapshots: need_usize(&v, "snapshots")?,
-            stride: need_usize(&v, "stride")?,
+            vdo: field(&v, "vdo", Json::f64)?,
+            vdo_drone: field(&v, "drone", Json::usize)?,
+            duration: field(&v, "duration", Json::f64)?,
+            snapshots: field(&v, "snapshots", Json::usize)?,
+            stride: field(&v, "stride", Json::usize)?,
         },
         "seed_ranked" => TraceEvent::SeedRanked {
-            rank: need_usize(&v, "rank")?,
-            target: need_usize(&v, "target")?,
-            victim: need_usize(&v, "victim")?,
-            theta: need_i8(&v, "theta")?,
-            influence: need_f64(&v, "influence")?,
-            victim_vdo: need_f64(&v, "victim_vdo")?,
+            rank: field(&v, "rank", Json::usize)?,
+            target: field(&v, "target", Json::usize)?,
+            victim: field(&v, "victim", Json::usize)?,
+            theta: field(&v, "theta", Json::f64)? as i8,
+            influence: field(&v, "influence", Json::f64)?,
+            victim_vdo: field(&v, "victim_vdo", Json::f64)?,
         },
         "seed_start" => TraceEvent::SeedStart {
-            ordinal: need_usize(&v, "ordinal")?,
-            target: need_usize(&v, "target")?,
-            victim: need_usize(&v, "victim")?,
-            theta: need_i8(&v, "theta")?,
-            waveform: need_str(&v, "waveform")?,
-            budget: need_usize(&v, "budget")?,
+            ordinal: field(&v, "ordinal", Json::usize)?,
+            target: field(&v, "target", Json::usize)?,
+            victim: field(&v, "victim", Json::usize)?,
+            theta: field(&v, "theta", Json::f64)? as i8,
+            waveform: field(&v, "waveform", Json::str)?.to_string(),
+            budget: field(&v, "budget", Json::usize)?,
         },
         "probe" => TraceEvent::Probe {
-            ts: need_f64(&v, "ts")?,
-            dt: need_f64(&v, "dt")?,
+            ts: field(&v, "ts", Json::f64)?,
+            dt: field(&v, "dt", Json::f64)?,
             shape: v.get("shape").and_then(Json::f64),
-            value: need_f64(&v, "value")?,
-            success: need_bool(&v, "success")?,
+            value: field(&v, "value", Json::f64)?,
+            success: field(&v, "success", Json::boolean)?,
             fork: v.get("fork").and_then(Json::boolean),
         },
         "gradient_step" => TraceEvent::GradientStep {
-            g_ts: need_f64(&v, "g_ts")?,
-            g_dt: need_f64(&v, "g_dt")?,
-            ts: need_f64(&v, "ts")?,
-            dt: need_f64(&v, "dt")?,
+            g_ts: field(&v, "g_ts", Json::f64)?,
+            g_dt: field(&v, "g_dt", Json::f64)?,
+            ts: field(&v, "ts", Json::f64)?,
+            dt: field(&v, "dt", Json::f64)?,
         },
         "seed_done" => TraceEvent::SeedDone {
-            evaluations: need_usize(&v, "evaluations")?,
-            converged: need_bool(&v, "converged")?,
-            best_value: need_f64(&v, "best_value")?,
-            success: need_bool(&v, "success")?,
+            evaluations: field(&v, "evaluations", Json::usize)?,
+            converged: field(&v, "converged", Json::boolean)?,
+            best_value: field(&v, "best_value", Json::f64)?,
+            success: field(&v, "success", Json::boolean)?,
         },
         "mission_done" => TraceEvent::MissionDone {
-            success: need_bool(&v, "success")?,
-            evaluations: need_usize(&v, "evaluations")?,
-            seeds_tried: need_usize(&v, "seeds_tried")?,
+            success: field(&v, "success", Json::boolean)?,
+            evaluations: field(&v, "evaluations", Json::usize)?,
+            seeds_tried: field(&v, "seeds_tried", Json::usize)?,
         },
         "mission_retry" => TraceEvent::MissionRetry {
-            attempt: need_usize(&v, "attempt")?,
-            error: need_str(&v, "error")?,
+            attempt: field(&v, "attempt", Json::usize)?,
+            error: field(&v, "error", Json::str)?.to_string(),
         },
         "mission_failed" => TraceEvent::MissionFailed {
-            error: need_str(&v, "error")?,
-            retries: need_usize(&v, "retries")?,
+            error: field(&v, "error", Json::str)?.to_string(),
+            retries: field(&v, "retries", Json::usize)?,
         },
         "minimize_pass" => TraceEvent::MinimizePass {
-            pass: need_str(&v, "pass")?,
-            evaluations: need_usize(&v, "evaluations")?,
-            start: need_f64(&v, "start")?,
-            duration: need_f64(&v, "duration")?,
-            deviation: need_f64(&v, "deviation")?,
+            pass: field(&v, "pass", Json::str)?.to_string(),
+            evaluations: field(&v, "evaluations", Json::usize)?,
+            start: field(&v, "start", Json::f64)?,
+            duration: field(&v, "duration", Json::f64)?,
+            deviation: field(&v, "deviation", Json::f64)?,
         },
         other => return Err(format!("unknown trace event kind {other:?}")),
     };

@@ -134,15 +134,6 @@ impl DiGraph {
         &self.out[u]
     }
 
-    /// Incoming `(source, weight)` pairs of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn in_edges(&self, v: NodeId) -> &[(NodeId, f64)] {
-        &self.inc[v]
-    }
-
     /// Sum of outgoing edge weights of `u`.
     pub fn out_weight(&self, u: NodeId) -> f64 {
         self.out[u].iter().map(|(_, w)| w).sum()

@@ -28,11 +28,6 @@ pub fn variance(xs: &[f64]) -> Option<f64> {
     Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
 }
 
-/// Sample standard deviation. Returns `None` when fewer than two samples.
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
-    variance(xs).map(f64::sqrt)
-}
-
 /// Median via sorting a copy. Returns `None` for an empty slice.
 ///
 /// NaN values are sorted to the end and treated as largest.

@@ -140,23 +140,9 @@ impl Vec3 {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
 
-    /// Angle in radians between `self` and `other` (0 for zero vectors).
-    pub fn angle_to(self, other: Vec3) -> f64 {
-        let denom = self.norm() * other.norm();
-        if denom == 0.0 {
-            return 0.0;
-        }
-        crate::clamp(self.dot(other) / denom, -1.0, 1.0).acos()
-    }
-
     /// Component-wise absolute value.
     pub fn abs(self) -> Vec3 {
         Vec3::new(self.x.abs(), self.y.abs(), self.z.abs())
-    }
-
-    /// Largest component.
-    pub fn max_component(self) -> f64 {
-        self.x.max(self.y).max(self.z)
     }
 }
 
@@ -300,11 +286,6 @@ mod tests {
     fn clamp_norm_short_vector_untouched() {
         let v = Vec3::new(1.0, 1.0, 1.0);
         assert_eq!(v.clamp_norm(10.0), v);
-    }
-
-    #[test]
-    fn angle_between_axes_is_right_angle() {
-        assert!((Vec3::X.angle_to(Vec3::Y) - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
     }
 
     #[test]

@@ -13,13 +13,15 @@
 //! ## Snapshot and fork
 //!
 //! The loop's entire evolving state lives in one private `SimState` value,
-//! which [`SimSnapshot`] captures verbatim. [`Simulation::run_to`] simulates
-//! the no-attack prefix up to a time and returns the snapshot;
-//! [`Simulation::resume`] forks from it under an attack whose window opens
-//! after the snapshot point. Because a spoofing attack only enters the loop
-//! through the GPS offsets sampled inside its half-open window
-//! `[t_s, t_s + Δt)`, the forked run is bit-identical to simulating the whole
-//! mission from scratch (proven by `tests/snapshot_equivalence.rs`).
+//! which a [`SimSnapshot`] holds verbatim beside the recorder cursor.
+//! [`Simulation::run_observed_with_snapshots`] captures snapshots along a
+//! run, [`Simulation::prefix_record`] rebuilds a snapshot's prefix record
+//! from that run's record, and [`Simulation::resume_probe`] forks a search
+//! probe from it under an attack whose window opens after the snapshot
+//! point. Because a spoofing attack only enters the loop through the GPS
+//! offsets sampled inside its half-open window `[t_s, t_s + Δt)`, the forked
+//! probe is bit-identical to [`Simulation::run_probe`] flying it from scratch
+//! (proven by `tests/snapshot_equivalence.rs`).
 //!
 //! ## Search probes
 //!
@@ -138,10 +140,10 @@ pub struct RunStats {
 /// influence the simulation — [`Simulation::run_observed`] produces the same
 /// [`MissionOutcome`] with or without one.
 ///
-/// A forked run ([`Simulation::resume`]) reports the stats of the *whole*
-/// mission — prefix included — because the snapshot carries the prefix's
-/// counters and the resumed loop keeps incrementing them. Observers therefore
-/// see identical stats whether a mission was forked or run from scratch.
+/// A forked probe ([`Simulation::resume_probe`]) reports the stats of the
+/// *whole* run — prefix included — because the snapshot carries the prefix's
+/// counters and the forked loop keeps incrementing them. Observers therefore
+/// see identical stats whether a probe was forked or flown from scratch.
 pub trait SimObserver: Sync {
     /// Called once when a mission run finishes.
     fn on_run_end(&self, stats: &RunStats);
@@ -202,16 +204,16 @@ impl MissionOutcome {
 /// mission loop, taken at the *top* of a physics step (before that step's
 /// GPS sampling).
 ///
-/// The capture is exhaustive by construction — the loop keeps all evolving
-/// state in one private struct that this type clones: drone kinematic states,
-/// per-drone dynamics internals (PID integrators for the quadrotor model),
-/// GPS receiver warm state, the comms bus (in-flight queue and per-drone
-/// delivery tables), the three per-stream RNG positions, the wind gust state,
-/// alive flags, the persisted control commands, the run counters and the lazy
-/// collision broad-phase cache (candidate pairs + displacement anchor).
-/// Scratch buffers that the loop recomputes from scratch before every use
-/// (true-position staging, neighbor staging, the two grid indexes) are *not*
-/// state and are rebuilt on resume.
+/// The capture is exhaustive by construction: it holds a clone of the one
+/// private value the loop keeps all evolving state in — drone kinematic
+/// states, per-drone dynamics internals (PID integrators for the quadrotor
+/// model), GPS receiver warm state, the comms bus (in-flight queue and
+/// per-drone delivery tables), the three per-stream RNG positions, the wind
+/// gust state, alive flags, the persisted control commands, the run counters
+/// and the lazy collision broad-phase cache (candidate pairs + displacement
+/// anchor). Scratch buffers that the loop recomputes from scratch before
+/// every use (true-position staging, neighbor staging, the two grid indexes)
+/// are *not* state and are rebuilt on fork.
 ///
 /// Instead of the full mission recording (which would dwarf the rest of the
 /// snapshot), only the recorder *cursor* is kept: the number of samples taken
@@ -220,32 +222,15 @@ impl MissionOutcome {
 /// from any source record of the same mission.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSnapshot<D> {
-    /// Index of the next physics step to execute (`time = next_step · dt`).
-    next_step: usize,
-    /// `true` when the run had already terminated (collision stop, all
-    /// arrived, or duration reached) at capture time; resuming returns the
-    /// prefix outcome unchanged.
-    done: bool,
+    /// The loop's working state at the capture point.
+    state: SimState<D>,
     /// [`MissionSpec::fingerprint`] of the captured mission.
     spec_fingerprint: u64,
     /// The runtime options the prefix ran under.
     config: SimConfig,
     /// Physics step length, kept for time conversions without the spec.
     physics_dt: f64,
-    states: Vec<DroneState>,
-    dynamics: Vec<D>,
-    gps: Vec<GpsReceiver>,
-    bus: CommsBus,
-    rng_gps: StdRng,
-    rng_comms: StdRng,
-    rng_wind: StdRng,
-    wind: Wind,
-    alive: Vec<bool>,
-    commanded: Vec<Vec3>,
-    stats: RunStats,
-    pair_buf: Vec<(DroneId, DroneId)>,
-    broad_anchor: Vec<Vec3>,
-    /// Recorder cursor: samples recorded strictly before `next_step`.
+    /// Recorder cursor: samples recorded strictly before `state.next_step`.
     record_ticks: usize,
     /// Collisions recorded in the prefix, in push order.
     prefix_collisions: Vec<CollisionEvent>,
@@ -256,17 +241,12 @@ pub struct SimSnapshot<D> {
 impl<D> SimSnapshot<D> {
     /// Index of the next physics step the snapshot would execute.
     pub fn next_step(&self) -> usize {
-        self.next_step
+        self.state.next_step
     }
 
     /// Simulation time of the capture point in seconds.
     pub fn time(&self) -> f64 {
-        self.next_step as f64 * self.physics_dt
-    }
-
-    /// `true` when the captured run had already terminated.
-    pub fn is_terminal(&self) -> bool {
-        self.done
+        self.state.next_step as f64 * self.physics_dt
     }
 
     /// Number of recorder samples taken before the capture point.
@@ -276,7 +256,7 @@ impl<D> SimSnapshot<D> {
 
     /// The run counters accumulated over the prefix.
     pub fn stats(&self) -> &RunStats {
-        &self.stats
+        &self.state.stats
     }
 
     /// Fingerprint of the mission the snapshot belongs to.
@@ -289,7 +269,8 @@ impl<D> SimSnapshot<D> {
     /// window `[start, ..)` must not cover any GPS sample the prefix already
     /// took, i.e. every executed step's time must be strictly below `start`.
     pub fn admits_attack_start(&self, start: f64) -> bool {
-        self.next_step == 0 || (self.next_step - 1) as f64 * self.physics_dt < start
+        let next = self.state.next_step;
+        next == 0 || (next - 1) as f64 * self.physics_dt < start
     }
 }
 
@@ -297,16 +278,13 @@ impl<D> SimSnapshot<D> {
 /// executed iteration (the exact state a [`SimSnapshot`] captures).
 type StepHook<'a, D> = &'a mut dyn FnMut(&SimState<D>, &MissionRecord);
 
-/// The complete evolving state of one mission run — the working form of
-/// [`SimSnapshot`]. Everything the loop mutates across iterations lives
-/// here; buffers recomputed before every use stay local to
-/// [`Simulation::drive`].
-#[derive(Debug)]
+/// The complete evolving state of one mission run, which a [`SimSnapshot`]
+/// holds verbatim. Everything the loop mutates across iterations lives here;
+/// buffers recomputed before every use stay local to [`Simulation::drive`].
+#[derive(Debug, Clone, PartialEq)]
 struct SimState<D> {
     /// Next physics step to execute.
     next_step: usize,
-    /// Set when the run terminated (break or duration reached).
-    done: bool,
     states: Vec<DroneState>,
     dynamics: Vec<D>,
     gps: Vec<GpsReceiver>,
@@ -501,7 +479,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
         attack: Option<&SpoofingAttack>,
         observer: Option<&dyn SimObserver>,
     ) -> Result<MissionOutcome, SimError> {
-        self.fly(attack, None, observer)
+        self.fly(attack, None, observer, None)
     }
 
     /// Flies one attacked search probe from scratch: [`Simulation::run_observed`]
@@ -530,25 +508,22 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
         attack: &SpoofingAttack,
         observer: Option<&dyn SimObserver>,
     ) -> Result<MissionOutcome, SimError> {
-        self.fly(Some(attack), self.horizon(attack), observer)
+        self.fly(Some(attack), self.horizon(attack), observer, None)
     }
 
-    /// A fresh run from the initial state, stopping at the obstacle horizon
-    /// from `horizon` on.
+    /// The one body of every fresh run: from the initial state, stopping at
+    /// the obstacle horizon from `horizon` on, with `on_step` handed to
+    /// [`Simulation::drive`].
     fn fly(
         &self,
         attack: Option<&SpoofingAttack>,
         horizon: Option<f64>,
         observer: Option<&dyn SimObserver>,
+        on_step: Option<StepHook<'_, D>>,
     ) -> Result<MissionOutcome, SimError> {
         self.check_attack(attack)?;
-        let mut st = self.init_state();
-        let mut record = MissionRecord::new(self.spec.swarm_size, self.spec.control_period);
-        self.drive(&mut st, &mut record, attack, horizon, None, None)?;
-        if let Some(obs) = observer {
-            obs.on_run_end(&st.stats);
-        }
-        Ok(MissionOutcome { record })
+        let record = MissionRecord::new(self.spec.swarm_size, self.spec.control_period);
+        self.drive(self.init_state(), record, attack, horizon, observer, on_step)
     }
 
     /// The time from which a probe under `attack` may stop at the obstacle
@@ -591,7 +566,6 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
         let n = spec.swarm_size;
         SimState {
             next_step: 0,
-            done: false,
             states: spec.initial_positions().into_iter().map(DroneState::at).collect(),
             dynamics: (0..n).map(|_| (self.make_dynamics)(spec)).collect(),
             gps: (0..n).map(|_| GpsReceiver::new(spec.gps)).collect(),
@@ -608,60 +582,48 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
         }
     }
 
-    /// Advances `st`/`record` through the mission loop.
-    ///
-    /// Runs from `st.next_step` until the mission ends (duration, collision
-    /// stop, all-arrived stop or, from `horizon` on, the obstacle-horizon
-    /// stop — `st.done` is set) or, when `stop_before` is given, until the
-    /// loop *would* execute that step (the step itself is not executed and
-    /// `st.done` stays `false`). `on_step`, when present, is invoked at the
+    /// Flies `st` and `record` through the mission loop from `st.next_step`
+    /// until the mission ends — duration, collision stop, all-arrived stop
+    /// or, from `horizon` on, the obstacle-horizon stop — then hands the
+    /// run's stats to `observer`. `on_step`, when present, is invoked at the
     /// top of every executed iteration — before the step's GPS sampling —
     /// which is exactly the state a [`SimSnapshot`] captures.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::CommsInvariant`] when the communication bus
-    /// detects a broken internal invariant (e.g. after resuming a malformed
+    /// detects a broken internal invariant (e.g. after forking a malformed
     /// snapshot).
     fn drive(
         &self,
-        st: &mut SimState<D>,
-        record: &mut MissionRecord,
+        mut st: SimState<D>,
+        mut record: MissionRecord,
         attack: Option<&SpoofingAttack>,
         horizon: Option<f64>,
-        stop_before: Option<usize>,
+        observer: Option<&dyn SimObserver>,
         mut on_step: Option<StepHook<'_, D>>,
-    ) -> Result<(), SimError> {
-        if st.done {
-            return Ok(());
-        }
+    ) -> Result<MissionOutcome, SimError> {
         let p = LoopParams::of(&self.spec, &self.config, horizon);
         let mut scratch = StepScratch::new(&p);
-        loop {
-            let step = st.next_step;
-            if step > p.steps {
-                st.done = true;
-                return Ok(());
-            }
-            if let Some(stop) = stop_before {
-                if step >= stop {
-                    return Ok(());
-                }
-            }
+        while st.next_step <= p.steps {
             if let Some(hook) = on_step.as_deref_mut() {
-                hook(st, record);
+                hook(&st, &record);
             }
-            if self.step(st, record, attack, &mut scratch, &p)? {
-                return Ok(());
+            if self.step(&mut st, &mut record, attack, &mut scratch, &p)? {
+                break;
             }
         }
+        if let Some(obs) = observer {
+            obs.on_run_end(&st.stats);
+        }
+        Ok(MissionOutcome { record })
     }
 
     /// Executes exactly one physics step: GPS sampling, then (at the control
     /// rate) broadcast, neighbor gather, control, recording and the
     /// all-arrived and obstacle-horizon stops, then integration and collision
     /// detection. Returns `Ok(true)` when the mission terminated inside the
-    /// step (`st.done` is set).
+    /// step.
     fn step(
         &self,
         st: &mut SimState<D>,
@@ -793,14 +755,12 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
                 }
             }
             if record.all_arrived() {
-                st.done = true;
                 return Ok(true);
             }
             if p.horizon.is_some_and(|h| t >= h)
                 && self.past_every_obstacle(true_positions, &st.alive, axis)
             {
                 st.stats.horizon_stops += 1;
-                st.done = true;
                 return Ok(true);
             }
         }
@@ -894,7 +854,6 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
             }
         }
         if collided {
-            st.done = true;
             return Ok(true);
         }
         st.next_step = step + 1;
@@ -903,55 +862,6 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
 }
 
 impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
-    /// Captures the working state as a [`SimSnapshot`].
-    fn snapshot_of(&self, st: &SimState<D>, record: &MissionRecord) -> SimSnapshot<D> {
-        let n = self.spec.swarm_size;
-        SimSnapshot {
-            next_step: st.next_step,
-            done: st.done,
-            spec_fingerprint: self.spec.fingerprint(),
-            config: self.config,
-            physics_dt: self.spec.physics_dt,
-            states: st.states.clone(),
-            dynamics: st.dynamics.clone(),
-            gps: st.gps.clone(),
-            bus: st.bus.clone(),
-            rng_gps: st.rng_gps.clone(),
-            rng_comms: st.rng_comms.clone(),
-            rng_wind: st.rng_wind.clone(),
-            wind: st.wind.clone(),
-            alive: st.alive.clone(),
-            commanded: st.commanded.clone(),
-            stats: st.stats,
-            pair_buf: st.pair_buf.clone(),
-            broad_anchor: st.broad_anchor.clone(),
-            record_ticks: record.len(),
-            prefix_collisions: record.collisions().to_vec(),
-            prefix_arrivals: (0..n).map(|d| record.arrival_time(DroneId(d))).collect(),
-        }
-    }
-
-    /// Rehydrates a snapshot into working state.
-    fn state_of(&self, snap: &SimSnapshot<D>) -> SimState<D> {
-        SimState {
-            next_step: snap.next_step,
-            done: snap.done,
-            states: snap.states.clone(),
-            dynamics: snap.dynamics.clone(),
-            gps: snap.gps.clone(),
-            bus: snap.bus.clone(),
-            rng_gps: snap.rng_gps.clone(),
-            rng_comms: snap.rng_comms.clone(),
-            rng_wind: snap.rng_wind.clone(),
-            wind: snap.wind.clone(),
-            alive: snap.alive.clone(),
-            commanded: snap.commanded.clone(),
-            stats: snap.stats,
-            pair_buf: snap.pair_buf.clone(),
-            broad_anchor: snap.broad_anchor.clone(),
-        }
-    }
-
     /// Rejects snapshots captured by a different mission or configuration.
     fn check_snapshot(&self, snap: &SimSnapshot<D>) -> Result<(), SimError> {
         let fp = self.spec.fingerprint();
@@ -968,57 +878,8 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         }
         // A malformed (e.g. hand-edited or corrupted) snapshot must surface
         // as a typed error here, not as a panic inside the comms hot loop.
-        snap.bus.validate(self.spec.swarm_size)?;
+        snap.state.bus.validate(self.spec.swarm_size)?;
         Ok(())
-    }
-
-    /// Simulates the no-attack prefix up to time `t` and captures a
-    /// [`SimSnapshot`] at the first step boundary at or after `t` (or at the
-    /// point the mission terminated, whichever comes first). Also returns the
-    /// prefix's mission record, which later serves as the `source` for
-    /// [`Simulation::prefix_record`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidMission`] for a non-finite or negative `t`.
-    pub fn run_to(&self, t: f64) -> Result<(SimSnapshot<D>, MissionRecord), SimError> {
-        let stop = self.stop_step(t)?;
-        let mut st = self.init_state();
-        let mut record = MissionRecord::new(self.spec.swarm_size, self.spec.control_period);
-        self.drive(&mut st, &mut record, None, None, Some(stop), None)?;
-        Ok((self.snapshot_of(&st, &record), record))
-    }
-
-    /// Continues a no-attack prefix from `snapshot` up to time `t` and
-    /// captures a new snapshot there — `run_to(t1)` followed by
-    /// `resume_to(·, ·, t2)` yields bit-identical state to `run_to(t2)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::SnapshotMismatch`] when the snapshot or `source`
-    /// do not belong to this simulation, [`SimError::InvalidMission`] for a
-    /// non-finite or negative `t`.
-    pub fn resume_to(
-        &self,
-        snapshot: &SimSnapshot<D>,
-        source: &MissionRecord,
-        t: f64,
-    ) -> Result<(SimSnapshot<D>, MissionRecord), SimError> {
-        let stop = self.stop_step(t)?;
-        let mut record = self.prefix_record(snapshot, source)?;
-        let mut st = self.state_of(snapshot);
-        self.drive(&mut st, &mut record, None, None, Some(stop), None)?;
-        Ok((self.snapshot_of(&st, &record), record))
-    }
-
-    /// Maps a stop time to the first physics step at or after it.
-    fn stop_step(&self, t: f64) -> Result<usize, SimError> {
-        if !t.is_finite() || t < 0.0 {
-            return Err(SimError::InvalidMission(format!(
-                "snapshot time must be finite and non-negative, got {t}"
-            )));
-        }
-        Ok((t / self.spec.physics_dt).ceil() as usize)
     }
 
     /// Reconstructs the prefix [`MissionRecord`] a fresh run would have
@@ -1075,41 +936,24 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         Ok(record)
     }
 
-    /// Forks the mission from `snapshot`, skipping re-simulation of the
-    /// prefix, with `prefix` the record returned by
-    /// [`Simulation::prefix_record`] for this snapshot. The outcome — record
-    /// and observer stats — is bit-identical to
-    /// [`Simulation::run_observed`] with the same attack.
+    /// Flies one attacked search probe forked from `snapshot`, skipping
+    /// re-simulation of the prefix — the forked counterpart of
+    /// [`Simulation::run_probe`], with `prefix` the record returned by
+    /// [`Simulation::prefix_record`] for this snapshot. Stops at the same
+    /// tick, with the same record and observer stats, as
+    /// [`Simulation::run_probe`] under the same attack.
     ///
     /// Splitting prefix reconstruction from the forked suffix lets callers
     /// time the two separately (telemetry's `prefix_sim` vs `forked_sim`).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownTarget`] for an out-of-swarm attack target
-    /// and [`SimError::SnapshotMismatch`] when the snapshot belongs to a
+    /// Returns [`SimError::UnknownTarget`] for an out-of-swarm attack target,
+    /// [`SimError::SnapshotMismatch`] when the snapshot belongs to a
     /// different mission/configuration, `prefix` does not match the
     /// snapshot's recorder cursor, or the attack window opens inside the
-    /// already-simulated prefix (see [`SimSnapshot::admits_attack_start`]).
-    pub fn resume_record_observed(
-        &self,
-        snapshot: &SimSnapshot<D>,
-        prefix: MissionRecord,
-        attack: Option<&SpoofingAttack>,
-        observer: Option<&dyn SimObserver>,
-    ) -> Result<MissionOutcome, SimError> {
-        self.fork(snapshot, prefix, attack, None, observer)
-    }
-
-    /// Flies one attacked search probe forked from `snapshot` — the forked
-    /// counterpart of [`Simulation::run_probe`], with `prefix` the record
-    /// returned by [`Simulation::prefix_record`] for this snapshot. Stops at
-    /// the same tick, with the same record and observer stats, as
-    /// [`Simulation::run_probe`] under the same attack.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulation::resume_record_observed`].
+    /// already-simulated prefix (see [`SimSnapshot::admits_attack_start`]),
+    /// and [`SimError::CommsInvariant`] for a malformed snapshot.
     pub fn resume_probe(
         &self,
         snapshot: &SimSnapshot<D>,
@@ -1117,20 +961,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         attack: &SpoofingAttack,
         observer: Option<&dyn SimObserver>,
     ) -> Result<MissionOutcome, SimError> {
-        self.fork(snapshot, prefix, Some(attack), self.horizon(attack), observer)
-    }
-
-    /// A run forked from `snapshot`, stopping at the obstacle horizon from
-    /// `horizon` on.
-    fn fork(
-        &self,
-        snapshot: &SimSnapshot<D>,
-        prefix: MissionRecord,
-        attack: Option<&SpoofingAttack>,
-        horizon: Option<f64>,
-        observer: Option<&dyn SimObserver>,
-    ) -> Result<MissionOutcome, SimError> {
-        self.check_attack(attack)?;
+        self.check_attack(Some(attack))?;
         self.check_snapshot(snapshot)?;
         if prefix.swarm_size() != self.spec.swarm_size || prefix.len() != snapshot.record_ticks {
             return Err(SimError::SnapshotMismatch(format!(
@@ -1139,56 +970,15 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
                 snapshot.record_ticks
             )));
         }
-        if let Some(a) = attack {
-            if !snapshot.done && !snapshot.admits_attack_start(a.start) {
-                return Err(SimError::SnapshotMismatch(format!(
-                    "attack starting at t={} opens inside the simulated prefix (snapshot at \
-                     t={:.4})",
-                    a.start,
-                    snapshot.time()
-                )));
-            }
+        if !snapshot.admits_attack_start(attack.start) {
+            return Err(SimError::SnapshotMismatch(format!(
+                "attack starting at t={} opens inside the simulated prefix (snapshot at t={:.4})",
+                attack.start,
+                snapshot.time()
+            )));
         }
-        let mut record = prefix;
-        let mut st = self.state_of(snapshot);
-        self.drive(&mut st, &mut record, attack, horizon, None, None)?;
-        if let Some(obs) = observer {
-            obs.on_run_end(&st.stats);
-        }
-        Ok(MissionOutcome { record })
-    }
-
-    /// [`Simulation::resume_record_observed`] with the prefix reconstructed
-    /// from `source` on the fly.
-    ///
-    /// # Errors
-    ///
-    /// Union of [`Simulation::prefix_record`] and
-    /// [`Simulation::resume_record_observed`].
-    pub fn resume_observed(
-        &self,
-        snapshot: &SimSnapshot<D>,
-        source: &MissionRecord,
-        attack: Option<&SpoofingAttack>,
-        observer: Option<&dyn SimObserver>,
-    ) -> Result<MissionOutcome, SimError> {
-        let prefix = self.prefix_record(snapshot, source)?;
-        self.resume_record_observed(snapshot, prefix, attack, observer)
-    }
-
-    /// Forks the mission from `snapshot` under `attack` — the snapshot-side
-    /// counterpart of [`Simulation::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulation::resume_observed`].
-    pub fn resume(
-        &self,
-        snapshot: &SimSnapshot<D>,
-        source: &MissionRecord,
-        attack: Option<&SpoofingAttack>,
-    ) -> Result<MissionOutcome, SimError> {
-        self.resume_observed(snapshot, source, attack, None)
+        let horizon = self.horizon(attack);
+        self.drive(snapshot.state.clone(), prefix, Some(attack), horizon, observer, None)
     }
 
     /// [`Simulation::run_observed`] that additionally offers a snapshot at
@@ -1208,19 +998,22 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         mut should_capture: impl FnMut(usize) -> bool,
         mut sink: impl FnMut(SimSnapshot<D>),
     ) -> Result<MissionOutcome, SimError> {
-        self.check_attack(attack)?;
-        let mut st = self.init_state();
-        let mut record = MissionRecord::new(self.spec.swarm_size, self.spec.control_period);
-        let mut hook = |state: &SimState<D>, rec: &MissionRecord| {
+        let spec_fingerprint = self.spec.fingerprint();
+        let n = self.spec.swarm_size;
+        let mut hook = |state: &SimState<D>, record: &MissionRecord| {
             if should_capture(state.next_step) {
-                sink(self.snapshot_of(state, rec));
+                sink(SimSnapshot {
+                    state: state.clone(),
+                    spec_fingerprint,
+                    config: self.config,
+                    physics_dt: self.spec.physics_dt,
+                    record_ticks: record.len(),
+                    prefix_collisions: record.collisions().to_vec(),
+                    prefix_arrivals: (0..n).map(|d| record.arrival_time(DroneId(d))).collect(),
+                });
             }
         };
-        self.drive(&mut st, &mut record, attack, None, None, Some(&mut hook))?;
-        if let Some(obs) = observer {
-            obs.on_run_end(&st.stats);
-        }
-        Ok(MissionOutcome { record })
+        self.fly(attack, None, observer, Some(&mut hook))
     }
 }
 
@@ -1407,73 +1200,101 @@ mod tests {
         assert!(out.record.arrival_time(DroneId(0)).unwrap() < 60.0);
     }
 
+    /// The snapshot `sim`'s no-attack run captures at `step`, and that run's
+    /// record (the source of its prefix record).
+    fn snapshot_at<C: SwarmController>(
+        sim: &Simulation<C>,
+        step: usize,
+    ) -> (SimSnapshot<PointMass>, MissionRecord) {
+        let mut snaps = Vec::new();
+        let out =
+            sim.run_observed_with_snapshots(None, None, |s| s == step, |s| snaps.push(s)).unwrap();
+        assert_eq!(snaps.len(), 1, "step {step} captured once");
+        (snaps.pop().unwrap(), out.record)
+    }
+
+    /// Forks `attack`'s probe from `snap`, rebuilding its prefix from
+    /// `source`.
+    fn fork_probe<C: SwarmController>(
+        sim: &Simulation<C>,
+        snap: &SimSnapshot<PointMass>,
+        source: &MissionRecord,
+        attack: &SpoofingAttack,
+        observer: Option<&dyn SimObserver>,
+    ) -> Result<MissionOutcome, SimError> {
+        let prefix = sim.prefix_record(snap, source)?;
+        sim.resume_probe(snap, prefix, attack, observer)
+    }
+
     #[test]
     fn fork_at_zero_is_bit_identical_to_fresh_run() {
         // The hidden-state audit in one assertion: a snapshot at t = 0 must
-        // carry *exactly* the initial state, so resuming it reproduces a
-        // fresh run bit for bit.
+        // carry *exactly* the initial state, so forking it reproduces a
+        // fresh probe bit for bit, even under a window open from t = 0.
         let sim = Simulation::new(short_spec(3), BeeLine).unwrap();
-        let fresh = sim.run(None).unwrap();
-        let (snap, source) = sim.run_to(0.0).unwrap();
-        assert_eq!(snap.next_step(), 0);
+        let (snap, source) = snapshot_at(&sim, 0);
+        assert_eq!(snap.state, sim.init_state());
         assert_eq!(snap.record_ticks(), 0);
-        let forked = sim.resume(&snap, &source, None).unwrap();
+        let attack = SpoofingAttack::new(DroneId(0), SpoofDirection::Left, 0.0, 4.0, 12.0).unwrap();
+        let fresh = sim.run_probe(&attack, None).unwrap();
+        let forked = fork_probe(&sim, &snap, &source, &attack, None).unwrap();
         assert_eq!(fresh.record, forked.record);
     }
 
     #[test]
     fn forked_run_matches_fresh_run_under_attack() {
-        let spec = short_spec(3);
-        let sim = Simulation::new(spec, BeeLine).unwrap();
+        let sim = Simulation::new(short_spec(3), BeeLine).unwrap();
         let attack = SpoofingAttack::new(DroneId(0), SpoofDirection::Left, 5.0, 4.0, 12.0).unwrap();
-        let fresh = sim.run(Some(&attack)).unwrap();
-        let (snap, source) = sim.run_to(5.0).unwrap();
+        let fresh = sim.run_probe(&attack, None).unwrap();
+        let (snap, source) = snapshot_at(&sim, 500);
         assert!(snap.admits_attack_start(attack.start));
-        let forked = sim.resume(&snap, &source, Some(&attack)).unwrap();
+        let forked = fork_probe(&sim, &snap, &source, &attack, None).unwrap();
         assert_eq!(fresh.record, forked.record);
     }
 
     #[test]
     fn forked_observer_stats_match_fresh_run() {
         let sim = Simulation::new(short_spec(2), BeeLine).unwrap();
+        let attack =
+            SpoofingAttack::new(DroneId(0), SpoofDirection::Right, 7.5, 4.0, 12.0).unwrap();
         let fresh = LastRun::default();
-        sim.run_observed(None, Some(&fresh)).unwrap();
-        let fresh_stats = fresh.stats();
-        let (snap, source) = sim.run_to(7.5).unwrap();
+        sim.run_probe(&attack, Some(&fresh)).unwrap();
+        let (snap, source) = snapshot_at(&sim, 750);
+        assert_eq!(snap.stats().physics_steps, 750);
         let forked = LastRun::default();
-        sim.resume_observed(&snap, &source, None, Some(&forked)).unwrap();
-        let forked_stats = forked.stats();
-        assert_eq!(fresh_stats, forked_stats, "forked stats must cover the whole mission");
-    }
-
-    #[test]
-    fn snapshot_roundtrip_is_idempotent() {
-        // run_to(t1) then resume_to(t2) must equal run_to(t2) exactly —
-        // snapshot → resume → snapshot loses nothing.
-        let sim = Simulation::new(short_spec(3), BeeLine).unwrap();
-        let (s1, r1) = sim.run_to(4.0).unwrap();
-        let (via, via_rec) = sim.resume_to(&s1, &r1, 10.0).unwrap();
-        let (direct, direct_rec) = sim.run_to(10.0).unwrap();
-        assert_eq!(via, direct);
-        assert_eq!(via_rec, direct_rec);
+        fork_probe(&sim, &snap, &source, &attack, Some(&forked)).unwrap();
+        assert_eq!(fresh.stats(), forked.stats(), "forked stats must cover the whole run");
     }
 
     #[test]
     fn resume_rejects_foreign_snapshot_and_early_attack() {
         let sim_a = Simulation::new(short_spec(2), BeeLine).unwrap();
-        let (snap, source) = sim_a.run_to(5.0).unwrap();
+        let (snap, source) = snapshot_at(&sim_a, 500);
+        let prefix = sim_a.prefix_record(&snap, &source).unwrap();
+        let late = SpoofingAttack::new(DroneId(0), SpoofDirection::Left, 6.0, 3.0, 8.0).unwrap();
 
         // Different mission spec → different fingerprint.
         let sim_b = Simulation::new(MissionSpec::paper_delivery(2, 99), BeeLine).unwrap();
-        assert!(matches!(sim_b.resume(&snap, &source, None), Err(SimError::SnapshotMismatch(_))));
+        assert!(matches!(sim_b.prefix_record(&snap, &source), Err(SimError::SnapshotMismatch(_))));
+        assert!(matches!(
+            sim_b.resume_probe(&snap, prefix.clone(), &late, None),
+            Err(SimError::SnapshotMismatch(_))
+        ));
+
+        // A prefix that is not the snapshot's: the whole baseline record.
+        assert!(matches!(
+            sim_a.resume_probe(&snap, source.clone(), &late, None),
+            Err(SimError::SnapshotMismatch(_))
+        ));
 
         // Attack window opening inside the simulated prefix.
         let early = SpoofingAttack::new(DroneId(0), SpoofDirection::Left, 2.0, 3.0, 8.0).unwrap();
         assert!(!snap.admits_attack_start(early.start));
         assert!(matches!(
-            sim_a.resume(&snap, &source, Some(&early)),
+            sim_a.resume_probe(&snap, prefix.clone(), &early, None),
             Err(SimError::SnapshotMismatch(_))
         ));
+        assert!(sim_a.resume_probe(&snap, prefix, &late, None).is_ok());
     }
 
     #[test]
@@ -1567,11 +1388,11 @@ mod tests {
         assert!(whole.collision_free() && probe.collision_free());
         assert!((stats.sim_time - h.duration()).abs() < 1e-9);
 
-        // Forking the probe stops at the same tick with the same stats.
-        let (snap, source) = sim.run_to(attack.start).unwrap();
-        let prefix = sim.prefix_record(&snap, &source).unwrap();
+        // Forking the probe at its window's start (step 200) stops at the
+        // same tick with the same stats.
+        let (snap, source) = snapshot_at(&sim, 200);
         let observer = LastRun::default();
-        let forked = sim.resume_probe(&snap, prefix, &attack, Some(&observer)).unwrap();
+        let forked = fork_probe(&sim, &snap, &source, &attack, Some(&observer)).unwrap();
         assert_eq!(forked.record, probe.record);
         assert_eq!(observer.stats(), stats);
     }
@@ -1637,9 +1458,11 @@ mod tests {
     #[test]
     fn resume_from_corrupted_snapshot_is_a_typed_error_not_a_panic() {
         let sim = Simulation::new(short_spec(3), BeeLine).unwrap();
-        let (mut snap, source) = sim.run_to(4.0).unwrap();
-        snap.bus.corrupt_in_flight_for_test();
-        let err = sim.resume(&snap, &source, None).unwrap_err();
+        let (mut snap, source) = snapshot_at(&sim, 400);
+        let prefix = sim.prefix_record(&snap, &source).unwrap();
+        snap.state.bus.corrupt_in_flight_for_test();
+        let attack = SpoofingAttack::new(DroneId(0), SpoofDirection::Left, 5.0, 4.0, 12.0).unwrap();
+        let err = sim.resume_probe(&snap, prefix, &attack, None).unwrap_err();
         assert!(matches!(err, SimError::CommsInvariant(_)), "got {err:?}");
     }
 }

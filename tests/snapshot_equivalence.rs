@@ -5,12 +5,14 @@
 //! admissible because it is *bit-identical* to simulating from `t = 0`.
 //! This suite pins that claim at three levels:
 //!
-//! * sim level — forked vs fresh mission records over seeded-random
+//! * sim level — a search probe forked from every admitting snapshot of one
+//!   capture run equals the probe flown fresh, over seeded-random
 //!   `(t_s, Δt, swarm size, mission seed)` windows, across all three
 //!   spatial-grid policies and with lossy/delayed comms (every RNG stream —
 //!   GPS noise, drop lottery, wind — must stay in phase across the fork);
-//! * snapshot algebra — `run_to(t1)` then `resume_to(t2)` equals
-//!   `run_to(t2)` (round-trip idempotence) over random split points;
+//!   the snapshots that do not admit the window refuse it with a typed error;
+//! * capture — two capture runs of one mission give equal snapshots at every
+//!   step both capture, and capturing never changes the run;
 //! * fuzzer/campaign level — [`FuzzReport`]s and [`CampaignReport`]s with
 //!   snapshots on are bit-identical to snapshots off, across worker counts,
 //!   and the paper's eval budget is conserved: a forked probe counts
@@ -21,7 +23,7 @@ use std::sync::Arc;
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::spoof::SpoofingAttack;
-use swarm_sim::{SimConfig, Simulation, SpatialPolicy};
+use swarm_sim::{SimConfig, SimError, Simulation, SpatialPolicy};
 use swarm_testkit::gens::{f64_in, one_of, u64_in, usize_in, zip2, zip4};
 use swarm_testkit::{cases, check_budgeted, gens, tk_ensure, Gen};
 use swarmfuzz::campaign::{
@@ -41,7 +43,7 @@ fn policies() -> Vec<SpatialPolicy> {
 }
 
 /// One randomized differential case: a short delivery mission, an attack
-/// window, a fork point at the window's start, and a grid policy.
+/// window and a grid policy.
 #[derive(Debug, Clone)]
 struct ForkCase {
     swarm_size: usize,
@@ -67,8 +69,15 @@ fn fork_case() -> Gen<ForkCase> {
     })
 }
 
-/// Runs `case`'s attacked mission fresh and forked (from a snapshot at the
-/// attack start) on the given spec and asserts bit-identity.
+/// Capture stride of the differential cases' baseline, in physics steps.
+const FORK_STRIDE: usize = 700;
+
+/// Flies `case`'s probe fresh, then forks it from every snapshot of one
+/// no-attack capture run that admits its window: every [`FORK_STRIDE`]-th
+/// step plus the newest admitting step (the window's first step) and the
+/// step after it, which does not admit the window. Each fork must equal the
+/// fresh probe, and each snapshot that does not admit the window must
+/// refuse it with a typed error.
 fn assert_fork_matches_fresh(spec: &MissionSpec, case: &ForkCase) -> Result<(), String> {
     let sim = Simulation::new(spec.clone(), controller())
         .map_err(|e| e.to_string())?
@@ -82,17 +91,42 @@ fn assert_fork_matches_fresh(spec: &MissionSpec, case: &ForkCase) -> Result<(), 
     )
     .map_err(|e| e.to_string())?;
 
-    let fresh = sim.run(Some(&attack)).map_err(|e| e.to_string())?;
-    let (snapshot, source) = sim.run_to(case.start).map_err(|e| e.to_string())?;
-    let forked = sim.resume(&snapshot, &source, Some(&attack)).map_err(|e| e.to_string())?;
+    let fresh = sim.run_probe(&attack, None).map_err(|e| e.to_string())?;
+    let first = (case.start / spec.physics_dt).ceil() as usize;
+    let mut snapshots = Vec::new();
+    let baseline = sim
+        .run_observed_with_snapshots(
+            None,
+            None,
+            |step| step.is_multiple_of(FORK_STRIDE) || step == first || step == first + 1,
+            |snap| snapshots.push(snap),
+        )
+        .map_err(|e| e.to_string())?;
 
-    tk_ensure!(
-        forked.record == fresh.record,
-        "forked record diverged from fresh (policy {:?}, start {}, duration {})",
-        case.policy,
-        case.start,
-        case.duration
-    );
+    let mut forks = 0;
+    for snap in &snapshots {
+        let prefix = sim.prefix_record(snap, &baseline.record).map_err(|e| e.to_string())?;
+        let forked = sim.resume_probe(snap, prefix, &attack, None);
+        if !snap.admits_attack_start(attack.start) {
+            tk_ensure!(
+                matches!(forked, Err(SimError::SnapshotMismatch(_))),
+                "snapshot at step {} accepted a window opening at {}",
+                snap.next_step(),
+                case.start
+            );
+            continue;
+        }
+        forks += 1;
+        tk_ensure!(
+            forked.map_err(|e| e.to_string())?.record == fresh.record,
+            "probe forked at step {} diverged from fresh (policy {:?}, start {}, duration {})",
+            snap.next_step(),
+            case.policy,
+            case.start,
+            case.duration
+        );
+    }
+    tk_ensure!(forks > 0, "no snapshot admits the window (step 0 always does)");
     Ok(())
 }
 
@@ -130,22 +164,45 @@ fn forked_mission_is_bit_identical_with_lossy_delayed_comms_and_noise() {
 }
 
 #[test]
-fn snapshot_roundtrip_is_idempotent_over_random_split_points() {
-    // run_to(t1) → resume_to(t2) must land in exactly the state (and record)
-    // of run_to(t2): snapshots compose.
-    let gen = zip4(&usize_in(3..=5), &u64_in(0..=u64::MAX), &f64_in(0.0, 15.0), &f64_in(0.0, 15.0));
-    check_budgeted("snapshot_roundtrip", (cases() / 16).max(8), &gen, |&(n, seed, a, b)| {
-        let (t1, t2) = if a <= b { (a, b) } else { (b, a) };
-        let mut spec = MissionSpec::paper_delivery(n, seed);
-        spec.duration = 20.0;
-        let sim = Simulation::new(spec, controller()).map_err(|e| e.to_string())?;
-        let (snap1, source1) = sim.run_to(t1).map_err(|e| e.to_string())?;
-        let stepwise = sim.resume_to(&snap1, &source1, t2).map_err(|e| e.to_string())?;
-        let direct = sim.run_to(t2).map_err(|e| e.to_string())?;
-        tk_ensure!(stepwise.0 == direct.0, "snapshot state diverged (t1={t1}, t2={t2})");
-        tk_ensure!(stepwise.1 == direct.1, "prefix record diverged (t1={t1}, t2={t2})");
-        Ok(())
-    });
+fn capture_runs_give_equal_snapshots_at_every_captured_step() {
+    // A second capture run of the same mission, capturing a superset of the
+    // first run's steps, must hold the same whole snapshot at each of them,
+    // and neither capture may change the run's record: capturing is
+    // deterministic and never touches the state it copies.
+    let gen = zip4(&usize_in(3..=5), &u64_in(0..=u64::MAX), &usize_in(50..=400), &usize_in(7..=90));
+    check_budgeted(
+        "snapshot_capture_deterministic",
+        (cases() / 16).max(8),
+        &gen,
+        |&(n, seed, a, b)| {
+            let mut spec = MissionSpec::paper_delivery(n, seed);
+            spec.duration = 20.0;
+            let sim = Simulation::new(spec, controller()).map_err(|e| e.to_string())?;
+            let capture = |wants: &dyn Fn(usize) -> bool| {
+                let mut snaps = Vec::new();
+                let out = sim
+                    .run_observed_with_snapshots(None, None, wants, |s| snaps.push(s))
+                    .map_err(|e| e.to_string())?;
+                Ok::<_, String>((snaps, out.record))
+            };
+            let (first, first_record) = capture(&|step| step.is_multiple_of(a))?;
+            let (second, second_record) =
+                capture(&|step| step.is_multiple_of(a) || step.is_multiple_of(b))?;
+            let plain = sim.run(None).map_err(|e| e.to_string())?.record;
+            tk_ensure!(first_record == plain && second_record == plain, "capture changed the run");
+            tk_ensure!(!first.is_empty(), "step 0 is always captured");
+            let mut rest = second.iter();
+            for snap in &first {
+                let twin = rest.find(|s| s.next_step() == snap.next_step());
+                tk_ensure!(
+                    twin == Some(snap),
+                    "snapshots differ at step {} (a={a}, b={b})",
+                    snap.next_step()
+                );
+            }
+            Ok(())
+        },
+    );
 }
 
 fn fuzzer_with(deviation: f64, budget: usize, snapshots: bool) -> Fuzzer<VasarhelyiController> {
