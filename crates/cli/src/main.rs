@@ -591,6 +591,10 @@ fn cmd_replay(opts: &ReplayOpts) -> Result<(), CliError> {
         opts.duration,
         opts.deviation,
     )?;
+    // An attack can only be said to cause a crash on a clean mission.
+    if let Some(c) = sim.run(None)?.first_collision() {
+        return Err(FuzzError::BaselineCollision(*c).into());
+    }
     println!("replaying: {attack}");
     let out = sim.run(Some(&attack))?;
     match out.spv_collision(DroneId(opts.target)) {

@@ -18,7 +18,6 @@
 //! [`SpoofingAttack::with_window`], which re-fits the waveform to the new
 //! window exactly as the fuzzer's search does.
 
-use swarm_sim::dynamics::Dynamics;
 use swarm_sim::spoof::SpoofingAttack;
 use swarm_sim::{Simulation, SwarmController};
 
@@ -72,11 +71,13 @@ impl MinimizedAttack {
 /// # Errors
 ///
 /// * [`FuzzError::Sim`] if a probe mission fails to run;
+/// * [`FuzzError::BaselineCollision`] if the unattacked mission already
+///   collides, so no attack on it can be said to cause a crash;
 /// * [`FuzzError::NonReproducingFinding`] if `finding` does not reproduce
 ///   on `sim` (minimization of a non-reproducing finding indicates a
 ///   mismatched mission or configuration).
-pub fn minimize_attack<C: SwarmController, D: Dynamics>(
-    sim: &Simulation<C, D>,
+pub fn minimize_attack<C: SwarmController>(
+    sim: &Simulation<C>,
     finding: &SpvFinding,
     config: &MinimizeConfig,
 ) -> Result<MinimizedAttack, FuzzError> {
@@ -91,12 +92,18 @@ pub fn minimize_attack<C: SwarmController, D: Dynamics>(
 /// # Errors
 ///
 /// Same conditions as [`minimize_attack`].
-pub fn minimize_attack_traced<C: SwarmController, D: Dynamics>(
-    sim: &Simulation<C, D>,
+pub fn minimize_attack_traced<C: SwarmController>(
+    sim: &Simulation<C>,
     finding: &SpvFinding,
     config: &MinimizeConfig,
     trace: &Trace,
 ) -> Result<MinimizedAttack, FuzzError> {
+    // The bisections below take attack-off as their non-crashing end, which
+    // holds only on a clean mission. This check is not a probe and is not
+    // counted in `evaluations`.
+    if let Some(c) = sim.run(None)?.first_collision() {
+        return Err(FuzzError::BaselineCollision(*c));
+    }
     let evals = std::cell::Cell::new(0usize);
     let crashes = |attack: &SpoofingAttack| -> Result<bool, FuzzError> {
         evals.set(evals.get() + 1);
@@ -117,7 +124,7 @@ pub fn minimize_attack_traced<C: SwarmController, D: Dynamics>(
     }
 
     // Pass 1: shrink the duration. Invariant: `hi` crashes, `lo` does not
-    // (lo = 0 is attack-off, which cannot crash a screened mission).
+    // (lo = 0 is attack-off, which the baseline check above saw fly clean).
     let mut best = original;
     let (mut lo, mut hi) = (0.0f64, best.duration);
     while hi - lo > config.time_resolution && evals.get() < config.budget {
@@ -193,7 +200,7 @@ mod tests {
     use swarm_math::{Vec2, Vec3};
     use swarm_sim::mission::MissionSpec;
     use swarm_sim::spoof::{SpoofDirection, Waveform, WaveformKind};
-    use swarm_sim::{ControlContext, DroneId, PerceivedSelf};
+    use swarm_sim::{CollisionKind, ControlContext, DroneId, PerceivedSelf};
 
     use crate::seed::Seed;
 
@@ -379,6 +386,40 @@ mod tests {
             assert!(min.attack.duration < finding.duration, "{waveform:?} window must shrink");
             let out = sim.run(Some(&min.attack)).unwrap();
             assert!(out.spv_collision(min.attack.target).is_some(), "{waveform:?} reproduces");
+        }
+    }
+
+    /// Flies every drone along +x at 2 m/s, deaf to GPS and neighbors alike.
+    struct Straight;
+
+    impl swarm_sim::SwarmController for Straight {
+        fn desired_velocity(&self, _ctx: &ControlContext<'_>) -> Vec3 {
+            Vec3::new(2.0, 0.0, 0.0)
+        }
+    }
+
+    /// Regression: minimization assumed a clean baseline. On a mission whose
+    /// unattacked flight already crashes a drone, any attack on another
+    /// drone "reproduced" that crash and was shrunk to a "minimal" attack
+    /// that causes nothing.
+    #[test]
+    fn minimization_refuses_a_mission_that_crashes_unattacked() {
+        let mut spec = MissionSpec::paper_delivery(2, 0);
+        spec.start_min = Vec2::new(60.0, -1.0);
+        spec.start_max = Vec2::new(80.0, 1.0);
+        spec.duration = 90.0;
+        let sim = Simulation::new(spec, Straight).unwrap();
+        let crash = *sim.run(None).unwrap().first_collision().expect("the baseline crashes");
+        let CollisionKind::DroneObstacle { drone: victim, .. } = crash.kind else {
+            panic!("expected an obstacle crash, got {crash:?}");
+        };
+        let (_, mut finding) = rig();
+        finding.seed.target = DroneId(1 - victim.index());
+        finding.seed.victim = victim;
+        finding.actual_victim = victim;
+        match minimize_attack(&sim, &finding, &MinimizeConfig::default()) {
+            Err(FuzzError::BaselineCollision(c)) => assert_eq!(c, crash),
+            other => panic!("expected BaselineCollision, got {other:?}"),
         }
     }
 

@@ -14,7 +14,6 @@
 //! constant offset for constant seeds, and for the other classes the
 //! waveform [`Waveform::fitted`] to the window and the searched shape.
 
-use swarm_sim::dynamics::Dynamics;
 use swarm_sim::recorder::MissionRecord;
 use swarm_sim::spoof::{SpoofingAttack, Waveform};
 use swarm_sim::{DroneId, MissionOutcome, SimObserver, SimSnapshot, Simulation, SwarmController};
@@ -66,14 +65,14 @@ impl Evaluation {
 }
 
 /// Evaluates the objective for one seed by running attacked missions.
-pub struct Objective<'a, C, D> {
-    sim: &'a Simulation<C, D>,
+pub struct Objective<'a, C> {
+    sim: &'a Simulation<C>,
     seed: Seed,
     deviation: f64,
     observer: Option<&'a dyn SimObserver>,
 }
 
-impl<C, D> std::fmt::Debug for Objective<'_, C, D> {
+impl<C> std::fmt::Debug for Objective<'_, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Objective")
             .field("seed", &self.seed)
@@ -83,9 +82,9 @@ impl<C, D> std::fmt::Debug for Objective<'_, C, D> {
     }
 }
 
-impl<'a, C: SwarmController, D: Dynamics> Objective<'a, C, D> {
+impl<'a, C: SwarmController> Objective<'a, C> {
     /// Creates an evaluator bound to one simulation and seed.
-    pub fn new(sim: &'a Simulation<C, D>, seed: Seed, deviation: f64) -> Self {
+    pub fn new(sim: &'a Simulation<C>, seed: Seed, deviation: f64) -> Self {
         Objective { sim, seed, deviation, observer: None }
     }
 
@@ -181,9 +180,7 @@ impl<'a, C: SwarmController, D: Dynamics> Objective<'a, C, D> {
 
         Evaluation { value, outcome: eval_outcome, start, duration }
     }
-}
 
-impl<C: SwarmController, D: Dynamics + Clone> Objective<'_, C, D> {
     /// [`Objective::evaluate`], but forking the attacked mission from
     /// `snapshot` (with `prefix` the record returned by
     /// [`Simulation::prefix_record`]) instead of re-simulating the no-attack
@@ -198,7 +195,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Objective<'_, C, D> {
     /// [`FuzzError::Sim`]) when the snapshot does not admit the window.
     pub fn evaluate_forked(
         &self,
-        snapshot: &SimSnapshot<D>,
+        snapshot: &SimSnapshot,
         prefix: MissionRecord,
         start: f64,
         duration: f64,
@@ -214,7 +211,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Objective<'_, C, D> {
     /// Same conditions as [`Objective::evaluate_forked`].
     pub fn evaluate_shaped_forked(
         &self,
-        snapshot: &SimSnapshot<D>,
+        snapshot: &SimSnapshot,
         prefix: MissionRecord,
         start: f64,
         duration: f64,

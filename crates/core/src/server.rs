@@ -39,7 +39,7 @@ pub use crate::executor::ExecutorOptions;
 use crate::executor::{InProcessExecutor, MissionExecutor, MissionJob};
 use crate::fuzzer::{Fuzzer, FuzzerConfig};
 use crate::store::{
-    campaign_fingerprint, parse_json, push_field_f64, push_json_string, CampaignJournal,
+    campaign_fingerprint, field, parse_json, push_field_f64, push_json_string, CampaignJournal,
     JournalRow, Json, StoreError,
 };
 use crate::telemetry::Telemetry;
@@ -305,38 +305,25 @@ impl CampaignSpec {
         if j.get("version").and_then(Json::u64) != Some(1) {
             return Err("unsupported spec version".into());
         }
-        let field = |key: &str| j.get(key).ok_or_else(|| format!("missing field {key:?}"));
-        let configs = match field("configs")? {
-            Json::Arr(items) => {
-                let mut configs = Vec::with_capacity(items.len());
-                for item in items {
-                    let swarm_size = item
-                        .get("swarm_size")
-                        .and_then(Json::usize)
-                        .ok_or("config missing swarm_size")?;
-                    let deviation = item
-                        .get("deviation")
-                        .and_then(Json::f64)
-                        .ok_or("config missing deviation")?;
-                    configs.push(SwarmConfig { swarm_size, deviation });
-                }
-                configs
-            }
-            _ => return Err("configs must be an array".into()),
-        };
-        let variant_name = field("variant")?.str().ok_or("variant must be a string")?;
+        let configs = field(j, "configs", Json::arr)?
+            .iter()
+            .map(|item| {
+                Ok(SwarmConfig {
+                    swarm_size: field(item, "swarm_size", Json::usize)?,
+                    deviation: field(item, "deviation", Json::f64)?,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let variant_name = field(j, "variant", Json::str)?;
         let variant = FuzzerVariant::parse(variant_name)
             .ok_or_else(|| format!("unknown variant {variant_name:?}"))?;
-        let attacks_list = field("attacks")?.str().ok_or("attacks must be a string")?;
-        let attacks = WaveformSet::parse(attacks_list)?;
+        let attacks = WaveformSet::parse(field(j, "attacks", Json::str)?)?;
         Ok(CampaignSpec {
             campaign: CampaignConfig {
                 configs,
-                missions_per_config: field("missions_per_config")?
-                    .usize()
-                    .ok_or("missions_per_config must be an integer")?,
-                base_seed: field("base_seed")?.u64().ok_or("base_seed must be an integer")?,
-                workers: field("workers")?.usize().ok_or("workers must be an integer")?,
+                missions_per_config: field(j, "missions_per_config", Json::usize)?,
+                base_seed: field(j, "base_seed", Json::u64)?,
+                workers: field(j, "workers", Json::usize)?,
             },
             variant,
             attacks,
@@ -1354,6 +1341,10 @@ mod tests {
         let line = spec.encode().replace("SwarmFuzz", "Q_Fuzz");
         let err = CampaignSpec::decode(&line).unwrap_err();
         assert!(err.contains("Q_Fuzz"), "unknown variant must be named: {err}");
+        let line = spec.encode().replace(",\"base_seed\":0", "");
+        assert_ne!(line, spec.encode());
+        let err = CampaignSpec::decode(&line).unwrap_err();
+        assert!(err.contains("\"base_seed\""), "a missing field must be named: {err}");
     }
 
     #[test]

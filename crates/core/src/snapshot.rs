@@ -14,7 +14,6 @@
 //! mission's search returns: no other mission could fork from it, because
 //! every campaign mission has its own seed.
 
-use swarm_sim::dynamics::PointMass;
 use swarm_sim::recorder::MissionRecord;
 use swarm_sim::SimSnapshot;
 
@@ -27,7 +26,7 @@ const RING_CAPACITY: usize = 256;
 #[derive(Debug, Clone)]
 pub struct MissionCache {
     baseline: MissionRecord,
-    ring: Vec<SimSnapshot<PointMass>>,
+    ring: Vec<SimSnapshot>,
     stride: usize,
 }
 
@@ -60,7 +59,7 @@ impl MissionCache {
     /// can be forked bit-identically. Snapshots at step 0 are skipped — a
     /// fork from the initial state saves nothing over a fresh run, so the
     /// caller should treat that case as a miss and simulate from scratch.
-    pub fn newest_admitting(&self, start: f64) -> Option<&SimSnapshot<PointMass>> {
+    pub fn newest_admitting(&self, start: f64) -> Option<&SimSnapshot> {
         self.ring.iter().rev().find(|s| s.next_step() > 0 && s.admits_attack_start(start))
     }
 }
@@ -75,7 +74,7 @@ impl MissionCache {
 #[derive(Debug)]
 pub struct SnapshotRing {
     stride: usize,
-    snaps: Vec<SimSnapshot<PointMass>>,
+    snaps: Vec<SimSnapshot>,
 }
 
 impl SnapshotRing {
@@ -94,7 +93,7 @@ impl SnapshotRing {
 
     /// Accepts a captured snapshot, thinning the ring when it outgrows
     /// `RING_CAPACITY`.
-    pub fn push(&mut self, snap: SimSnapshot<PointMass>) {
+    pub fn push(&mut self, snap: SimSnapshot) {
         if !self.wants(snap.next_step()) {
             return;
         }
@@ -116,7 +115,7 @@ impl SnapshotRing {
     }
 
     /// Finalizes into the retained snapshots, ascending by capture step.
-    pub fn into_snapshots(self) -> Vec<SimSnapshot<PointMass>> {
+    pub fn into_snapshots(self) -> Vec<SimSnapshot> {
         self.snaps
     }
 }

@@ -238,6 +238,13 @@ impl Json {
         }
     }
 
+    pub(crate) fn arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
     pub(crate) fn boolean(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),

@@ -39,7 +39,7 @@ use std::net::{TcpListener, TcpStream};
 
 use crate::campaign::{report_from_rows, CampaignReport};
 use crate::server::{CampaignServer, CampaignSpec, JobPhase, JobStatus, ServerError};
-use crate::store::{decode_row, encode_row, parse_json, push_json_string, JournalRow, Json};
+use crate::store::{decode_row, encode_row, field, parse_json, push_json_string, JournalRow, Json};
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -103,24 +103,17 @@ impl ClientMsg {
     /// A message naming the first malformed field.
     pub fn decode(line: &str) -> Result<ClientMsg, String> {
         let j = parse_json(line)?;
-        let msg = j.get("msg").and_then(Json::str).ok_or("missing msg field")?;
-        match msg {
-            "submit" => {
-                let tenant = j.get("tenant").and_then(Json::str).ok_or("submit missing tenant")?;
-                let weight = j.get("weight").and_then(Json::u64).unwrap_or(1);
-                let spec_json = j.get("spec").ok_or("submit missing spec")?;
-                let spec = CampaignSpec::from_json(spec_json)?;
-                Ok(ClientMsg::Submit { tenant: tenant.to_string(), weight, spec })
-            }
-            "status" => {
-                let job = j.get("job").and_then(Json::u64).ok_or("status missing job")?;
-                Ok(ClientMsg::Status { job })
-            }
-            "results" => {
-                let job = j.get("job").and_then(Json::u64).ok_or("results missing job")?;
-                let wait = j.get("wait").and_then(Json::boolean).unwrap_or(false);
-                Ok(ClientMsg::Results { job, wait })
-            }
+        match field(&j, "msg", Json::str)? {
+            "submit" => Ok(ClientMsg::Submit {
+                tenant: field(&j, "tenant", Json::str)?.to_string(),
+                weight: j.get("weight").and_then(Json::u64).unwrap_or(1),
+                spec: CampaignSpec::from_json(field(&j, "spec", Some)?)?,
+            }),
+            "status" => Ok(ClientMsg::Status { job: field(&j, "job", Json::u64)? }),
+            "results" => Ok(ClientMsg::Results {
+                job: field(&j, "job", Json::u64)?,
+                wait: j.get("wait").and_then(Json::boolean).unwrap_or(false),
+            }),
             "watch" => Ok(ClientMsg::Watch),
             other => Err(format!("unknown message {other:?}")),
         }
@@ -168,19 +161,24 @@ fn encode_status(status: &JobStatus) -> String {
     out
 }
 
+fn decode_accepted(j: &Json) -> Result<Accepted, String> {
+    Ok(Accepted {
+        job: field(j, "job", Json::u64)?,
+        fingerprint: field(j, "fingerprint", Json::str)?.to_string(),
+        total: field(j, "total", Json::usize)?,
+        done: field(j, "done", Json::usize)?,
+    })
+}
+
 fn decode_status(j: &Json) -> Result<JobStatus, String> {
-    let phase_name = j.get("phase").and_then(Json::str).ok_or("status missing phase")?;
+    let phase_name = field(j, "phase", Json::str)?;
     Ok(JobStatus {
-        job: j.get("job").and_then(Json::u64).ok_or("status missing job")?,
-        tenant: j.get("tenant").and_then(Json::str).ok_or("status missing tenant")?.to_string(),
+        job: field(j, "job", Json::u64)?,
+        tenant: field(j, "tenant", Json::str)?.to_string(),
         phase: JobPhase::parse(phase_name).ok_or_else(|| format!("bad phase {phase_name:?}"))?,
-        done: j.get("done").and_then(Json::usize).ok_or("status missing done")?,
-        total: j.get("total").and_then(Json::usize).ok_or("status missing total")?,
-        fingerprint: j
-            .get("fingerprint")
-            .and_then(Json::str)
-            .ok_or("status missing fingerprint")?
-            .to_string(),
+        done: field(j, "done", Json::usize)?,
+        total: field(j, "total", Json::usize)?,
+        fingerprint: field(j, "fingerprint", Json::str)?.to_string(),
         completed_ordinal: j.get("ordinal").and_then(Json::u64),
         error: j.get("error").and_then(Json::str).map(str::to_string),
     })
@@ -426,16 +424,7 @@ impl<R: BufRead, W: Write> Client<R, W> {
         if j.get("msg").and_then(Json::str) != Some("accepted") {
             return Err(WireError::Protocol("expected accepted reply".into()));
         }
-        Ok(Accepted {
-            job: j.get("job").and_then(Json::u64).ok_or_protocol("accepted missing job")?,
-            fingerprint: j
-                .get("fingerprint")
-                .and_then(Json::str)
-                .ok_or_protocol("accepted missing fingerprint")?
-                .to_string(),
-            total: j.get("total").and_then(Json::usize).ok_or_protocol("accepted missing total")?,
-            done: j.get("done").and_then(Json::usize).ok_or_protocol("accepted missing done")?,
-        })
+        decode_accepted(&j).map_err(WireError::Protocol)
     }
 
     /// Fetches a job's status snapshot.
@@ -461,8 +450,7 @@ impl<R: BufRead, W: Write> Client<R, W> {
         if header.get("msg").and_then(Json::str) != Some("results") {
             return Err(WireError::Protocol("expected results header".into()));
         }
-        let count =
-            header.get("rows").and_then(Json::usize).ok_or_protocol("results missing rows")?;
+        let count = field(&header, "rows", Json::usize).map_err(WireError::Protocol)?;
         let mut rows = Vec::with_capacity(count);
         for _ in 0..count {
             let mut line = String::new();
@@ -490,16 +478,6 @@ impl<R: BufRead, W: Write> Client<R, W> {
     /// As [`Client::results_rows`].
     pub fn results(&mut self, job: u64, wait: bool) -> Result<CampaignReport, WireError> {
         Ok(report_from_rows(self.results_rows(job, wait)?))
-    }
-}
-
-trait OrProtocol<T> {
-    fn ok_or_protocol(self, msg: &str) -> Result<T, WireError>;
-}
-
-impl<T> OrProtocol<T> for Option<T> {
-    fn ok_or_protocol(self, msg: &str) -> Result<T, WireError> {
-        self.ok_or_else(|| WireError::Protocol(msg.to_string()))
     }
 }
 
@@ -600,5 +578,11 @@ mod tests {
         assert!(ClientMsg::decode("not json").is_err());
         assert!(ClientMsg::decode("{\"msg\":\"nope\"}").is_err());
         assert!(!msg.is_empty());
+        let spec = CampaignSpec::new(CampaignConfig::paper_grid(1, 0));
+        let submit = ClientMsg::Submit { tenant: "t".into(), weight: 1, spec }.encode();
+        let line = submit.replace("\"tenant\":\"t\",", "");
+        assert_ne!(line, submit);
+        let err = ClientMsg::decode(&line).unwrap_err();
+        assert!(err.contains("\"tenant\""), "a missing field must be named: {err}");
     }
 }

@@ -144,16 +144,6 @@ impl DiGraph {
         self.inc[v].iter().map(|(_, w)| w).sum()
     }
 
-    /// Out-degree (number of outgoing edges) of `u`.
-    pub fn out_degree(&self, u: NodeId) -> usize {
-        self.out[u].len()
-    }
-
-    /// In-degree (number of incoming edges) of `v`.
-    pub fn in_degree(&self, v: NodeId) -> usize {
-        self.inc[v].len()
-    }
-
     /// Iterates over all edges in an unspecified but deterministic order.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.out
@@ -194,7 +184,6 @@ mod tests {
         let g = DiGraph::new(4);
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.out_degree(0), 0);
     }
 
     #[test]
@@ -204,8 +193,6 @@ mod tests {
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
         assert_eq!(g.edge_weight(0, 1), Some(0.5));
-        assert_eq!(g.in_degree(1), 1);
-        assert_eq!(g.out_degree(0), 1);
     }
 
     #[test]

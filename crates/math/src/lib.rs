@@ -9,7 +9,6 @@
 //!   the paper, and online min/mean trackers used by the mission recorder.
 //! * [`rng`] — deterministic seed derivation so every simulation, fuzzing
 //!   campaign and benchmark is exactly reproducible from a single `u64` seed.
-//! * [`integrate`] — fixed-step integrators for the drone dynamics models.
 //!
 //! # Example
 //!
@@ -21,7 +20,6 @@
 //! assert_eq!(p.distance(q), 5.0);
 //! ```
 
-pub mod integrate;
 pub mod rng;
 pub mod stats;
 mod vec2;

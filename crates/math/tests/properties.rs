@@ -1,9 +1,8 @@
 //! Property tests for the math substrate, run on `swarm-testkit`: algebraic
-//! identities of the vector types, invariants of the statistics helpers, and
-//! convergence of the integrators. Failures shrink to a minimal
-//! counterexample and persist to `tests/corpus/` at the workspace root.
+//! identities of the vector types and invariants of the statistics helpers.
+//! Failures shrink to a minimal counterexample and persist to
+//! `tests/corpus/` at the workspace root.
 
-use swarm_math::integrate::{rk4_step, semi_implicit_euler_step, State};
 use swarm_math::stats::{cumulative_rate_by_threshold, mean, median, min_max, percentile, Ecdf};
 use swarm_math::{Vec2, Vec3};
 use swarm_testkit::domain::{finite_f64, vec2_in, vec3_in};
@@ -161,32 +160,6 @@ fn cumulative_rate_is_a_valid_probability() {
                 tk_ensure!((0.0..=1.0).contains(&r), "rate {r} at threshold {threshold}");
             }
         }
-        Ok(())
-    });
-}
-
-#[test]
-fn integrators_agree_on_constant_acceleration() {
-    let coord = gens::f64_in(-10.0, 10.0);
-    check("math-integrators-agree", &gens::zip3(&coord, &coord, &coord), |(px, vx, ax)| {
-        // Under constant acceleration both integrators land near the
-        // closed-form solution after many small steps.
-        let accel = Vec3::new(*ax, 0.0, 0.0);
-        let mut euler = State::new(Vec3::new(*px, 0.0, 0.0), Vec3::new(*vx, 0.0, 0.0));
-        let mut rk = euler;
-        let dt = 1e-3;
-        for _ in 0..1000 {
-            euler = semi_implicit_euler_step(euler, dt, |_| accel);
-            rk = rk4_step(rk, dt, |_| accel);
-        }
-        let t = 1.0;
-        let exact = px + vx * t + 0.5 * ax * t * t;
-        tk_ensure!((rk.position.x - exact).abs() < 1e-6, "rk4 drifted to {}", rk.position.x);
-        tk_ensure!(
-            (euler.position.x - exact).abs() < 2e-2 * (1.0 + ax.abs()),
-            "euler drifted to {}",
-            euler.position.x
-        );
         Ok(())
     });
 }

@@ -4,8 +4,8 @@
 //! the pieces of the MATLAB SwarmLab simulator that the paper's evaluation
 //! depends on:
 //!
-//! * [`dynamics`] — drone translational dynamics: a PID velocity-tracking
-//!   point-mass model (SwarmLab's default) and a cascaded quadrotor model.
+//! * [`dynamics`] — drone translational dynamics: SwarmLab's default
+//!   velocity-tracking point-mass model, which every mission flies.
 //! * [`sensors`] — the GPS receiver model sampling at 100 Hz with optional
 //!   Gaussian noise, plus the spoofing injection hook.
 //! * [`spoof`] — the GPS spoofing attack description
@@ -52,7 +52,6 @@ pub mod dynamics;
 mod error;
 pub mod metrics;
 pub mod mission;
-pub mod pid;
 pub mod recorder;
 pub mod render;
 pub mod runner;

@@ -206,8 +206,7 @@ impl MissionOutcome {
 ///
 /// The capture is exhaustive by construction: it holds a clone of the one
 /// private value the loop keeps all evolving state in — drone kinematic
-/// states, per-drone dynamics internals (PID integrators for the quadrotor
-/// model), GPS receiver warm state, the comms bus (in-flight queue and
+/// states, GPS receiver warm state, the comms bus (in-flight queue and
 /// per-drone delivery tables), the three per-stream RNG positions, the wind
 /// gust state, alive flags, the persisted control commands, the run counters
 /// and the lazy collision broad-phase cache (candidate pairs + displacement
@@ -217,13 +216,15 @@ impl MissionOutcome {
 ///
 /// Instead of the full mission recording (which would dwarf the rest of the
 /// snapshot), only the recorder *cursor* is kept: the number of samples taken
-/// plus the collision/arrival events of the prefix.
+/// plus the arrival times of the prefix. A prefix never holds a collision:
+/// the loop stops on the step that records the first one, and a snapshot is
+/// captured only at the top of a step the loop is about to execute.
 /// [`Simulation::prefix_record`] reconstructs the identical prefix record
 /// from any source record of the same mission.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SimSnapshot<D> {
+pub struct SimSnapshot {
     /// The loop's working state at the capture point.
-    state: SimState<D>,
+    state: SimState,
     /// [`MissionSpec::fingerprint`] of the captured mission.
     spec_fingerprint: u64,
     /// The runtime options the prefix ran under.
@@ -232,13 +233,11 @@ pub struct SimSnapshot<D> {
     physics_dt: f64,
     /// Recorder cursor: samples recorded strictly before `state.next_step`.
     record_ticks: usize,
-    /// Collisions recorded in the prefix, in push order.
-    prefix_collisions: Vec<CollisionEvent>,
     /// Arrival time per drone as of the capture point.
     prefix_arrivals: Vec<Option<f64>>,
 }
 
-impl<D> SimSnapshot<D> {
+impl SimSnapshot {
     /// Index of the next physics step the snapshot would execute.
     pub fn next_step(&self) -> usize {
         self.state.next_step
@@ -259,11 +258,6 @@ impl<D> SimSnapshot<D> {
         &self.state.stats
     }
 
-    /// Fingerprint of the mission the snapshot belongs to.
-    pub fn spec_fingerprint(&self) -> u64 {
-        self.spec_fingerprint
-    }
-
     /// `true` when a fork from this snapshot under an attack window opening
     /// at `start` is bit-identical to a fresh run: the attack's half-open
     /// window `[start, ..)` must not cover any GPS sample the prefix already
@@ -276,17 +270,16 @@ impl<D> SimSnapshot<D> {
 
 /// A per-step hook into [`Simulation::drive`], called at the top of every
 /// executed iteration (the exact state a [`SimSnapshot`] captures).
-type StepHook<'a, D> = &'a mut dyn FnMut(&SimState<D>, &MissionRecord);
+type StepHook<'a> = &'a mut dyn FnMut(&SimState, &MissionRecord);
 
 /// The complete evolving state of one mission run, which a [`SimSnapshot`]
 /// holds verbatim. Everything the loop mutates across iterations lives here;
 /// buffers recomputed before every use stay local to [`Simulation::drive`].
 #[derive(Debug, Clone, PartialEq)]
-struct SimState<D> {
+struct SimState {
     /// Next physics step to execute.
     next_step: usize,
     states: Vec<DroneState>,
-    dynamics: Vec<D>,
     gps: Vec<GpsReceiver>,
     bus: CommsBus,
     rng_gps: StdRng,
@@ -306,6 +299,8 @@ struct SimState<D> {
 #[derive(Clone, Copy)]
 struct LoopParams {
     n: usize,
+    /// The point-mass model every drone is integrated with.
+    model: PointMass,
     axis: Vec2,
     dt: f64,
     steps: usize,
@@ -338,6 +333,7 @@ impl LoopParams {
             (2.0 * steps_per_control as f64 * spec.drone.max_speed * dt).max(collision_diameter);
         LoopParams {
             n,
+            model: PointMass::new(spec.drone),
             axis: spec.mission_axis(),
             dt,
             steps: spec.physics_steps(),
@@ -396,44 +392,27 @@ impl StepScratch {
 
 /// A configured, runnable swarm mission.
 ///
-/// Generic over the controller `C` and the dynamics model `D` (defaulting to
-/// SwarmLab's point-mass model). The simulation owns nothing mutable between
-/// runs — `run` may be called repeatedly (e.g. once per fuzzing iteration)
-/// and always starts from the same initial conditions.
+/// Generic over the controller `C`; every drone flies the
+/// [`PointMass`] model built from the mission's drone parameters. The
+/// simulation owns nothing mutable between runs — `run` may be called
+/// repeatedly (e.g. once per fuzzing iteration) and always starts from the
+/// same initial conditions.
 #[derive(Debug, Clone)]
-pub struct Simulation<C, D = PointMass> {
+pub struct Simulation<C> {
     spec: MissionSpec,
     controller: C,
-    make_dynamics: fn(&MissionSpec) -> D,
     config: SimConfig,
 }
 
-impl<C: SwarmController> Simulation<C, PointMass> {
-    /// Creates a simulation with point-mass dynamics derived from the
-    /// mission's drone parameters.
+impl<C: SwarmController> Simulation<C> {
+    /// Creates a simulation of `spec` flown by `controller`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidMission`] when the spec fails validation.
     pub fn new(spec: MissionSpec, controller: C) -> Result<Self, SimError> {
-        Simulation::with_dynamics(spec, controller, |s| PointMass::new(s.drone))
-    }
-}
-
-impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
-    /// Creates a simulation with a custom dynamics model; `make_dynamics` is
-    /// invoked once per drone per run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidMission`] when the spec fails validation.
-    pub fn with_dynamics(
-        spec: MissionSpec,
-        controller: C,
-        make_dynamics: fn(&MissionSpec) -> D,
-    ) -> Result<Self, SimError> {
         spec.validate()?;
-        Ok(Simulation { spec, controller, make_dynamics, config: SimConfig::default() })
+        Ok(Simulation { spec, controller, config: SimConfig::default() })
     }
 
     /// Replaces the runtime options.
@@ -519,7 +498,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
         attack: Option<&SpoofingAttack>,
         horizon: Option<f64>,
         observer: Option<&dyn SimObserver>,
-        on_step: Option<StepHook<'_, D>>,
+        on_step: Option<StepHook<'_>>,
     ) -> Result<MissionOutcome, SimError> {
         self.check_attack(attack)?;
         let record = MissionRecord::new(self.spec.swarm_size, self.spec.control_period);
@@ -561,13 +540,12 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
     }
 
     /// The initial [`SimState`] every fresh run starts from.
-    fn init_state(&self) -> SimState<D> {
+    fn init_state(&self) -> SimState {
         let spec = &self.spec;
         let n = spec.swarm_size;
         SimState {
             next_step: 0,
             states: spec.initial_positions().into_iter().map(DroneState::at).collect(),
-            dynamics: (0..n).map(|_| (self.make_dynamics)(spec)).collect(),
             gps: (0..n).map(|_| GpsReceiver::new(spec.gps)).collect(),
             bus: CommsBus::new(n, spec.comms),
             rng_gps: rng_for(spec.seed, streams::GPS_NOISE),
@@ -596,12 +574,12 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
     /// snapshot).
     fn drive(
         &self,
-        mut st: SimState<D>,
+        mut st: SimState,
         mut record: MissionRecord,
         attack: Option<&SpoofingAttack>,
         horizon: Option<f64>,
         observer: Option<&dyn SimObserver>,
-        mut on_step: Option<StepHook<'_, D>>,
+        mut on_step: Option<StepHook<'_>>,
     ) -> Result<MissionOutcome, SimError> {
         let p = LoopParams::of(&self.spec, &self.config, horizon);
         let mut scratch = StepScratch::new(&p);
@@ -626,7 +604,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
     /// step.
     fn step(
         &self,
-        st: &mut SimState<D>,
+        st: &mut SimState,
         record: &mut MissionRecord,
         attack: Option<&SpoofingAttack>,
         s: &mut StepScratch,
@@ -635,6 +613,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
         let spec = &self.spec;
         let &LoopParams {
             n,
+            mut model,
             axis,
             dt,
             steps_per_control,
@@ -771,7 +750,7 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
         st.stats.physics_steps += 1;
         for d in 0..n {
             if st.alive[d] {
-                st.states[d] = st.dynamics[d].step(&st.states[d], st.commanded[d], dt);
+                st.states[d] = model.step(&st.states[d], st.commanded[d], dt);
                 if wind_velocity != Vec3::ZERO {
                     st.states[d].position += wind_velocity * dt;
                 }
@@ -824,8 +803,8 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
             // Lazy broad phase: re-index only once some drone has
             // drifted more than slack/2 from its indexed position; the
             // inflated query radius keeps the cached candidate list a
-            // superset of all truly colliding pairs until then (for any
-            // dynamics model or wind — the guard measures actual
+            // superset of all truly colliding pairs until then (whatever
+            // the speed or wind — the guard measures actual
             // displacement). The narrow-phase check always uses current
             // positions, so results match a per-step rebuild exactly.
             let guard = broad_slack * broad_slack / 4.0;
@@ -859,11 +838,9 @@ impl<C: SwarmController, D: Dynamics> Simulation<C, D> {
         st.next_step = step + 1;
         Ok(false)
     }
-}
 
-impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
     /// Rejects snapshots captured by a different mission or configuration.
-    fn check_snapshot(&self, snap: &SimSnapshot<D>) -> Result<(), SimError> {
+    fn check_snapshot(&self, snap: &SimSnapshot) -> Result<(), SimError> {
         let fp = self.spec.fingerprint();
         if snap.spec_fingerprint != fp {
             return Err(SimError::SnapshotMismatch(format!(
@@ -897,7 +874,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
     /// different mission/configuration or `source` is too short.
     pub fn prefix_record(
         &self,
-        snapshot: &SimSnapshot<D>,
+        snapshot: &SimSnapshot,
         source: &MissionRecord,
     ) -> Result<MissionRecord, SimError> {
         self.check_snapshot(snapshot)?;
@@ -924,9 +901,6 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
                 source.velocities_at(tick),
                 &obstacle_distances,
             );
-        }
-        for event in &snapshot.prefix_collisions {
-            record.push_collision(*event);
         }
         for (d, arrival) in snapshot.prefix_arrivals.iter().enumerate() {
             if let Some(time) = arrival {
@@ -956,7 +930,7 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
     /// and [`SimError::CommsInvariant`] for a malformed snapshot.
     pub fn resume_probe(
         &self,
-        snapshot: &SimSnapshot<D>,
+        snapshot: &SimSnapshot,
         prefix: MissionRecord,
         attack: &SpoofingAttack,
         observer: Option<&dyn SimObserver>,
@@ -996,11 +970,11 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
         attack: Option<&SpoofingAttack>,
         observer: Option<&dyn SimObserver>,
         mut should_capture: impl FnMut(usize) -> bool,
-        mut sink: impl FnMut(SimSnapshot<D>),
+        mut sink: impl FnMut(SimSnapshot),
     ) -> Result<MissionOutcome, SimError> {
         let spec_fingerprint = self.spec.fingerprint();
         let n = self.spec.swarm_size;
-        let mut hook = |state: &SimState<D>, record: &MissionRecord| {
+        let mut hook = |state: &SimState, record: &MissionRecord| {
             if should_capture(state.next_step) {
                 sink(SimSnapshot {
                     state: state.clone(),
@@ -1008,7 +982,6 @@ impl<C: SwarmController, D: Dynamics + Clone> Simulation<C, D> {
                     config: self.config,
                     physics_dt: self.spec.physics_dt,
                     record_ticks: record.len(),
-                    prefix_collisions: record.collisions().to_vec(),
                     prefix_arrivals: (0..n).map(|d| record.arrival_time(DroneId(d))).collect(),
                 });
             }
@@ -1205,7 +1178,7 @@ mod tests {
     fn snapshot_at<C: SwarmController>(
         sim: &Simulation<C>,
         step: usize,
-    ) -> (SimSnapshot<PointMass>, MissionRecord) {
+    ) -> (SimSnapshot, MissionRecord) {
         let mut snaps = Vec::new();
         let out =
             sim.run_observed_with_snapshots(None, None, |s| s == step, |s| snaps.push(s)).unwrap();
@@ -1217,7 +1190,7 @@ mod tests {
     /// `source`.
     fn fork_probe<C: SwarmController>(
         sim: &Simulation<C>,
-        snap: &SimSnapshot<PointMass>,
+        snap: &SimSnapshot,
         source: &MissionRecord,
         attack: &SpoofingAttack,
         observer: Option<&dyn SimObserver>,

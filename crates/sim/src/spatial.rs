@@ -201,11 +201,6 @@ impl SpatialGrid {
         self.cell_size
     }
 
-    /// Number of occupied cells.
-    pub fn occupied_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     /// All drones within horizontal distance `radius` of `center`
     /// (including a drone exactly at `center`).
     ///
@@ -449,7 +444,6 @@ mod tests {
         assert_eq!(grid.within(Vec3::new(0.0, 0.0, 10.0), 1.0).count(), 1);
         grid.rebuild(&[], 1.0);
         assert!(grid.is_empty());
-        assert_eq!(grid.occupied_cells(), 0);
     }
 
     #[test]

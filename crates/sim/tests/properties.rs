@@ -1,6 +1,6 @@
 //! Property tests for the simulator substrate, run on `swarm-testkit`:
 //! obstacle geometry consistency, comms-bus delivery semantics,
-//! spatial-index equivalence with brute force, and PID/dynamics
+//! spatial-index equivalence with brute force, and point-mass
 //! boundedness. Failures shrink to a minimal counterexample and persist to
 //! `tests/corpus/` at the workspace root.
 
@@ -9,7 +9,6 @@ use rand::SeedableRng;
 use swarm_math::{Vec2, Vec3};
 use swarm_sim::comms::{CommsBus, CommsConfig, StateMessage};
 use swarm_sim::dynamics::{DroneParams, DroneState, Dynamics, PointMass};
-use swarm_sim::pid::{Pid, PidConfig};
 use swarm_sim::spatial::SpatialGrid;
 use swarm_sim::world::Obstacle;
 use swarm_sim::DroneId;
@@ -130,27 +129,6 @@ fn spatial_grid_matches_brute_force() {
             .collect();
         expect.sort_unstable();
         tk_ensure!(got == expect, "grid returned {got:?}, brute force {expect:?}");
-        Ok(())
-    });
-}
-
-/// PID output respects its limit for arbitrary error sequences.
-#[test]
-fn pid_output_is_bounded() {
-    let gen = gens::vec_of(&gens::f64_in(-100.0, 100.0), 1..=63);
-    check("sim-pid-bounded", &gen, |errors| {
-        let mut pid = Pid::new(PidConfig {
-            kp: 2.0,
-            ki: 0.8,
-            kd: 0.3,
-            integral_limit: 5.0,
-            output_limit: 7.0,
-        });
-        for &e in errors {
-            let u = pid.update(e, 0.05);
-            tk_ensure!(u.abs() <= 7.0 + 1e-12, "output {u} exceeds limit after error {e}");
-            tk_ensure!(u.is_finite());
-        }
         Ok(())
     });
 }

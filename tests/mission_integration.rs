@@ -8,7 +8,6 @@
 
 use swarm_control::olfati_saber::{OlfatiSaberController, OlfatiSaberParams};
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
-use swarm_sim::dynamics::Quadrotor;
 use swarm_sim::metrics;
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::{DroneId, Simulation};
@@ -96,21 +95,6 @@ fn baseline_vdo_decreases_with_swarm_size_in_aggregate() {
     let v5 = mean_vdo(5, 1000);
     let v15 = mean_vdo(15, 2000);
     assert!(v15 < v5, "15-drone swarms must pass closer to the obstacle: v5={v5:.2} v15={v15:.2}");
-}
-
-#[test]
-fn quadrotor_dynamics_also_completes_the_mission() {
-    // The findings must not be an artifact of point-mass dynamics: the
-    // cascaded quadrotor model flies the same mission.
-    let seed = clean_seed(5, 4000);
-    let spec = MissionSpec::paper_delivery(5, seed);
-    let sim = Simulation::with_dynamics(spec, controller(), |_| Quadrotor::default()).unwrap();
-    let out = sim.run(None).unwrap();
-    assert!(out.collision_free(), "quadrotor mission collided: {:?}", out.first_collision());
-    // Drones make forward progress even if slower than the point mass.
-    let last = out.record.len() - 1;
-    let progress = out.record.positions_at(last)[0].x - out.record.positions_at(0)[0].x;
-    assert!(progress > 50.0, "quadrotor swarm barely moved: {progress} m");
 }
 
 #[test]
