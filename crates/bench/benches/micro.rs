@@ -2,8 +2,8 @@
 //! iteration, one full simulated mission, SVG construction and a single
 //! objective evaluation (one fuzzing "search iteration") — plus the
 //! repository's five performance gates. Each gate times side A against
-//! side B with [`paired_ratio`] and judges the median of the per-pair A/B
-//! time ratios:
+//! side B with [`paired_ratio`], which alternates the two sides call by
+//! call, and judges the median of the per-pair A/B time ratios:
 //!
 //! | gate | A vs B | bound |
 //! |---|---|---|
@@ -13,7 +13,7 @@
 //! | `grid_mission_speedup_n200` | 10 s `large_swarm(200, 7)` flight, brute vs grid | ≥ 1.5× |
 //! | `grid_kernel_speedup_n200` | that flight's neighbor-search kernel, brute vs grid | ≥ 5× |
 //!
-//! Hand-rolled harness (median of timed batches), no external benchmark
+//! Hand-rolled harness (medians of timed calls), no external benchmark
 //! dependency. Results are printed per benchmark and written to
 //! `bench_results/micro.csv`.
 
@@ -127,7 +127,8 @@ fn main() {
 
     // Observer overhead on the mission-step hot path: the same truncated
     // mission with and without a trace handle forwarding its run stats to a
-    // counting sink.
+    // counting sink. A mission takes 1–1.7 ms on a 2-vCPU host, so each side
+    // of a pair flies 50 of them, a sample of at least ~50 ms.
     {
         let mut spec = MissionSpec::paper_delivery(5, 1);
         spec.duration = 30.0;
@@ -138,7 +139,7 @@ fn main() {
         let r = paired_ratio(
             "observer_overhead",
             21,
-            5,
+            50,
             || {
                 black_box(sim.run_observed(None, Some(observer)).unwrap());
             },
@@ -154,7 +155,8 @@ fn main() {
 
     // Trace overhead on the fuzzing hot path: the same mission fuzzed with
     // a ring sink attached (every probe, seed and gradient step recorded)
-    // and with tracing off.
+    // and with tracing off. A fuzz run takes 6–12 ms, so each side of a
+    // pair runs 9 of them, a sample of at least ~50 ms.
     {
         use std::sync::Arc;
         use swarmfuzz::trace::RingSink;
@@ -167,7 +169,7 @@ fn main() {
         let r = paired_ratio(
             "trace_overhead",
             21,
-            1,
+            9,
             || {
                 let fuzzer =
                     Fuzzer::new(paper_controller(), config).with_trace(Trace::new(sink.clone()));

@@ -152,12 +152,14 @@ pub struct PairedRatio {
     pub b_ns: f64,
 }
 
-/// Times `pairs` back-to-back pairs of batches of `iters` calls of side `a`
-/// and side `b`, after one warm-up call of each. The side that runs first
-/// alternates every pair (A first on even pairs), so machine drift (clock
-/// frequency, other load) hits both sides alike instead of one block of
-/// batches. Prints each side's median ns/iteration and returns them with
-/// the quartiles of the per-pair A/B time ratio.
+/// Times `pairs` pairs of `iters` calls of side `a` and side `b`, after one
+/// warm-up call of each. Within a pair the sides alternate call by call and
+/// every call is timed on its own; which side goes first alternates from
+/// call to call and from pair to pair (A first when `pair + call` is even).
+/// So machine drift and bursts of other load (clock frequency, a
+/// neighbour's job) land on both sides of a pair alike instead of on one
+/// side's whole batch. Prints each side's median ns/iteration and returns
+/// them with the quartiles of the per-pair A/B time ratio.
 pub fn paired_ratio(
     name: &str,
     pairs: usize,
@@ -169,15 +171,18 @@ pub fn paired_ratio(
     b();
     let (mut a_ns, mut b_ns, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
     for pair in 0..pairs {
-        let (ta, tb) = if pair % 2 == 0 {
-            let ta = time_batch(iters, &mut a);
-            (ta, time_batch(iters, &mut b))
-        } else {
-            let tb = time_batch(iters, &mut b);
-            (time_batch(iters, &mut a), tb)
-        };
-        a_ns.push(ta);
-        b_ns.push(tb);
+        let (mut ta, mut tb) = (0.0, 0.0);
+        for call in 0..iters {
+            if (pair + call) % 2 == 0 {
+                ta += time_batch(1, &mut a);
+                tb += time_batch(1, &mut b);
+            } else {
+                tb += time_batch(1, &mut b);
+                ta += time_batch(1, &mut a);
+            }
+        }
+        a_ns.push(ta / iters as f64);
+        b_ns.push(tb / iters as f64);
         ratios.push(ta / tb);
     }
     let r = PairedRatio {
@@ -359,7 +364,7 @@ mod tests {
     fn paired_ratio_alternates_the_first_side_every_pair() {
         let log = std::cell::RefCell::new(String::new());
         paired_ratio("order", 4, 2, || log.borrow_mut().push('a'), || log.borrow_mut().push('b'));
-        // Warm-up, then A first on even pairs and B first on odd ones.
-        assert_eq!(log.into_inner(), ["ab", "aabb", "bbaa", "aabb", "bbaa"].concat());
+        // Warm-up, then A first when pair + call is even and B first when odd.
+        assert_eq!(log.into_inner(), ["ab", "abba", "baab", "abba", "baab"].concat());
     }
 }

@@ -104,11 +104,14 @@ pub fn minimize_attack_traced<C: SwarmController>(
     if let Some(c) = sim.run(None)?.first_collision() {
         return Err(FuzzError::BaselineCollision(*c));
     }
+    // A probe reproduces the finding only when its first collision is the
+    // finding's victim hitting an obstacle; an attack that crashes some
+    // other drone instead is a different finding.
     let evals = std::cell::Cell::new(0usize);
     let crashes = |attack: &SpoofingAttack| -> Result<bool, FuzzError> {
         evals.set(evals.get() + 1);
         let out = sim.run(Some(attack))?;
-        Ok(out.spv_collision(attack.target).is_some())
+        Ok(out.spv_collision(attack.target).is_some_and(|(v, _)| v == finding.actual_victim))
     };
 
     let original = SpoofingAttack::from_waveform(

@@ -107,8 +107,8 @@ pub enum Counter {
     /// Search probes that ended at the obstacle horizon (see
     /// [`swarm_sim::Simulation::run_probe`]).
     SimHorizonStops,
-    /// Spatial-grid rebuilds across all simulated missions (0 when the
-    /// brute-force neighbor path is active).
+    /// Spatial-grid rebuilds across all simulated missions (0 under
+    /// [`swarm_sim::SpatialPolicy::ForceOff`]).
     GridRebuilds,
     /// Spatial-grid cells probed across all simulated missions.
     GridCellsScanned,

@@ -50,15 +50,6 @@ pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
     a + (b - a) * t
 }
 
-/// Returns `true` when `a` and `b` differ by at most `eps`.
-///
-/// ```
-/// assert!(swarm_math::approx_eq(0.1 + 0.2, 0.3, 1e-12));
-/// ```
-pub fn approx_eq(a: f64, b: f64, eps: f64) -> bool {
-    (a - b).abs() <= eps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,11 +68,5 @@ mod tests {
     fn lerp_endpoints() {
         assert_eq!(lerp(2.0, 8.0, 0.0), 2.0);
         assert_eq!(lerp(2.0, 8.0, 1.0), 8.0);
-    }
-
-    #[test]
-    fn approx_eq_tolerance() {
-        assert!(approx_eq(1.0, 1.0 + 1e-13, 1e-12));
-        assert!(!approx_eq(1.0, 1.1, 1e-12));
     }
 }

@@ -106,23 +106,35 @@ impl Vec3 {
 
     /// Caps the vector's norm at `max` while preserving direction.
     ///
+    /// A vector whose squared norm lies clearly below `max²` is returned
+    /// without taking a square root. That shortcut returns exactly what the
+    /// general path would: `max` is non-negative and `max²` is a normal
+    /// float, so its rounded square and the shrunk threshold each err by at
+    /// most a few parts in 2⁵³, far inside the 10⁻⁹ margin. The squared
+    /// norm then lies below the exact `max²`, its true square root below
+    /// `max`, and the correctly rounded `sqrt` cannot exceed the
+    /// representable `max`. A NaN, negative or infinite cap, a cap whose
+    /// square is subnormal or overflows, and a NaN or overflowed squared
+    /// norm all fail the check and take the general path.
+    ///
     /// ```
     /// use swarm_math::Vec3;
     /// let v = Vec3::new(10.0, 0.0, 0.0).clamp_norm(3.0);
     /// assert_eq!(v, Vec3::new(3.0, 0.0, 0.0));
+    /// assert_eq!(Vec3::new(1.0, 2.0, 2.0).clamp_norm(3.5), Vec3::new(1.0, 2.0, 2.0));
     /// ```
     pub fn clamp_norm(self, max: f64) -> Vec3 {
-        let n = self.norm();
+        let squared = self.norm_squared();
+        let cap = max * max;
+        if max >= 0.0 && cap.is_normal() && squared <= cap * (1.0 - 1e-9) {
+            return self;
+        }
+        let n = squared.sqrt();
         if n > max && n > 0.0 {
             self * (max / n)
         } else {
             self
         }
-    }
-
-    /// Component-wise linear interpolation.
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
     }
 
     /// Projects onto the horizontal plane (sets `z` to 0).

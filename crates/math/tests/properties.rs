@@ -89,6 +89,108 @@ fn vec3_clamp_norm_never_exceeds() {
     });
 }
 
+/// The body `Vec3::clamp_norm` had before its shortcut: always through the
+/// square root.
+fn clamp_norm_reference(v: Vec3, max: f64) -> Vec3 {
+    let n = v.norm();
+    if n > max && n > 0.0 {
+        v * (max / n)
+    } else {
+        v
+    }
+}
+
+/// `x` moved `steps` representable values up (positive) or down.
+fn ulps_from(x: f64, steps: i32) -> f64 {
+    (0..steps.unsigned_abs()).fold(x, |y, _| if steps > 0 { y.next_up() } else { y.next_down() })
+}
+
+/// Checks `v.clamp_norm(max)` against [`clamp_norm_reference`], component
+/// by component and bit for bit (so NaNs and signed zeros must match too).
+fn ensure_clamp_norm_bits(v: Vec3, max: f64) -> Result<(), String> {
+    let (got, want) = (v.clamp_norm(max), clamp_norm_reference(v, max));
+    let bits = |u: Vec3| [u.x.to_bits(), u.y.to_bits(), u.z.to_bits()];
+    tk_ensure!(bits(got) == bits(want), "clamp_norm({v:?}, {max:e}) = {got:?}, want {want:?}");
+    Ok(())
+}
+
+#[test]
+fn vec3_clamp_norm_matches_the_square_root_body_bit_for_bit() {
+    // A vector scaled by 10^e for e in [-320, 310] (norms from subnormal to
+    // overflowed), against a random cap, that cap scaled alike, and caps
+    // within eight ulps of the vector's own norm.
+    let gen = gens::zip4(
+        &vec3(),
+        &gens::f64_in(-320.0, 310.0),
+        &gens::f64_in(0.0, 1e3),
+        &gens::usize_in(0..=16),
+    );
+    check("math-vec3-clamp-norm-bits", &gen, |(v, exponent, cap, ulps)| {
+        let scale = 10f64.powf(*exponent);
+        let v = *v * scale;
+        ensure_clamp_norm_bits(v, *cap)?;
+        ensure_clamp_norm_bits(v, *cap * scale)?;
+        ensure_clamp_norm_bits(v, ulps_from(v.norm(), *ulps as i32 - 8))
+    });
+}
+
+#[test]
+fn vec3_clamp_norm_matches_the_square_root_body_on_hostile_inputs() {
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let caps = [
+        0.0,
+        -0.0,
+        -1.0,
+        -1e300,
+        nan,
+        inf,
+        -inf,
+        5e-324,
+        1e-310,
+        f64::MIN_POSITIVE,
+        1e-160,
+        1.5e-154,
+        1e154,
+        1e200,
+        f64::MAX,
+        1.0,
+        5.0,
+    ];
+    let vectors = [
+        Vec3::ZERO,
+        Vec3::new(-0.0, 0.0, -0.0),
+        Vec3::new(3.0, 4.0, 0.0),
+        Vec3::new(-3.0, 0.0, 4.0),
+        Vec3::new(nan, 1.0, 0.0),
+        Vec3::new(0.0, 0.0, nan),
+        Vec3::new(inf, 0.0, 0.0),
+        Vec3::new(1.0, -inf, 2.0),
+        Vec3::new(inf, -inf, 0.0),
+        Vec3::new(1e200, 1e200, 0.0),
+        Vec3::new(f64::MAX, 0.0, 0.0),
+        Vec3::new(1e-160, 1e-160, 1e-160),
+        Vec3::new(5e-324, 0.0, 0.0),
+        Vec3::new(1e-200, 0.0, 3e-200),
+        Vec3::new(1e153, 1e153, 1e153),
+    ];
+    for v in vectors {
+        for max in caps {
+            ensure_clamp_norm_bits(v, max).map_err(|e| format!("fixed cap: {e}")).unwrap();
+        }
+        // Caps within a few ulps of the vector's own norm.
+        let norm = v.norm();
+        for steps in -6..=6 {
+            let max = ulps_from(norm, steps);
+            ensure_clamp_norm_bits(v, max).map_err(|e| format!("{steps} ulps: {e}")).unwrap();
+        }
+    }
+    // Norms within a few ulps of a fixed cap: (3, 4, 0) scaled toward 5.
+    for steps in -6..=6 {
+        let v = Vec3::new(3.0, 4.0, 0.0) * ulps_from(1.0, steps);
+        ensure_clamp_norm_bits(v, 5.0).map_err(|e| format!("{steps} ulps: {e}")).unwrap();
+    }
+}
+
 #[test]
 fn vec2_perp_is_rotation() {
     check("math-vec2-perp", &vec2(), |a| {

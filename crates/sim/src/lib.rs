@@ -22,9 +22,9 @@
 //! * [`recorder`] / [`metrics`] — the trajectory/mission information
 //!   SwarmFuzz's initial test collects (per-tick positions, per-drone minimum
 //!   obstacle distance a.k.a. VDO, the closest-approach time `t_clo`).
-//! * [`spatial`] — the uniform-grid neighbor index behind the large-swarm
-//!   fast path (comms delivery, collision broad phase), bit-identical to the
-//!   brute-force scans it replaces.
+//! * [`spatial`] — the uniform-grid neighbor index behind the lazy collision
+//!   broad phase (every swarm size) and large-swarm comms delivery,
+//!   bit-identical to the brute-force scans it replaces.
 //!
 //! Everything is deterministic given a mission seed: the same
 //! [`mission::MissionSpec`] and attack always produce bit-identical

@@ -122,11 +122,12 @@ pub struct RunStats {
     /// or the time of the first collision, of the all-arrived stop or (for a
     /// search probe) of the obstacle-horizon stop.
     pub sim_time: f64,
-    /// Spatial-grid rebuilds (comms index per control tick + collision
-    /// broad-phase index per physics step). 0 on the brute-force path.
+    /// Spatial-grid rebuilds: the comms index once per control tick when
+    /// comms use the grid, plus each lazy re-index of the collision broad
+    /// phase. 0 under [`SpatialPolicy::ForceOff`].
     pub grid_rebuilds: u64,
-    /// Grid cells probed across all neighbor/pair queries. 0 on the
-    /// brute-force path.
+    /// Grid cells probed across all neighbor/pair queries. 0 under
+    /// [`SpatialPolicy::ForceOff`].
     pub grid_cells_scanned: u64,
     /// 1 when a search probe ended at the obstacle horizon, else 0.
     pub horizon_stops: u64,
@@ -157,9 +158,9 @@ pub trait SimObserver: Sync {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimConfig {
     /// Neighbor-engine selection: brute-force O(n²) scans vs the spatial
-    /// grid. The default ([`SpatialPolicy::Auto`]) keeps paper-scale swarms
-    /// on the exact code path the reproduction has always used and switches
-    /// large swarms to the (bit-identical) grid pipeline.
+    /// grid. The default ([`SpatialPolicy::Auto`]) runs the lazy collision
+    /// broad phase at every swarm size and grid comms for large swarms;
+    /// every policy flies bit-identical missions.
     pub spatial: SpatialPolicy,
 }
 
@@ -306,7 +307,8 @@ struct LoopParams {
     steps: usize,
     steps_per_control: usize,
     steps_per_gps: usize,
-    grid_on: bool,
+    comms_grid: bool,
+    broad_phase: bool,
     comms_range: Option<f64>,
     collision_diameter: f64,
     broad_slack: f64,
@@ -339,7 +341,8 @@ impl LoopParams {
             steps: spec.physics_steps(),
             steps_per_control,
             steps_per_gps: spec.steps_per_gps(),
-            grid_on: config.spatial.grid_enabled(n),
+            comms_grid: config.spatial.comms_grid_enabled(n),
+            broad_phase: config.spatial != SpatialPolicy::ForceOff,
             comms_range: spec.comms.range.filter(|&r| r > 0.0),
             collision_diameter,
             broad_slack,
@@ -381,9 +384,9 @@ impl StepScratch {
             neighbor_buf: Vec::with_capacity(p.n),
             comms_grid: p
                 .comms_range
-                .filter(|_| p.grid_on)
+                .filter(|_| p.comms_grid)
                 .map(|range| SpatialGrid::build(&[], range)),
-            proximity_grid: (p.grid_on && p.collision_diameter > 0.0)
+            proximity_grid: (p.broad_phase && p.collision_diameter > 0.0)
                 .then(|| SpatialGrid::build(&[], p.broad_radius)),
             position_buf: Vec::new(),
         }
@@ -826,6 +829,9 @@ impl<C: SwarmController> Simulation<C> {
                 check_pair(a.index(), b.index(), &mut st.alive, record, &mut collided);
             }
         } else {
+            // `ForceOff` (or point-sized drones): every pair on every step,
+            // the reference the broad phase is tested and benchmarked
+            // against.
             for i in 0..n {
                 for j in (i + 1)..n {
                     check_pair(i, j, &mut st.alive, record, &mut collided);

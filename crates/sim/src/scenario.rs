@@ -62,8 +62,8 @@ pub const LARGE_SWARM_COMMS_RANGE: f64 = 30.0;
 /// density constant, the destination pushed out by the same amount so the
 /// corridor length survives the bigger box, and a realistic radio range so
 /// neighborhoods stay local. At these sizes [`crate::SpatialPolicy::Auto`]
-/// selects the spatial-grid neighbor pipeline; the paper-scale scenarios
-/// stay on the brute-force path.
+/// also delivers comms through the spatial grid; the paper-scale scenarios
+/// use it for the collision broad phase only.
 pub fn large_swarm(swarm_size: usize, seed: u64) -> MissionSpec {
     let mut spec = MissionSpec::paper_delivery(swarm_size, seed);
     let side = (swarm_size as f64 * LARGE_SWARM_AREA_PER_DRONE).sqrt().max(30.0);

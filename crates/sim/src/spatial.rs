@@ -1,16 +1,18 @@
 //! A uniform-grid spatial index for neighbor queries.
 //!
-//! The paper's swarms (≤ 15 drones) are small enough for brute-force O(n²)
-//! pair scans, which is what the runner uses below
-//! [`GRID_AUTO_THRESHOLD`]. This index is the substrate for scaling the
-//! simulator to hundreds of drones: queries within a radius cost
+//! The simulation runner indexes the swarm for two consumers. Its collision
+//! broad phase, at every swarm size, keeps a cached list of candidate pairs
+//! and re-indexes only once some drone has drifted far enough to invalidate
+//! it, so most physics steps pay a displacement check instead of the
+//! n(n−1)/2 pair distances. Comms delivery switches to per-broadcast range
+//! queries at [`GRID_AUTO_THRESHOLD`] drones: a query within a radius costs
 //! O(occupied cells) instead of O(n), and enumerating all close pairs costs
 //! O(n + pairs) instead of O(n²).
 //!
-//! The index is rebuilt per tick (or per physics step for collision
-//! detection) rather than updated incrementally — a rebuild is one sort of n
-//! entries, which is far cheaper than the scans it replaces and keeps the
-//! structure trivially consistent.
+//! The index is rebuilt (per control tick for comms, lazily for collisions)
+//! rather than updated incrementally — a rebuild is one sort of n entries,
+//! which is far cheaper than the scans it replaces and keeps the structure
+//! trivially consistent.
 //!
 //! Determinism: the backing store is a sorted entry list, not a hash map, so
 //! every query yields the same candidate order on every run. Consumers that
@@ -22,10 +24,10 @@ use swarm_math::Vec3;
 
 use crate::DroneId;
 
-/// Swarm size at or above which the simulation runner automatically switches
-/// its neighbor queries (comms delivery, collision broad phase) from brute
-/// force to the grid. Below this, brute force is both faster and exactly the
-/// code path the paper-scale reproduction has always run.
+/// Swarm size at or above which [`SpatialPolicy::Auto`] delivers comms
+/// through the grid. Smaller swarms keep the dense scan of every receiver
+/// per broadcast; the paper's missions have unlimited radio range, so their
+/// comms never consult an index at all.
 pub const GRID_AUTO_THRESHOLD: usize = 32;
 
 /// How the simulation runner selects between the brute-force O(n²) neighbor
@@ -36,18 +38,22 @@ pub const GRID_AUTO_THRESHOLD: usize = 32;
 /// choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpatialPolicy {
-    /// Grid at or above [`GRID_AUTO_THRESHOLD`] drones, brute force below.
+    /// The lazy collision broad phase at every swarm size; comms through the
+    /// grid at or above [`GRID_AUTO_THRESHOLD`] drones.
     #[default]
     Auto,
-    /// Always use the grid (differential tests, benchmarks).
+    /// The lazy collision broad phase and grid comms at every swarm size
+    /// (differential tests, benchmarks).
     ForceOn,
-    /// Never use the grid (differential tests, benchmarks).
+    /// No grid: every physics step scans all drone pairs for collisions and
+    /// every broadcast scans all receivers. The brute-force reference of the
+    /// differential tests and the grid benchmarks.
     ForceOff,
 }
 
 impl SpatialPolicy {
-    /// Resolves the policy for a swarm of `n` drones.
-    pub fn grid_enabled(self, n: usize) -> bool {
+    /// `true` when comms delivery for a swarm of `n` drones queries the grid.
+    pub fn comms_grid_enabled(self, n: usize) -> bool {
         match self {
             SpatialPolicy::Auto => n >= GRID_AUTO_THRESHOLD,
             SpatialPolicy::ForceOn => true,
@@ -500,10 +506,10 @@ mod tests {
 
     #[test]
     fn policy_resolution() {
-        assert!(!SpatialPolicy::Auto.grid_enabled(GRID_AUTO_THRESHOLD - 1));
-        assert!(SpatialPolicy::Auto.grid_enabled(GRID_AUTO_THRESHOLD));
-        assert!(SpatialPolicy::ForceOn.grid_enabled(1));
-        assert!(!SpatialPolicy::ForceOff.grid_enabled(1_000));
+        assert!(!SpatialPolicy::Auto.comms_grid_enabled(GRID_AUTO_THRESHOLD - 1));
+        assert!(SpatialPolicy::Auto.comms_grid_enabled(GRID_AUTO_THRESHOLD));
+        assert!(SpatialPolicy::ForceOn.comms_grid_enabled(1));
+        assert!(!SpatialPolicy::ForceOff.comms_grid_enabled(1_000));
     }
 
     #[test]

@@ -106,6 +106,58 @@ fn successful_finding_is_replayable() {
     panic!("SwarmFuzz found no SPV in 40 ten-drone missions — tuning regression");
 }
 
+/// Regression: minimization accepted a probe that crashed any drone other
+/// than the target. On this mission the finding's window crashes drone 1,
+/// and a window pushed later crashes drone 9 instead; the "minimal" attack
+/// used to be such a window.
+#[test]
+fn minimized_attack_crashes_the_finding_victim() {
+    use swarm_sim::spoof::{SpoofDirection, SpoofingAttack, Waveform, WaveformKind};
+    use swarm_sim::DroneId;
+    use swarmfuzz::minimize::{minimize_attack, MinimizeConfig};
+    use swarmfuzz::seed::Seed;
+    use swarmfuzz::SpvFinding;
+
+    let sim = Simulation::new(MissionSpec::paper_delivery(10, 0), controller()).unwrap();
+    let (target, direction) = (DroneId(6), SpoofDirection::Left);
+    let (start, duration, deviation) = (12.8, 12.0, 10.0);
+    let original = SpoofingAttack::new(target, direction, start, duration, deviation).unwrap();
+    let (victim, collision_time) =
+        sim.run(Some(&original)).unwrap().spv_collision(target).expect("the finding reproduces");
+    assert_eq!(victim, DroneId(1));
+
+    // Another drone is a possible victim of the same target and direction.
+    let later = original.with_window(32.63, 7.87).unwrap();
+    let other = sim.run(Some(&later)).unwrap().spv_collision(target).map(|(v, _)| v);
+    assert!(other.is_some_and(|v| v != victim), "a later window crashes {other:?}");
+
+    let finding = SpvFinding {
+        seed: Seed {
+            target,
+            victim,
+            direction,
+            influence: 0.0,
+            victim_vdo: 0.0,
+            waveform: WaveformKind::Constant,
+        },
+        start,
+        duration,
+        deviation,
+        actual_victim: victim,
+        collision_time,
+        waveform: Waveform::Constant,
+    };
+    let min = minimize_attack(&sim, &finding, &MinimizeConfig::default()).unwrap();
+    assert!(min.attack.duration < duration, "the window must shrink: {}", min.attack);
+    let replay = sim.run(Some(&min.attack)).unwrap();
+    assert_eq!(
+        replay.spv_collision(target).map(|(v, _)| v),
+        Some(victim),
+        "{} must crash the finding's victim",
+        min.attack
+    );
+}
+
 #[test]
 fn campaign_runs_small_grid_and_aggregates() {
     let campaign = CampaignConfig {

@@ -15,12 +15,19 @@
 //! `StdRng` + case loop), matching the repo's other property suites — the
 //! container has no proptest/quickcheck dependency.
 
+use std::sync::Mutex;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_math::Vec3;
+use swarm_sim::mission::MissionSpec;
 use swarm_sim::spatial::SpatialGrid;
-use swarm_sim::{metrics, scenario, DroneId, SimConfig, Simulation, SpatialPolicy};
+use swarm_sim::spoof::{SpoofDirection, SpoofingAttack};
+use swarm_sim::{
+    metrics, scenario, DroneId, MissionOutcome, RunStats, SimConfig, SimObserver, Simulation,
+    SpatialPolicy,
+};
 
 const CASES: usize = 128;
 
@@ -153,15 +160,30 @@ fn controller() -> VasarhelyiController {
     VasarhelyiController::new(VasarhelyiParams::default())
 }
 
-fn run_with_policy(
-    spec: &swarm_sim::mission::MissionSpec,
+/// Captures the stats of the one run it observes.
+#[derive(Default)]
+struct LastRun(Mutex<Option<RunStats>>);
+
+impl SimObserver for LastRun {
+    fn on_run_end(&self, stats: &RunStats) {
+        *self.0.lock().unwrap() = Some(*stats);
+    }
+}
+
+/// Flies `spec` under `policy` and `attack`, with the run's stats.
+fn fly(
+    spec: &MissionSpec,
     policy: SpatialPolicy,
-) -> swarm_sim::MissionOutcome {
-    Simulation::new(spec.clone(), controller())
+    attack: Option<&SpoofingAttack>,
+) -> (MissionOutcome, RunStats) {
+    let observer = LastRun::default();
+    let out = Simulation::new(spec.clone(), controller())
         .unwrap()
         .with_config(SimConfig { spatial: policy })
-        .run(None)
-        .unwrap()
+        .run_observed(attack, Some(&observer))
+        .unwrap();
+    let stats = observer.0.lock().unwrap().expect("observer called");
+    (out, stats)
 }
 
 #[test]
@@ -171,11 +193,11 @@ fn n40_mission_with_range_is_bit_identical_grid_on_vs_off() {
     // outcomes.
     let mut spec = scenario::large_swarm(40, 17);
     spec.duration = 12.0;
-    let on = run_with_policy(&spec, SpatialPolicy::ForceOn);
-    let off = run_with_policy(&spec, SpatialPolicy::ForceOff);
+    let on = fly(&spec, SpatialPolicy::ForceOn, None).0;
+    let off = fly(&spec, SpatialPolicy::ForceOff, None).0;
     assert_eq!(on.record, off.record, "grid pipeline diverged from brute force at N=40");
     // And Auto (40 >= threshold) must take the grid path, i.e. match both.
-    let auto = run_with_policy(&spec, SpatialPolicy::Auto);
+    let auto = fly(&spec, SpatialPolicy::Auto, None).0;
     assert_eq!(auto.record, on.record);
 }
 
@@ -190,23 +212,40 @@ fn lossy_delayed_mission_is_bit_identical_grid_on_vs_off() {
     spec.comms.range = Some(18.0);
     spec.comms.drop_probability = 0.25;
     spec.comms.delay_ticks = 2;
-    let on = run_with_policy(&spec, SpatialPolicy::ForceOn);
-    let off = run_with_policy(&spec, SpatialPolicy::ForceOff);
+    let on = fly(&spec, SpatialPolicy::ForceOn, None).0;
+    let off = fly(&spec, SpatialPolicy::ForceOff, None).0;
     assert_eq!(on.record, off.record, "lossy/delayed comms diverged between grid and brute");
 }
 
 #[test]
 fn small_swarm_mission_is_bit_identical_grid_on_vs_off() {
-    // Below the auto threshold the grid is never selected, but ForceOn must
-    // still agree exactly — including drone-drone collision bookkeeping.
-    let mut spec = swarm_sim::mission::MissionSpec::paper_delivery(6, 9);
-    spec.duration = 30.0;
-    spec.comms.range = Some(25.0);
-    let on = run_with_policy(&spec, SpatialPolicy::ForceOn);
-    let off = run_with_policy(&spec, SpatialPolicy::ForceOff);
-    let auto = run_with_policy(&spec, SpatialPolicy::Auto);
-    assert_eq!(on.record, off.record);
-    assert_eq!(auto.record, off.record, "auto must be brute force below the threshold");
+    // The paper's swarm sizes sit below the comms threshold, but `Auto`
+    // still runs the lazy collision broad phase there: every policy must fly
+    // them exactly as the per-step pair scan of `ForceOff` does — with and
+    // without a radio range, under attack, and through a collision (seed 2's
+    // ten drones crash unattacked at 35.27 s, inside the 40 s flown here).
+    for n in [5, 10, 15] {
+        let mut spec = MissionSpec::paper_delivery(n, 2);
+        spec.duration = 40.0;
+        let mut ranged = spec.clone();
+        ranged.comms.range = Some(25.0);
+        let attack =
+            SpoofingAttack::new(DroneId(0), SpoofDirection::Left, 5.0, 10.0, 10.0).unwrap();
+        for (spec, attack) in [(&spec, None), (&spec, Some(&attack)), (&ranged, None)] {
+            let (off, off_stats) = fly(spec, SpatialPolicy::ForceOff, attack);
+            assert_eq!(off_stats.grid_rebuilds, 0, "ForceOff never indexes");
+            for policy in [SpatialPolicy::Auto, SpatialPolicy::ForceOn] {
+                let (out, stats) = fly(spec, policy, attack);
+                assert_eq!(out.record, off.record, "{policy:?} diverged from ForceOff at n = {n}");
+                assert!(stats.grid_rebuilds > 0, "{policy:?} at n = {n} never ran the broad phase");
+            }
+        }
+        if n == 10 {
+            let (crashed, _) = fly(&spec, SpatialPolicy::Auto, None);
+            let first = crashed.first_collision().expect("seed 2's ten drones collide");
+            assert!((first.time - 35.27).abs() < 1e-6, "collision at {}", first.time);
+        }
+    }
 }
 
 #[test]
@@ -214,10 +253,10 @@ fn rangeless_mission_is_unaffected_by_the_policy() {
     // Without a radio range the comms grid is never used (delivery is
     // all-to-all); only the collision broad phase differs, and it too must
     // be invisible in the outcome.
-    let mut spec = swarm_sim::mission::MissionSpec::paper_delivery(8, 13);
+    let mut spec = MissionSpec::paper_delivery(8, 13);
     spec.duration = 20.0;
-    let on = run_with_policy(&spec, SpatialPolicy::ForceOn);
-    let off = run_with_policy(&spec, SpatialPolicy::ForceOff);
+    let on = fly(&spec, SpatialPolicy::ForceOn, None).0;
+    let off = fly(&spec, SpatialPolicy::ForceOff, None).0;
     assert_eq!(on.record, off.record);
 }
 
@@ -249,7 +288,7 @@ fn n200_inter_drone_means_are_pinned_grid_on_and_off() {
     let mut spec = scenario::large_swarm(200, 7);
     spec.duration = 10.0;
     for policy in [SpatialPolicy::ForceOn, SpatialPolicy::ForceOff] {
-        let record = run_with_policy(&spec, policy).record;
+        let record = fly(&spec, policy, None).0.record;
         assert_eq!(record.len(), 101, "{policy:?}");
         assert_eq!(mean_digest(&record), PINNED, "{policy:?}: {:016x}", mean_digest(&record));
     }
