@@ -6,8 +6,12 @@
 //! re-asserted here on the exact configurations being benchmarked):
 //!
 //! - **brute**: `SpatialPolicy::ForceOff` — the pre-grid baseline.
-//! - **grid**: `SpatialPolicy::ForceOn` — the neighbor index (comms
-//!   delivery and collision broad phase) on the same per-drone step loop.
+//! - **grid**: `SpatialPolicy::Auto`, the default — the lazy collision
+//!   broad phase at every size, plus grid comms delivery from
+//!   `GRID_AUTO_THRESHOLD` (32) drones up, on the same per-drone step loop.
+//!   Below the threshold the mission rows therefore time dense comms with
+//!   the broad phase, while the kernel rows still time grid comms, which
+//!   the runner does not fly at those sizes.
 //!
 //! Two metric families per size:
 //!
@@ -103,7 +107,7 @@ fn main() {
         spec.duration = duration;
 
         let brute = run_timed(&spec, SpatialPolicy::ForceOff, reps);
-        let grid = run_timed(&spec, SpatialPolicy::ForceOn, reps);
+        let grid = run_timed(&spec, SpatialPolicy::Auto, reps);
         assert_eq!(
             grid.outcome.record, brute.outcome.record,
             "grid and brute runs diverged at n={n} — differential contract broken"

@@ -273,7 +273,10 @@ impl NeighborKernel {
     /// displacement guard, one broad-phase re-index plus pair enumeration
     /// (the lazy broad phase re-indexes about once per control period at
     /// full speed), and one comms re-index plus a range query per drone.
-    /// Allocations are reused across calls, as in the runner.
+    /// Allocations are reused across calls, as in the runner. Below
+    /// [`GRID_AUTO_THRESHOLD`](swarm_sim::GRID_AUTO_THRESHOLD) drones the
+    /// runner delivers comms densely, so there this side times comms work
+    /// no mission does.
     pub fn grid(&self) -> impl FnMut() + '_ {
         let mut broad = SpatialGrid::build(&self.snapshots[0], self.broad_radius);
         let mut comms = SpatialGrid::build(&self.snapshots[0], self.range);

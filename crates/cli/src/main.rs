@@ -59,9 +59,9 @@ COMMANDS:
     replay    replay a specific spoofing attack and report the outcome
                 --drones N (10)  --seed S (0)  --target T  --direction left|right
                 --start TS  --duration DT  --deviation M (10)  --minimize yes|no (no)
-    stress    fly the large-swarm stress scenario and report throughput
+    stress    fly the large-swarm stress scenario (30 m radio range) and report
+              throughput; comms use the spatial grid from 32 drones up
                 --drones N (100)  --seed S (0)  --duration T (20)
-                --grid auto|on|off (auto)
                 --telemetry off|summary|json (off)
     serve     run the multi-tenant campaign server over TCP
                 --bind ADDR (127.0.0.1:7700)  --workers W (cores)
@@ -387,19 +387,15 @@ fn cmd_baseline(opts: &BaselineOpts) -> Result<(), CliError> {
 }
 
 fn cmd_stress(opts: &StressOpts) -> Result<(), CliError> {
-    use swarm_sim::{metrics, scenario, SimConfig, SpatialGrid, SpatialPolicy};
+    use swarm_sim::{metrics, scenario};
 
-    let StressOpts { drones, seed, duration, spatial, telemetry: mode } = *opts;
+    let StressOpts { drones, seed, duration, telemetry: mode } = *opts;
     let telemetry =
         if mode == TelemetryMode::Off { Telemetry::off() } else { Telemetry::enabled(1) };
 
     let mut spec = scenario::large_swarm(drones, seed);
     spec.duration = duration;
-    let range = spec
-        .comms
-        .range
-        .ok_or_else(|| CliError::Other("large_swarm scenario did not set a radio range".into()))?;
-    let sim = Simulation::new(spec.clone(), controller())?.with_config(SimConfig { spatial });
+    let sim = Simulation::new(spec.clone(), controller())?;
 
     let started = std::time::Instant::now();
     let out = sim.run_observed(None, Some(&telemetry.trace()))?;
@@ -412,30 +408,19 @@ fn cmd_stress(opts: &StressOpts) -> Result<(), CliError> {
     human_line(
         mode,
         format_args!(
-            "  simulated {simulated:.1} s in {:.0} ms  ({ticks_per_sec:.0} physics ticks/s, \
-             grid {})",
+            "  simulated {simulated:.1} s in {:.0} ms  ({ticks_per_sec:.0} physics ticks/s)",
             wall.as_secs_f64() * 1e3,
-            match spatial {
-                SpatialPolicy::Auto => "auto",
-                SpatialPolicy::ForceOn => "on",
-                SpatialPolicy::ForceOff => "off",
-            },
         ),
     );
     human_line(mode, format_args!("  collisions      : {}", out.record.collisions().len()));
     human_line(mode, format_args!("  all arrived     : {}", out.record.all_arrived()));
 
-    // Final-tick swarm geometry through the grid-accelerated metrics.
-    let last_tick = out.record.len() - 1;
-    let positions = out.record.positions_at(last_tick);
-    let grid = SpatialGrid::build(positions, range);
-    if let Some(min) = metrics::min_inter_distance_grid(positions, &grid) {
+    // Final-tick swarm geometry.
+    let positions = out.record.positions_at(out.record.len() - 1);
+    if let Some(min) = metrics::min_inter_distance(positions) {
         human_line(mode, format_args!("  min separation  : {min:.2} m"));
     }
-    if let Some(mean) = metrics::mean_neighbor_distance(positions, &grid, range) {
-        human_line(mode, format_args!("  mean nbr dist   : {mean:.2} m (within {range:.0} m)"));
-    }
-    if let Some(extent) = metrics::swarm_extent_grid(positions, &grid) {
+    if let Some(extent) = metrics::swarm_extent(positions) {
         human_line(mode, format_args!("  swarm extent    : {extent:.2} m"));
     }
     emit_telemetry(mode, &telemetry);

@@ -11,7 +11,6 @@ use std::fmt;
 use std::path::PathBuf;
 
 use swarm_sim::spoof::{SpoofDirection, WaveformSet};
-use swarm_sim::SpatialPolicy;
 use swarmfuzz::campaign::JournalSpec;
 
 use crate::args::{ArgError, Args};
@@ -123,7 +122,6 @@ pub struct StressOpts {
     pub drones: usize,
     pub seed: u64,
     pub duration: f64,
-    pub spatial: SpatialPolicy,
     pub telemetry: TelemetryMode,
 }
 
@@ -383,22 +381,11 @@ fn parse_replay(args: &Args) -> Result<ReplayOpts, ParseError> {
 }
 
 fn parse_stress(args: &Args) -> Result<StressOpts, ParseError> {
-    reject_unknown_flags(args, "stress", &["drones", "seed", "duration", "grid", "telemetry"])?;
-    let spatial = match args.raw("grid") {
-        None | Some("auto") => SpatialPolicy::Auto,
-        Some("on") => SpatialPolicy::ForceOn,
-        Some("off") => SpatialPolicy::ForceOff,
-        Some(other) => {
-            return Err(ParseError::Invalid(format!(
-                "--grid must be 'auto', 'on' or 'off', got {other:?}"
-            )))
-        }
-    };
+    reject_unknown_flags(args, "stress", &["drones", "seed", "duration", "telemetry"])?;
     Ok(StressOpts {
         drones: args.get_or("drones", 100)?,
         seed: args.get_or("seed", 0)?,
         duration: args.get_or("duration", 20.0)?,
-        spatial,
         telemetry: telemetry_mode(args)?,
     })
 }
@@ -770,23 +757,19 @@ mod tests {
     }
 
     #[test]
-    fn stress_grid_policy_values() {
-        for (value, policy) in [
-            ("auto", SpatialPolicy::Auto),
-            ("on", SpatialPolicy::ForceOn),
-            ("off", SpatialPolicy::ForceOff),
-        ] {
-            let Ok(Command::Stress(opts)) = parse(&format!("stress --grid {value}")) else {
-                panic!("--grid {value} must parse")
-            };
-            assert_eq!(opts.spatial, policy);
-        }
+    fn stress_defaults_and_overrides() {
         let Ok(Command::Stress(opts)) = parse("stress") else { panic!("stress must parse") };
-        assert_eq!(opts.spatial, SpatialPolicy::Auto);
         assert_eq!(opts.drones, 100);
+        assert_eq!(opts.seed, 0);
         assert_eq!(opts.duration, 20.0);
-        let err = parse("stress --grid maybe").unwrap_err();
-        assert_eq!(err.to_string(), "--grid must be 'auto', 'on' or 'off', got \"maybe\"");
+        assert_eq!(opts.telemetry, TelemetryMode::Off);
+        let Ok(Command::Stress(opts)) =
+            parse("stress --drones 10 --seed 3 --duration 5 --telemetry json")
+        else {
+            panic!("stress overrides must parse")
+        };
+        assert_eq!((opts.drones, opts.seed, opts.duration), (10, 3, 5.0));
+        assert_eq!(opts.telemetry, TelemetryMode::Json);
     }
 
     #[test]

@@ -27,9 +27,7 @@ use swarm_math::Vec3;
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::recorder::MissionRecord;
 use swarm_sim::spoof::SpoofDirection;
-use swarm_sim::{
-    ControlContext, DroneId, NeighborState, PerceivedSelf, SpatialGrid, SwarmController,
-};
+use swarm_sim::{ControlContext, DroneId, NeighborState, PerceivedSelf, SwarmController};
 
 use crate::telemetry::Phase;
 use crate::trace::Trace;
@@ -166,18 +164,15 @@ impl<'a, C: SwarmController> SvgBuilder<'a, C> {
         let velocities = self.record.velocities_at(tick);
         let offset = direction.offset_direction(self.spec.mission_axis()) * self.deviation;
 
-        // Neighbor contexts come from the same spatial index the simulator's
-        // comms path uses: when the mission defines a radio range, only
-        // in-range drones enter drone i's context (matching what the bus
-        // would have delivered at this snapshot); without a range, every
-        // other drone does. Either way the context is ordered by ascending
-        // drone id — the neighbor-table order controllers see live. The
-        // context is built once per drone i and each candidate influencer j
-        // is displaced and restored in place, instead of rebuilding the
-        // whole context for every (i, j) pair.
+        // When the mission defines a radio range, only the drones within it
+        // (the bus's 3-D range check) enter drone i's context, matching what
+        // the bus would have delivered at this snapshot; without a range,
+        // every other drone does. The context is ordered by ascending drone
+        // id — the neighbor-table order controllers see live. It is built
+        // once per drone i by one scan of the swarm, and each candidate
+        // influencer j is displaced and restored in place, instead of
+        // rebuilding the whole context for every (i, j) pair.
         let range = self.spec.comms.range.filter(|&r| r > 0.0);
-        let grid = range.map(|r| SpatialGrid::build(positions, r));
-        let mut candidates: Vec<(DroneId, Vec3)> = Vec::new();
         let mut neighbors: Vec<NeighborState> = Vec::with_capacity(n);
 
         let mut graph = DiGraph::new(n);
@@ -192,31 +187,14 @@ impl<'a, C: SwarmController> SvgBuilder<'a, C> {
             }
 
             neighbors.clear();
-            match (&grid, range) {
-                (Some(grid), Some(r)) => {
-                    grid.within_into(positions[i], r, &mut candidates);
-                    for &(id, p) in &candidates {
-                        if id.index() != i && positions[i].distance(p) <= r {
-                            neighbors.push(NeighborState {
-                                id,
-                                position: p,
-                                velocity: velocities[id.index()],
-                                age: 0.0,
-                            });
-                        }
-                    }
-                }
-                _ => {
-                    for j in 0..n {
-                        if j != i {
-                            neighbors.push(NeighborState {
-                                id: DroneId(j),
-                                position: positions[j],
-                                velocity: velocities[j],
-                                age: 0.0,
-                            });
-                        }
-                    }
+            for j in 0..n {
+                if j != i && range.is_none_or(|r| positions[i].distance(positions[j]) <= r) {
+                    neighbors.push(NeighborState {
+                        id: DroneId(j),
+                        position: positions[j],
+                        velocity: velocities[j],
+                        age: 0.0,
+                    });
                 }
             }
 

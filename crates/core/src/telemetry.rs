@@ -107,7 +107,10 @@ pub enum Counter {
     /// Search probes that ended at the obstacle horizon (see
     /// [`swarm_sim::Simulation::run_probe`]).
     SimHorizonStops,
-    /// Spatial-grid rebuilds across all simulated missions (0 under
+    /// Spatial-grid rebuilds across all simulated missions: the collision
+    /// broad phase's lazy re-indexes at every swarm size, plus one comms
+    /// re-index per control tick in ranged swarms of
+    /// [`swarm_sim::GRID_AUTO_THRESHOLD`] drones or more (0 under
     /// [`swarm_sim::SpatialPolicy::ForceOff`]).
     GridRebuilds,
     /// Spatial-grid cells probed across all simulated missions.

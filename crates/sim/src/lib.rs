@@ -19,12 +19,16 @@
 //!   swarm start positions randomized in a 0–50 m box).
 //! * [`runner`] — the fixed-step simulation loop gluing everything together
 //!   behind the [`SwarmController`] trait implemented by `swarm-control`.
-//! * [`recorder`] / [`metrics`] — the trajectory/mission information
-//!   SwarmFuzz's initial test collects (per-tick positions, per-drone minimum
-//!   obstacle distance a.k.a. VDO, the closest-approach time `t_clo`).
+//! * [`recorder`] — the trajectory/mission information SwarmFuzz's initial
+//!   test collects (per-tick positions, per-drone minimum obstacle distance
+//!   a.k.a. VDO, the closest-approach time `t_clo`).
+//! * [`metrics`] — swarm order measures (inter-drone distances, extent,
+//!   velocity correlation); the recorder derives each tick's average
+//!   inter-drone distance, and so `t_clo`, with one of them.
 //! * [`spatial`] — the uniform-grid neighbor index behind the lazy collision
-//!   broad phase (every swarm size) and large-swarm comms delivery,
-//!   bit-identical to the brute-force scans it replaces.
+//!   broad phase (every swarm size) and the comms delivery of ranged swarms
+//!   of [`GRID_AUTO_THRESHOLD`] drones or more, bit-identical to the
+//!   brute-force scans it replaces.
 //!
 //! Everything is deterministic given a mission seed: the same
 //! [`mission::MissionSpec`] and attack always produce bit-identical

@@ -122,9 +122,10 @@ pub struct RunStats {
     /// or the time of the first collision, of the all-arrived stop or (for a
     /// search probe) of the obstacle-horizon stop.
     pub sim_time: f64,
-    /// Spatial-grid rebuilds: the comms index once per control tick when
-    /// comms use the grid, plus each lazy re-index of the collision broad
-    /// phase. 0 under [`SpatialPolicy::ForceOff`].
+    /// Spatial-grid rebuilds: each lazy re-index of the collision broad
+    /// phase, plus the comms index once per control tick when a ranged swarm
+    /// of [`GRID_AUTO_THRESHOLD`](crate::GRID_AUTO_THRESHOLD) drones or more
+    /// delivers through the grid. 0 under [`SpatialPolicy::ForceOff`].
     pub grid_rebuilds: u64,
     /// Grid cells probed across all neighbor/pair queries. 0 under
     /// [`SpatialPolicy::ForceOff`].
@@ -157,10 +158,12 @@ pub trait SimObserver: Sync {
 /// the obstacle horizon.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimConfig {
-    /// Neighbor-engine selection: brute-force O(n²) scans vs the spatial
-    /// grid. The default ([`SpatialPolicy::Auto`]) runs the lazy collision
-    /// broad phase at every swarm size and grid comms for large swarms;
-    /// every policy flies bit-identical missions.
+    /// Neighbor-engine selection. The default, [`SpatialPolicy::Auto`], runs
+    /// the lazy collision broad phase at every swarm size and delivers ranged
+    /// comms through the grid from
+    /// [`GRID_AUTO_THRESHOLD`](crate::GRID_AUTO_THRESHOLD) drones up;
+    /// [`SpatialPolicy::ForceOff`] keeps the brute-force O(n²) scans as the
+    /// reference. Both fly bit-identical missions.
     pub spatial: SpatialPolicy,
 }
 
@@ -307,9 +310,10 @@ struct LoopParams {
     steps: usize,
     steps_per_control: usize,
     steps_per_gps: usize,
-    comms_grid: bool,
+    /// The radio range comms delivery queries the grid with; `None` when
+    /// delivery scans every receiver.
+    comms_grid_range: Option<f64>,
     broad_phase: bool,
-    comms_range: Option<f64>,
     collision_diameter: f64,
     broad_slack: f64,
     broad_radius: f64,
@@ -341,9 +345,11 @@ impl LoopParams {
             steps: spec.physics_steps(),
             steps_per_control,
             steps_per_gps: spec.steps_per_gps(),
-            comms_grid: config.spatial.comms_grid_enabled(n),
+            comms_grid_range: spec
+                .comms
+                .range
+                .filter(|&r| r > 0.0 && config.spatial.comms_grid_enabled(n)),
             broad_phase: config.spatial != SpatialPolicy::ForceOff,
-            comms_range: spec.comms.range.filter(|&r| r > 0.0),
             collision_diameter,
             broad_slack,
             broad_radius: collision_diameter + broad_slack,
@@ -356,8 +362,9 @@ impl LoopParams {
 /// plus the two spatial-grid indexes.
 ///
 /// The two indexes have different cell sizes and rebuild cadences: the comms
-/// grid (cell = radio range, rebuilt per control tick) accelerates message
-/// delivery, and the proximity grid (cell = inflated collision diameter,
+/// grid (cell = radio range, rebuilt per control tick, only for ranged swarms
+/// of `GRID_AUTO_THRESHOLD` drones or more) accelerates message delivery,
+/// and the proximity grid (cell = inflated collision diameter,
 /// rebuilt lazily — see the collision broad phase) is the collision broad
 /// phase. Both are bit-identical to the brute-force scans (see
 /// tests/grid_equivalence.rs), so the policy is purely about speed. Both are
@@ -382,10 +389,7 @@ impl StepScratch {
             true_velocities: vec![Vec3::ZERO; p.n],
             obstacle_distances: vec![f64::INFINITY; p.n],
             neighbor_buf: Vec::with_capacity(p.n),
-            comms_grid: p
-                .comms_range
-                .filter(|_| p.comms_grid)
-                .map(|range| SpatialGrid::build(&[], range)),
+            comms_grid: p.comms_grid_range.map(|range| SpatialGrid::build(&[], range)),
             proximity_grid: (p.broad_phase && p.collision_diameter > 0.0)
                 .then(|| SpatialGrid::build(&[], p.broad_radius)),
             position_buf: Vec::new(),
@@ -621,7 +625,7 @@ impl<C: SwarmController> Simulation<C> {
             dt,
             steps_per_control,
             steps_per_gps,
-            comms_range,
+            comms_grid_range,
             collision_diameter,
             broad_slack,
             broad_radius,
@@ -682,7 +686,7 @@ impl<C: SwarmController> Simulation<C> {
                     })
                 })
                 .collect();
-            match (comms_grid, comms_range) {
+            match (comms_grid, comms_grid_range) {
                 (Some(grid), Some(range)) => {
                     grid.rebuild(true_positions, range);
                     st.stats.grid_rebuilds += 1;
@@ -1138,15 +1142,14 @@ mod tests {
     }
 
     #[test]
-    fn forced_grid_pipeline_matches_brute_force_and_counts_work() {
-        let mut spec = short_spec(6);
+    fn grid_pipeline_matches_brute_force_and_counts_work() {
+        // At the threshold `Auto` delivers ranged comms through the grid too.
+        let mut spec = short_spec(crate::GRID_AUTO_THRESHOLD);
         spec.comms.range = Some(25.0);
         let brute = Simulation::new(spec.clone(), BeeLine)
             .unwrap()
             .with_config(SimConfig { spatial: SpatialPolicy::ForceOff });
-        let grid = Simulation::new(spec, BeeLine)
-            .unwrap()
-            .with_config(SimConfig { spatial: SpatialPolicy::ForceOn });
+        let grid = Simulation::new(spec, BeeLine).unwrap();
 
         let capture_off = LastRun::default();
         let capture_on = LastRun::default();

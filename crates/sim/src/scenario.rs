@@ -54,16 +54,17 @@ const LARGE_SWARM_AREA_PER_DRONE: f64 = 256.0;
 
 /// Radio range (m) of the [`large_swarm`] stress scenario — a realistic
 /// mesh-radio figure that keeps each drone's neighborhood local, which is
-/// what makes the spatial-grid comms path pay off.
+/// what lets the spatial-grid comms path pay off in the largest swarms.
 pub const LARGE_SWARM_COMMS_RANGE: f64 = 30.0;
 
-/// A large-swarm stress scenario (intended for N = 50/100/200): the paper's
+/// A large-swarm stress scenario (flown at N = 10…1000): the paper's
 /// delivery geometry with the start box scaled with √n to keep the launch
 /// density constant, the destination pushed out by the same amount so the
 /// corridor length survives the bigger box, and a realistic radio range so
-/// neighborhoods stay local. At these sizes [`crate::SpatialPolicy::Auto`]
-/// also delivers comms through the spatial grid; the paper-scale scenarios
-/// use it for the collision broad phase only.
+/// neighborhoods stay local. From [`crate::GRID_AUTO_THRESHOLD`] drones up,
+/// [`crate::SpatialPolicy::Auto`] delivers these ranged comms through the
+/// spatial grid; below that, as in the paper-scale scenarios, the grid
+/// serves the collision broad phase only.
 pub fn large_swarm(swarm_size: usize, seed: u64) -> MissionSpec {
     let mut spec = MissionSpec::paper_delivery(swarm_size, seed);
     let side = (swarm_size as f64 * LARGE_SWARM_AREA_PER_DRONE).sqrt().max(30.0);

@@ -14,11 +14,11 @@
 //! which is far cheaper than the scans it replaces and keeps the structure
 //! trivially consistent.
 //!
-//! Determinism: the backing store is a sorted entry list, not a hash map, so
-//! every query yields the same candidate order on every run. Consumers that
-//! must match the brute-force iteration order exactly (the comms bus, the
-//! collision scan) additionally receive candidates sorted by drone id — see
-//! [`SpatialGrid::within_into`] and [`SpatialGrid::close_pairs`].
+//! Determinism: the backing store is a sorted entry list, not a hash map,
+//! and both queries hand their candidates back sorted by drone id — the
+//! iteration order of the brute-force scans they replace, so the comms bus
+//! and the collision scan consume them exactly as they would the dense loop
+//! (see [`SpatialGrid::within_into`] and [`SpatialGrid::close_pairs`]).
 
 use swarm_math::Vec3;
 
@@ -26,12 +26,12 @@ use crate::DroneId;
 
 /// Swarm size at or above which [`SpatialPolicy::Auto`] delivers comms
 /// through the grid. Smaller swarms keep the dense scan of every receiver
-/// per broadcast; the paper's missions have unlimited radio range, so their
-/// comms never consult an index at all.
+/// per broadcast, which is faster there; the paper's missions have unlimited
+/// radio range, so their comms never consult an index at all.
 pub const GRID_AUTO_THRESHOLD: usize = 32;
 
-/// How the simulation runner selects between the brute-force O(n²) neighbor
-/// scans and the grid-backed pipeline.
+/// Whether the simulation runner uses the grid where it pays or flies the
+/// brute-force O(n²) neighbor scans everywhere.
 ///
 /// The two paths are bit-identical by construction (proven by
 /// `tests/grid_equivalence.rs`), so the policy is purely a performance
@@ -42,9 +42,6 @@ pub enum SpatialPolicy {
     /// grid at or above [`GRID_AUTO_THRESHOLD`] drones.
     #[default]
     Auto,
-    /// The lazy collision broad phase and grid comms at every swarm size
-    /// (differential tests, benchmarks).
-    ForceOn,
     /// No grid: every physics step scans all drone pairs for collisions and
     /// every broadcast scans all receivers. The brute-force reference of the
     /// differential tests and the grid benchmarks.
@@ -54,11 +51,7 @@ pub enum SpatialPolicy {
 impl SpatialPolicy {
     /// `true` when comms delivery for a swarm of `n` drones queries the grid.
     pub fn comms_grid_enabled(self, n: usize) -> bool {
-        match self {
-            SpatialPolicy::Auto => n >= GRID_AUTO_THRESHOLD,
-            SpatialPolicy::ForceOn => true,
-            SpatialPolicy::ForceOff => false,
-        }
+        self == SpatialPolicy::Auto && n >= GRID_AUTO_THRESHOLD
     }
 }
 
@@ -79,9 +72,10 @@ type Entry = ((i64, i64), DroneId, Vec3);
 ///
 /// let positions = vec![Vec3::ZERO, Vec3::new(3.0, 0.0, 0.0), Vec3::new(50.0, 0.0, 0.0)];
 /// let grid = SpatialGrid::build(&positions, 10.0);
-/// let near: Vec<_> = grid.within(Vec3::ZERO, 5.0).collect();
-/// assert_eq!(near.len(), 2); // self + the drone 3 m away
-/// assert!(near.iter().any(|&(id, _)| id == DroneId(1)));
+/// let mut near = Vec::new();
+/// grid.within_into(Vec3::ZERO, 5.0, &mut near);
+/// let ids: Vec<DroneId> = near.iter().map(|&(id, _)| id).collect();
+/// assert_eq!(ids, [DroneId(0), DroneId(1)]); // self + the drone 3 m away
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
@@ -202,43 +196,16 @@ impl SpatialGrid {
         self.entries.is_empty()
     }
 
-    /// The cell side length in metres.
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-
     /// All drones within horizontal distance `radius` of `center`
-    /// (including a drone exactly at `center`).
+    /// (including a drone exactly at `center`), into a reusable buffer,
+    /// **sorted by drone id** — exactly the iteration order of a brute-force
+    /// `0..n` scan, so callers that consume randomness or mutate state per
+    /// candidate behave bit-identically to the dense path.
     ///
     /// Scans the ring of candidate cells when that is small, and falls back
     /// to scanning the occupied cells directly when the query radius spans
     /// more cells than the grid occupies (avoids a quadratic blow-up for
     /// huge radii over sparse grids).
-    pub fn within(&self, center: Vec3, radius: f64) -> impl Iterator<Item = (DroneId, Vec3)> + '_ {
-        let (scan_all, r_cells) = self.ring_plan(radius);
-        let (cx, cy) = Self::key(center, self.cell_size);
-        let radius2 = radius * radius;
-        let ring = (!scan_all).then(|| {
-            (-r_cells..=r_cells)
-                .flat_map(move |dx| self.row_cells(cx + dx, cy - r_cells, cy + r_cells))
-        });
-        let all = scan_all.then(|| std::iter::once(self.entries.as_slice()));
-        ring.into_iter()
-            .flatten()
-            .chain(all.into_iter().flatten())
-            .flat_map(|cell| cell.iter())
-            .filter(move |(_, _, p)| {
-                let dx = p.x - center.x;
-                let dy = p.y - center.y;
-                dx * dx + dy * dy <= radius2
-            })
-            .map(|&(_, id, p)| (id, p))
-    }
-
-    /// [`SpatialGrid::within`] into a reusable buffer, **sorted by drone
-    /// id** — exactly the iteration order of a brute-force `0..n` scan, so
-    /// callers that consume randomness or mutate state per candidate behave
-    /// bit-identically to the dense path.
     ///
     /// Clears `out` first. Returns the number of cells probed (telemetry).
     pub fn within_into(&self, center: Vec3, radius: f64, out: &mut Vec<(DroneId, Vec3)>) -> u64 {
@@ -337,33 +304,6 @@ impl SpatialGrid {
         out.sort_unstable();
         probed
     }
-
-    /// The `k` nearest drones to `center` other than `exclude`, ordered by
-    /// ascending horizontal distance. Falls back to a full scan, widening
-    /// the search ring until enough candidates are found.
-    pub fn k_nearest(
-        &self,
-        center: Vec3,
-        k: usize,
-        exclude: Option<DroneId>,
-    ) -> Vec<(DroneId, Vec3)> {
-        let mut radius = self.cell_size;
-        loop {
-            let mut found: Vec<(DroneId, Vec3)> =
-                self.within(center, radius).filter(|&(id, _)| Some(id) != exclude).collect();
-            if found.len() >= k || radius > 1e6 {
-                found.sort_by(|a, b| {
-                    center
-                        .horizontal_distance(a.1)
-                        .partial_cmp(&center.horizontal_distance(b.1))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                found.truncate(k);
-                return found;
-            }
-            radius *= 2.0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -383,15 +323,20 @@ mod tests {
             .collect()
     }
 
+    /// The ids [`SpatialGrid::within_into`] returns, in its order.
+    fn within_ids(grid: &SpatialGrid, center: Vec3, radius: f64) -> Vec<usize> {
+        let mut buf = Vec::new();
+        grid.within_into(center, radius, &mut buf);
+        buf.iter().map(|&(id, _)| id.index()).collect()
+    }
+
     #[test]
     fn within_matches_brute_force() {
         let positions = line(20, 3.0);
         let grid = SpatialGrid::build(&positions, 5.0);
         for &radius in &[1.0, 4.0, 10.0, 100.0] {
             for (i, &c) in positions.iter().enumerate() {
-                let mut got: Vec<usize> =
-                    grid.within(c, radius).map(|(id, _)| id.index()).collect();
-                got.sort_unstable();
+                let got = within_ids(&grid, c, radius);
                 assert_eq!(got, brute_within(&positions, c, radius), "query {i} radius {radius}");
             }
         }
@@ -411,9 +356,7 @@ mod tests {
         assert!(probed > 0);
         let ids: Vec<usize> = buf.iter().map(|&(id, _)| id.index()).collect();
         assert_eq!(ids, vec![0, 1, 2]);
-        let mut lazy: Vec<usize> = grid.within(Vec3::ZERO, 5.0).map(|(id, _)| id.index()).collect();
-        lazy.sort_unstable();
-        assert_eq!(ids, lazy);
+        assert_eq!(ids, brute_within(&positions, Vec3::ZERO, 5.0));
     }
 
     #[test]
@@ -446,8 +389,8 @@ mod tests {
         assert_eq!(grid.len(), 5);
         grid.rebuild(&line(3, 10.0), 4.0);
         assert_eq!(grid.len(), 3);
-        assert_eq!(grid.cell_size(), 4.0);
-        assert_eq!(grid.within(Vec3::new(0.0, 0.0, 10.0), 1.0).count(), 1);
+        assert_eq!(within_ids(&grid, Vec3::new(0.0, 0.0, 10.0), 1.0), vec![0]);
+        assert_eq!(within_ids(&grid, Vec3::new(10.0, 0.0, 10.0), 10.0), vec![0, 1, 2]);
         grid.rebuild(&[], 1.0);
         assert!(grid.is_empty());
     }
@@ -456,7 +399,7 @@ mod tests {
     fn within_ignores_altitude() {
         let positions = vec![Vec3::new(0.0, 0.0, 0.0), Vec3::new(1.0, 0.0, 500.0)];
         let grid = SpatialGrid::build(&positions, 10.0);
-        assert_eq!(grid.within(Vec3::ZERO, 2.0).count(), 2);
+        assert_eq!(within_ids(&grid, Vec3::ZERO, 2.0), vec![0, 1]);
     }
 
     #[test]
@@ -470,28 +413,12 @@ mod tests {
     }
 
     #[test]
-    fn k_nearest_orders_by_distance() {
-        let positions = line(10, 2.0);
-        let grid = SpatialGrid::build(&positions, 3.0);
-        let near = grid.k_nearest(positions[0], 3, Some(DroneId(0)));
-        let ids: Vec<usize> = near.iter().map(|(id, _)| id.index()).collect();
-        assert_eq!(ids, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn k_nearest_with_fewer_than_k_drones() {
-        let positions = line(2, 2.0);
-        let grid = SpatialGrid::build(&positions, 3.0);
-        let near = grid.k_nearest(positions[0], 5, None);
-        assert_eq!(near.len(), 2);
-    }
-
-    #[test]
     fn empty_grid() {
         let grid = SpatialGrid::build(&[], 1.0);
         assert!(grid.is_empty());
-        assert_eq!(grid.within(Vec3::ZERO, 100.0).count(), 0);
-        assert!(grid.k_nearest(Vec3::ZERO, 3, None).is_empty());
+        let mut buf = vec![(DroneId(7), Vec3::ZERO)];
+        assert_eq!(grid.within_into(Vec3::ZERO, 100.0, &mut buf), 0);
+        assert!(buf.is_empty(), "within_into clears its buffer");
         let mut pairs = Vec::new();
         grid.close_pairs(5.0, &mut pairs);
         assert!(pairs.is_empty());
@@ -501,14 +428,13 @@ mod tests {
     fn negative_coordinates_bucket_correctly() {
         let positions = vec![Vec3::new(-0.5, -0.5, 0.0), Vec3::new(0.5, 0.5, 0.0)];
         let grid = SpatialGrid::build(&positions, 1.0);
-        assert_eq!(grid.within(Vec3::ZERO, 1.0).count(), 2);
+        assert_eq!(within_ids(&grid, Vec3::ZERO, 1.0), vec![0, 1]);
     }
 
     #[test]
     fn policy_resolution() {
         assert!(!SpatialPolicy::Auto.comms_grid_enabled(GRID_AUTO_THRESHOLD - 1));
         assert!(SpatialPolicy::Auto.comms_grid_enabled(GRID_AUTO_THRESHOLD));
-        assert!(SpatialPolicy::ForceOn.comms_grid_enabled(1));
         assert!(!SpatialPolicy::ForceOff.comms_grid_enabled(1_000));
     }
 

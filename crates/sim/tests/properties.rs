@@ -107,7 +107,8 @@ fn ideal_bus_delivers_to_all_others() {
     });
 }
 
-/// The spatial grid returns exactly the brute-force neighbor set.
+/// The spatial grid returns exactly the brute-force neighbor set, in drone
+/// id order.
 #[test]
 fn spatial_grid_matches_brute_force() {
     let gen = gens::zip4(
@@ -119,15 +120,15 @@ fn spatial_grid_matches_brute_force() {
     check("sim-spatial-grid-equivalence", &gen, |(positions, cell, radius, q)| {
         let center = positions[q % positions.len()];
         let grid = SpatialGrid::build(positions, *cell);
-        let mut got: Vec<usize> = grid.within(center, *radius).map(|(id, _)| id.index()).collect();
-        got.sort_unstable();
-        let mut expect: Vec<usize> = positions
+        let mut found = Vec::new();
+        grid.within_into(center, *radius, &mut found);
+        let got: Vec<usize> = found.iter().map(|&(id, _)| id.index()).collect();
+        let expect: Vec<usize> = positions
             .iter()
             .enumerate()
             .filter(|(_, p)| p.horizontal_distance(center) <= *radius)
             .map(|(i, _)| i)
             .collect();
-        expect.sort_unstable();
         tk_ensure!(got == expect, "grid returned {got:?}, brute force {expect:?}");
         Ok(())
     });

@@ -1,15 +1,18 @@
 //! Differential proof that the spatial-grid fast path is the brute-force
 //! slow path.
 //!
-//! The large-swarm pipeline (grid-backed comms delivery, grid collision
-//! broad phase) is only admissible because it produces *bit-identical*
-//! results to the O(n²) scans it replaces. This suite pins that claim at
-//! three levels: raw `SpatialGrid` queries vs brute-force pair sets over
-//! randomized geometry (including the degenerate corners), the metrics
-//! helpers' grid variants, and full missions with the pipeline forced on vs
-//! forced off. An N=200 mission's per-tick average inter-drone distances,
-//! which the recorder derives only when read, are pinned to a digest under
-//! both policies.
+//! The grid pipeline (the lazy collision broad phase at every swarm size,
+//! grid-backed comms delivery from `GRID_AUTO_THRESHOLD` drones up) is only
+//! admissible because it produces *bit-identical* results to the O(n²)
+//! scans it replaces. This suite pins that claim at two levels: raw
+//! `SpatialGrid` queries vs brute-force neighbor and pair sets over
+//! randomized geometry (including the degenerate corners), and full
+//! missions flown under `SpatialPolicy::Auto` vs `SpatialPolicy::ForceOff`
+//! — paper-scale swarms, where only the broad phase differs, and swarms of
+//! 36, 40 and 200 drones with a radio range, where comms take the grid too.
+//! The N=200 mission's per-tick average inter-drone distances, which the
+//! recorder derives only when read, are pinned to a digest under both
+//! policies.
 //!
 //! Style note: these are hand-rolled seeded property tests (fixed-seed
 //! `StdRng` + case loop), matching the repo's other property suites — the
@@ -25,8 +28,7 @@ use swarm_sim::mission::MissionSpec;
 use swarm_sim::spatial::SpatialGrid;
 use swarm_sim::spoof::{SpoofDirection, SpoofingAttack};
 use swarm_sim::{
-    metrics, scenario, DroneId, MissionOutcome, RunStats, SimConfig, SimObserver, Simulation,
-    SpatialPolicy,
+    scenario, DroneId, MissionOutcome, RunStats, SimConfig, SimObserver, Simulation, SpatialPolicy,
 };
 
 const CASES: usize = 128;
@@ -96,14 +98,13 @@ fn within_matches_brute_force_on_random_geometry() {
         };
         let expected = brute_within(&positions, center, radius);
 
-        let mut lazy: Vec<usize> = grid.within(center, radius).map(|(id, _)| id.index()).collect();
-        lazy.sort_unstable();
-        assert_eq!(lazy, expected, "within diverged (case {case}, cell {cell}, radius {radius})");
-
         let mut buf = Vec::new();
         grid.within_into(center, radius, &mut buf);
         let ids: Vec<usize> = buf.iter().map(|&(id, _)| id.index()).collect();
-        assert_eq!(ids, expected, "within_into diverged or unsorted (case {case})");
+        assert_eq!(
+            ids, expected,
+            "within_into diverged or unsorted (case {case}, cell {cell}, radius {radius})"
+        );
     }
 }
 
@@ -132,26 +133,6 @@ fn close_pairs_matches_brute_force_on_random_geometry() {
         assert_eq!(
             pairs, expected,
             "close_pairs must equal the lex-ordered brute pair set (case {case}, radius {radius})"
-        );
-    }
-}
-
-#[test]
-fn metric_grid_variants_match_brute_force_bitwise() {
-    let mut rng = rng();
-    for case in 0..CASES {
-        let cell = rng.gen_range(0.5..20.0);
-        let positions = random_positions(&mut rng, cell);
-        let grid = SpatialGrid::build(&positions, cell);
-        assert_eq!(
-            metrics::min_inter_distance_grid(&positions, &grid),
-            metrics::min_inter_distance(&positions),
-            "min_inter_distance diverged (case {case})"
-        );
-        assert_eq!(
-            metrics::swarm_extent_grid(&positions, &grid),
-            metrics::swarm_extent(&positions),
-            "swarm_extent diverged (case {case})"
         );
     }
 }
@@ -188,17 +169,22 @@ fn fly(
 
 #[test]
 fn n40_mission_with_range_is_bit_identical_grid_on_vs_off() {
-    // The tentpole acceptance test: a full flocking mission at N = 40 with a
-    // radio range — grid forced on vs forced off must produce bit-identical
-    // outcomes.
+    // A full flocking mission at N = 40 with a radio range: `Auto` delivers
+    // comms through the grid (40 >= the threshold) and must produce the
+    // brute-force outcome bit for bit.
     let mut spec = scenario::large_swarm(40, 17);
     spec.duration = 12.0;
-    let on = fly(&spec, SpatialPolicy::ForceOn, None).0;
-    let off = fly(&spec, SpatialPolicy::ForceOff, None).0;
+    let (on, on_stats) = fly(&spec, SpatialPolicy::Auto, None);
+    let (off, off_stats) = fly(&spec, SpatialPolicy::ForceOff, None);
     assert_eq!(on.record, off.record, "grid pipeline diverged from brute force at N=40");
-    // And Auto (40 >= threshold) must take the grid path, i.e. match both.
-    let auto = fly(&spec, SpatialPolicy::Auto, None).0;
-    assert_eq!(auto.record, on.record);
+    // One comms re-index per control tick, plus the broad phase's.
+    assert!(
+        on_stats.grid_rebuilds > on_stats.control_ticks,
+        "Auto at N=40 did not take grid comms: {} rebuilds over {} control ticks",
+        on_stats.grid_rebuilds,
+        on_stats.control_ticks
+    );
+    assert_eq!((off_stats.grid_rebuilds, off_stats.grid_cells_scanned), (0, 0));
 }
 
 #[test]
@@ -212,37 +198,37 @@ fn lossy_delayed_mission_is_bit_identical_grid_on_vs_off() {
     spec.comms.range = Some(18.0);
     spec.comms.drop_probability = 0.25;
     spec.comms.delay_ticks = 2;
-    let on = fly(&spec, SpatialPolicy::ForceOn, None).0;
+    let (on, on_stats) = fly(&spec, SpatialPolicy::Auto, None);
     let off = fly(&spec, SpatialPolicy::ForceOff, None).0;
     assert_eq!(on.record, off.record, "lossy/delayed comms diverged between grid and brute");
+    assert!(on_stats.grid_rebuilds > on_stats.control_ticks, "Auto at N=36 took dense comms");
 }
 
 #[test]
 fn small_swarm_mission_is_bit_identical_grid_on_vs_off() {
     // The paper's swarm sizes sit below the comms threshold, but `Auto`
-    // still runs the lazy collision broad phase there: every policy must fly
-    // them exactly as the per-step pair scan of `ForceOff` does — with and
+    // still runs the lazy collision broad phase there: it must fly them
+    // exactly as the per-step pair scan of `ForceOff` does — with and
     // without a radio range, under attack, and through a collision (seed 2's
     // ten drones crash unattacked at 35.27 s, inside the 40 s flown here).
+    let attack = SpoofingAttack::new(DroneId(0), SpoofDirection::Left, 5.0, 10.0, 10.0).unwrap();
+    let mut inputs = Vec::new();
     for n in [5, 10, 15] {
         let mut spec = MissionSpec::paper_delivery(n, 2);
         spec.duration = 40.0;
         let mut ranged = spec.clone();
         ranged.comms.range = Some(25.0);
-        let attack =
-            SpoofingAttack::new(DroneId(0), SpoofDirection::Left, 5.0, 10.0, 10.0).unwrap();
-        for (spec, attack) in [(&spec, None), (&spec, Some(&attack)), (&ranged, None)] {
-            let (off, off_stats) = fly(spec, SpatialPolicy::ForceOff, attack);
-            assert_eq!(off_stats.grid_rebuilds, 0, "ForceOff never indexes");
-            for policy in [SpatialPolicy::Auto, SpatialPolicy::ForceOn] {
-                let (out, stats) = fly(spec, policy, attack);
-                assert_eq!(out.record, off.record, "{policy:?} diverged from ForceOff at n = {n}");
-                assert!(stats.grid_rebuilds > 0, "{policy:?} at n = {n} never ran the broad phase");
-            }
-        }
-        if n == 10 {
-            let (crashed, _) = fly(&spec, SpatialPolicy::Auto, None);
-            let first = crashed.first_collision().expect("seed 2's ten drones collide");
+        inputs.extend([(spec.clone(), None), (spec, Some(&attack)), (ranged, None)]);
+    }
+    for (spec, attack) in &inputs {
+        let n = spec.swarm_size;
+        let (off, off_stats) = fly(spec, SpatialPolicy::ForceOff, *attack);
+        assert_eq!(off_stats.grid_rebuilds, 0, "ForceOff never indexes");
+        let (out, stats) = fly(spec, SpatialPolicy::Auto, *attack);
+        assert_eq!(out.record, off.record, "Auto diverged from ForceOff at n = {n}");
+        assert!(stats.grid_rebuilds > 0, "Auto at n = {n} never ran the broad phase");
+        if n == 10 && attack.is_none() && spec.comms.range.is_none() {
+            let first = out.first_collision().expect("seed 2's ten drones collide");
             assert!((first.time - 35.27).abs() < 1e-6, "collision at {}", first.time);
         }
     }
@@ -255,9 +241,10 @@ fn rangeless_mission_is_unaffected_by_the_policy() {
     // be invisible in the outcome.
     let mut spec = MissionSpec::paper_delivery(8, 13);
     spec.duration = 20.0;
-    let on = fly(&spec, SpatialPolicy::ForceOn, None).0;
+    let (on, on_stats) = fly(&spec, SpatialPolicy::Auto, None);
     let off = fly(&spec, SpatialPolicy::ForceOff, None).0;
     assert_eq!(on.record, off.record);
+    assert!(on_stats.grid_rebuilds > 0, "Auto never ran the broad phase");
 }
 
 /// FNV-1a over the bits of a record's per-tick average inter-drone distance
@@ -287,7 +274,7 @@ fn n200_inter_drone_means_are_pinned_grid_on_and_off() {
     const PINNED: u64 = 0x6aab_599a_41b5_a12a;
     let mut spec = scenario::large_swarm(200, 7);
     spec.duration = 10.0;
-    for policy in [SpatialPolicy::ForceOn, SpatialPolicy::ForceOff] {
+    for policy in [SpatialPolicy::Auto, SpatialPolicy::ForceOff] {
         let record = fly(&spec, policy, None).0.record;
         assert_eq!(record.len(), 101, "{policy:?}");
         assert_eq!(mean_digest(&record), PINNED, "{policy:?}: {:016x}", mean_digest(&record));

@@ -7,10 +7,11 @@
 //!
 //! * sim level — a search probe forked from every admitting snapshot of one
 //!   capture run equals the probe flown fresh, over seeded-random
-//!   `(t_s, Δt, swarm size, mission seed)` windows, across all three
-//!   spatial-grid policies and with lossy/delayed comms (every RNG stream —
-//!   GPS noise, drop lottery, wind — must stay in phase across the fork);
-//!   the snapshots that do not admit the window refuse it with a typed error;
+//!   `(t_s, Δt, swarm size, mission seed)` windows, under both spatial-grid
+//!   policies and with lossy/delayed comms (every RNG stream — GPS noise,
+//!   drop lottery, wind — must stay in phase across the fork), and in a
+//!   ranged 36-drone swarm whose comms go through the grid; the snapshots
+//!   that do not admit the window refuse it with a typed error;
 //! * capture — two capture runs of one mission give equal snapshots at every
 //!   step both capture, and capturing never changes the run;
 //! * fuzzer/campaign level — [`FuzzReport`]s and [`CampaignReport`]s with
@@ -23,7 +24,7 @@ use std::sync::Arc;
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::spoof::SpoofingAttack;
-use swarm_sim::{SimConfig, SimError, Simulation, SpatialPolicy};
+use swarm_sim::{scenario, SimConfig, SimError, Simulation, SpatialPolicy};
 use swarm_testkit::gens::{f64_in, one_of, u64_in, usize_in, zip2, zip4};
 use swarm_testkit::{cases, check_budgeted, gens, tk_ensure, Gen};
 use swarmfuzz::campaign::{
@@ -39,7 +40,7 @@ fn controller() -> VasarhelyiController {
 }
 
 fn policies() -> Vec<SpatialPolicy> {
-    vec![SpatialPolicy::Auto, SpatialPolicy::ForceOn, SpatialPolicy::ForceOff]
+    vec![SpatialPolicy::Auto, SpatialPolicy::ForceOff]
 }
 
 /// One randomized differential case: a short delivery mission, an attack
@@ -161,6 +162,36 @@ fn forked_mission_is_bit_identical_with_lossy_delayed_comms_and_noise() {
             assert_fork_matches_fresh(&spec, case)
         },
     );
+}
+
+#[test]
+fn forked_probe_through_grid_comms_is_bit_identical_to_fresh() {
+    // The paper-scale cases above sit below the comms threshold, so their
+    // comms never use the grid. A ranged, lossy and delayed 36-drone swarm
+    // does under `Auto`: the comms grid is rebuilt from current positions
+    // on every control tick, so a fork must resume its drop lottery and
+    // in-flight queue exactly as the fresh probe reaches them.
+    let mut spec = scenario::large_swarm(36, 5);
+    spec.duration = 12.0;
+    spec.comms.range = Some(18.0);
+    spec.comms.drop_probability = 0.25;
+    spec.comms.delay_ticks = 2;
+    let telemetry = Telemetry::enabled(1);
+    Simulation::new(spec.clone(), controller())
+        .unwrap()
+        .run_observed(None, Some(&telemetry.trace()))
+        .unwrap();
+    let (rebuilds, ticks) =
+        (telemetry.counter(Counter::GridRebuilds), telemetry.counter(Counter::SimControlTicks));
+    assert!(rebuilds > ticks, "comms never took the grid: {rebuilds} rebuilds, {ticks} ticks");
+    let case = ForkCase {
+        swarm_size: 36,
+        seed: 5,
+        start: 8.0,
+        duration: 3.0,
+        policy: SpatialPolicy::Auto,
+    };
+    assert_fork_matches_fresh(&spec, &case).unwrap();
 }
 
 #[test]

@@ -139,3 +139,46 @@ fn svg_on_real_mission_record_is_well_formed() {
         }
     }
 }
+
+/// FNV-1a over the bits of every edge (from, to, weight) in id order, then
+/// of both score vectors and the closest-approach time.
+fn svg_digest(svg: &swarmfuzz::svg::SvgAnalysis) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for byte in w.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for u in 0..svg.graph.node_count() {
+        for &(v, w) in svg.graph.out_edges(u) {
+            word(u as u64);
+            word(v as u64);
+            word(w.to_bits());
+        }
+    }
+    for s in svg.target_scores.iter().chain(&svg.victim_scores) {
+        word(s.to_bits());
+    }
+    word(svg.t_clo.to_bits());
+    h
+}
+
+#[test]
+fn ranged_mission_svg_is_pinned() {
+    // The 30 m radio range of `large_swarm` keeps most drones out of each
+    // other's contexts, so this pins the builder's range check as well as
+    // its weights and scores. The digests were taken while the builder
+    // still found each context through a spatial-grid query.
+    use swarm_sim::{scenario, Simulation};
+    let mut spec = scenario::large_swarm(40, 17);
+    spec.duration = 20.0;
+    let record = Simulation::new(spec.clone(), controller()).unwrap().run(None).unwrap().record;
+    for (dir, edges, pinned) in [
+        (SpoofDirection::Left, 498, 0xbe84_7745_84f6_c606_u64),
+        (SpoofDirection::Right, 404, 0xf301_920d_9f78_b327),
+    ] {
+        let svg = SvgBuilder::new(&controller(), &spec, &record, 10.0).build(dir).unwrap();
+        assert_eq!(svg.graph.edge_count(), edges, "{dir:?}");
+        assert_eq!(svg_digest(&svg), pinned, "{dir:?}: {:#018x}", svg_digest(&svg));
+    }
+}
