@@ -28,117 +28,121 @@
 //! micro bench's paired-ratio harness, which times the same flight and
 //! kernel; this ladder only records the curve.
 //!
-//! Modes:
-//! - full (default): all sizes, 10 s missions.
-//! - smoke (`--smoke`): N=50 only, 2 s mission — a CI-friendly wiring
-//!   check (both modes, identity asserted).
+//! Both families are timed with [`swarmfuzz_bench::paired_ratio`], the
+//! harness behind every micro gate: brute is side A and grid side B, the
+//! two alternate call by call within each pair, and each speedup is the
+//! median of the per-pair brute/grid time ratios, written beside its
+//! quartiles. Each side of a pair runs enough calls to take about 50 ms,
+//! sized from the time of one brute call. The record-identity assertion
+//! runs before, outside the timed calls.
 //!
-//! Per-size rows go to `bench_results/scaling.csv`:
-//! n,mode,physics_steps,wall_ms,ticks_per_sec,mission_speedup,kernel_us_per_tick,kernel_speedup
+//! Modes:
+//! - full (default): all sizes, 10 s missions, 11 pairs per family.
+//! - smoke (`--smoke`): N=50 only, 2 s mission, 3 pairs — a CI-friendly
+//!   wiring check (both modes, identity asserted).
+//!
+//! Per-size rows go to `bench_results/scaling.csv` (`wall_ms` and
+//! `kernel_us_per_tick` are each side's median; the `_q1`/`_q3` columns are
+//! the speedups' quartiles):
+//! n,mode,physics_steps,wall_ms,ticks_per_sec,mission_speedup,mission_speedup_q1,mission_speedup_q3,kernel_us_per_tick,kernel_speedup,kernel_speedup_q1,kernel_speedup_q3
 
-use std::time::Instant;
+use std::hint::black_box;
 
 use swarm_sim::scenario;
-use swarm_sim::{MissionOutcome, SimConfig, Simulation, SpatialPolicy};
-use swarmfuzz_bench::{paper_controller, results_dir, time_batch, NeighborKernel};
+use swarm_sim::{SimConfig, Simulation, SpatialPolicy};
+use swarmfuzz_bench::{paired_ratio, paper_controller, results_dir, time_batch, NeighborKernel};
 
-struct Timed {
-    outcome: MissionOutcome,
-    physics_steps: u64,
-    wall_ms: f64,
-}
+/// Wall time each side of a pair should take, in ns.
+const SIDE_NS: f64 = 50e6;
 
-impl Timed {
-    fn tps(&self) -> f64 {
-        self.physics_steps as f64 / (self.wall_ms / 1e3)
-    }
-}
-
-/// Run the mission `reps` times with the given spatial policy, keeping the
-/// fastest wall time (minimum is the standard estimator for a deterministic
-/// workload under scheduler noise).
-fn run_timed(spec: &swarm_sim::mission::MissionSpec, policy: SpatialPolicy, reps: usize) -> Timed {
-    let sim = Simulation::new(spec.clone(), paper_controller())
-        .unwrap()
-        .with_config(SimConfig { spatial: policy });
-    let mut best: Option<Timed> = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let outcome = sim.run(None).unwrap();
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let physics_steps = (outcome.record.duration() / spec.physics_dt).round() as u64 + 1;
-        if best.as_ref().is_none_or(|b| wall_ms < b.wall_ms) {
-            best = Some(Timed { outcome, physics_steps, wall_ms });
-        }
-    }
-    best.unwrap()
-}
-
-/// µs per control period of the neighbor-search kernel, (brute, grid),
-/// each the minimum over `reps` alternating calls (one call covers two
-/// periods).
-fn kernel_us(kernel: &NeighborKernel, reps: usize) -> (f64, f64) {
-    let (mut brute, mut grid) = (kernel.brute(), kernel.grid());
-    let (mut brute_best, mut grid_best) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        brute_best = brute_best.min(time_batch(1, &mut brute) / 2e3);
-        grid_best = grid_best.min(time_batch(1, &mut grid) / 2e3);
-    }
-    (brute_best, grid_best)
+/// Calls per side of a pair so that a side takes about [`SIDE_NS`], given
+/// one call's time.
+fn iters_for(call_ns: f64) -> usize {
+    (SIDE_NS / call_ns).ceil().clamp(1.0, 200.0) as usize
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
-    let (sizes, duration, reps): (&[usize], f64, usize) =
-        if smoke { (&[50], 2.0, 1) } else { (&[10, 25, 50, 100, 200, 500, 1000], 10.0, 2) };
+    let (sizes, duration, pairs): (&[usize], f64, usize) =
+        if smoke { (&[50], 2.0, 3) } else { (&[10, 25, 50, 100, 200, 500, 1000], 10.0, 11) };
     let mode = if smoke { "smoke" } else { "full" };
-    println!("scaling bench ({mode}): sizes {sizes:?}, {duration} s missions");
-    println!(
-        "{:>5} {:>13} {:>13} {:>9} {:>12} {:>12} {:>9}",
-        "n", "brute tick/s", "grid tick/s", "mission", "brute krn us", "grid krn us", "kernel"
-    );
+    println!("scaling bench ({mode}): sizes {sizes:?}, {duration} s missions, {pairs} pairs");
 
     let mut csv = String::from(
-        "n,mode,physics_steps,wall_ms,ticks_per_sec,mission_speedup,kernel_us_per_tick,kernel_speedup\n",
+        "n,mode,physics_steps,wall_ms,ticks_per_sec,mission_speedup,mission_speedup_q1,\
+         mission_speedup_q3,kernel_us_per_tick,kernel_speedup,kernel_speedup_q1,kernel_speedup_q3\n",
     );
+    let mut table = Vec::new();
     for &n in sizes {
         let mut spec = scenario::large_swarm(n, 7);
         spec.duration = duration;
+        let sim = |spatial| {
+            Simulation::new(spec.clone(), paper_controller())
+                .unwrap()
+                .with_config(SimConfig { spatial })
+        };
+        let (brute, grid) = (sim(SpatialPolicy::ForceOff), sim(SpatialPolicy::Auto));
 
-        let brute = run_timed(&spec, SpatialPolicy::ForceOff, reps);
-        let grid = run_timed(&spec, SpatialPolicy::Auto, reps);
+        let mut record = None;
+        let brute_ns = time_batch(1, &mut || record = Some(brute.run(None).unwrap().record));
+        let record = record.expect("brute flight recorded");
         assert_eq!(
-            grid.outcome.record, brute.outcome.record,
+            grid.run(None).unwrap().record,
+            record,
             "grid and brute runs diverged at n={n} — differential contract broken"
+        );
+        let physics_steps = (record.duration() / spec.physics_dt).round() as u64 + 1;
+        let mission = paired_ratio(
+            &format!("mission_n{n}"),
+            pairs,
+            iters_for(brute_ns),
+            || {
+                black_box(brute.run(None).unwrap());
+            },
+            || {
+                black_box(grid.run(None).unwrap());
+            },
         );
 
         // Kernel on two consecutive mid-mission ticks of the (identical)
-        // record.
-        let kernel = NeighborKernel::mid_mission(&spec, &brute.outcome.record);
-        let kernel_reps = if smoke {
-            5
-        } else if n >= 500 {
-            10
-        } else {
-            30
-        };
-        let (brute_us, grid_us) = kernel_us(&kernel, kernel_reps);
-
-        let (brute_tps, grid_tps) = (brute.tps(), grid.tps());
-        let mission_speedup = grid_tps / brute_tps;
-        let kernel_speedup = brute_us / grid_us;
-        println!(
-            "{n:>5} {brute_tps:>13.0} {grid_tps:>13.0} {mission_speedup:>8.2}x {brute_us:>12.1} {grid_us:>12.1} {kernel_speedup:>8.2}x"
+        // record; one call covers two control periods.
+        let neighbors = NeighborKernel::mid_mission(&spec, &record);
+        let kernel_ns = time_batch(1, &mut neighbors.brute());
+        let kernel = paired_ratio(
+            &format!("kernel_n{n}"),
+            pairs,
+            iters_for(kernel_ns),
+            neighbors.brute(),
+            neighbors.grid(),
         );
-        csv.push_str(&format!(
-            "{n},brute,{},{:.3},{brute_tps:.1},1.00,{brute_us:.2},1.00\n",
-            brute.physics_steps, brute.wall_ms
+
+        let speedups = |[q1, median, q3]: [f64; 3]| format!("{median:.2},{q1:.2},{q3:.2}");
+        for (side, mission_ns, kernel_ns, mission_speedup, kernel_speedup) in [
+            ("brute", mission.a_ns, kernel.a_ns, speedups([1.0; 3]), speedups([1.0; 3])),
+            ("grid", mission.b_ns, kernel.b_ns, speedups(mission.ratio), speedups(kernel.ratio)),
+        ] {
+            csv.push_str(&format!(
+                "{n},{side},{physics_steps},{:.3},{:.1},{mission_speedup},{:.2},{kernel_speedup}\n",
+                mission_ns / 1e6,
+                physics_steps as f64 / (mission_ns / 1e9),
+                kernel_ns / 2e3,
+            ));
+        }
+        let [m1, m, m3] = mission.ratio;
+        let [k1, k, k3] = kernel.ratio;
+        table.push(format!(
+            "{n:>5} {:>13.0} {:>13.0} {m:>7.2}x [{m1:.2}, {m3:.2}] {k:>7.2}x [{k1:.2}, {k3:.2}]",
+            physics_steps as f64 / (mission.a_ns / 1e9),
+            physics_steps as f64 / (mission.b_ns / 1e9),
         ));
-        csv.push_str(&format!(
-            "{n},grid,{},{:.3},{grid_tps:.1},{mission_speedup:.2},{grid_us:.2},{kernel_speedup:.2}\n",
-            grid.physics_steps, grid.wall_ms
-        ));
+    }
+    println!(
+        "{:>5} {:>13} {:>13} {:>22} {:>22}",
+        "n", "brute tick/s", "grid tick/s", "mission [q1, q3]", "kernel [q1, q3]"
+    );
+    for line in table {
+        println!("{line}");
     }
 
     // Smoke runs keep their own file so a CI pass never clobbers the full

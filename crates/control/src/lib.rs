@@ -12,9 +12,9 @@
 //! | (2) collision-free      | inter-agent repulsion + obstacle (shill)  |
 //! | (3) cohesive formation  | velocity alignment (friction) + attraction|
 //!
-//! [`olfati_saber`] (Olfati-Saber, *IEEE TAC* 2006) and [`reynolds`]
-//! (Reynolds' boids, 1987) provide structurally different decentralized
-//! algorithms used to back the paper's claim that SwarmFuzz generalizes
+//! [`olfati_saber`] (Olfati-Saber, *IEEE TAC* 2006) provides a structurally
+//! different decentralized algorithm; `examples/search_and_rescue.rs`
+//! fuzzes it to back the paper's claim (§VI) that SwarmFuzz generalizes
 //! beyond one control law.
 //!
 //! Both implement [`swarm_sim::SwarmController`], so they plug directly into
@@ -40,7 +40,6 @@
 pub mod braking;
 pub mod olfati_saber;
 pub mod presets;
-pub mod reynolds;
 pub mod vasarhelyi;
 
 pub use vasarhelyi::{VasarhelyiController, VasarhelyiParams, VelocityTerms};

@@ -130,11 +130,6 @@ impl OlfatiSaberController {
         OlfatiSaberController { params }
     }
 
-    /// The controller parameters.
-    pub fn params(&self) -> &OlfatiSaberParams {
-        &self.params
-    }
-
     /// Computes the flocking acceleration `u_i` (the original algorithm's
     /// output) before velocity conversion.
     pub fn acceleration(&self, ctx: &ControlContext<'_>) -> Vec3 {

@@ -165,11 +165,6 @@ impl VasarhelyiController {
         VasarhelyiController { params }
     }
 
-    /// The controller parameters.
-    pub fn params(&self) -> &VasarhelyiParams {
-        &self.params
-    }
-
     /// Computes the full sub-velocity decomposition for one drone.
     ///
     /// This is the controller's actual control law; [`SwarmController`] for

@@ -4,12 +4,11 @@
 //! predicting a command we check frame relations: translating the whole
 //! scene must leave the command unchanged, and rotating the scene about the
 //! world z axis must co-rotate the command. Every controller the repo ships
-//! (Vasarhelyi, Olfati-Saber, Reynolds) must satisfy both — an accidental
+//! (Vasarhelyi, Olfati-Saber) must satisfy both — an accidental
 //! dependence on absolute coordinates is exactly the kind of bug that stays
 //! invisible to example-based tests.
 
 use swarm_control::olfati_saber::{OlfatiSaberController, OlfatiSaberParams};
-use swarm_control::reynolds::{ReynoldsController, ReynoldsParams};
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_math::Vec3;
 use swarm_sim::world::{Obstacle, World};
@@ -111,7 +110,6 @@ fn controllers() -> Vec<(&'static str, Box<dyn SwarmController>)> {
     vec![
         ("vasarhelyi", Box::new(VasarhelyiController::new(VasarhelyiParams::default()))),
         ("olfati-saber", Box::new(OlfatiSaberController::new(OlfatiSaberParams::default()))),
-        ("reynolds", Box::new(ReynoldsController::new(ReynoldsParams::default()))),
     ]
 }
 

@@ -6,7 +6,7 @@
 //! (Table II) and the distributions behind Figs. 6 and 7. [`run_campaign`]
 //! reproduces that pipeline, fanning missions out over worker threads.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 use swarm_sim::mission::MissionSpec;
@@ -59,6 +59,17 @@ impl CampaignConfig {
             }
         }
         CampaignConfig { configs, missions_per_config, base_seed, workers: 1 }
+    }
+
+    /// Every mission job of the grid, in canonical grid order: configuration
+    /// by configuration, mission index ascending.
+    pub fn jobs(&self) -> Vec<MissionJob> {
+        self.configs
+            .iter()
+            .flat_map(|&config| {
+                (0..self.missions_per_config).map(move |index| MissionJob { config, index })
+            })
+            .collect()
     }
 }
 
@@ -261,15 +272,6 @@ where
     C: SwarmController + Clone + Send + 'static,
     F: Fn(f64) -> Fuzzer<C> + Sync,
 {
-    // Work items: every (config, mission index) of the grid.
-    let all_jobs: Vec<MissionJob> = campaign
-        .configs
-        .iter()
-        .flat_map(|&config| {
-            (0..campaign.missions_per_config).map(move |index| MissionJob { config, index })
-        })
-        .collect();
-
     // Open or resume the journal before spawning anything.
     let mut journal = None;
     let mut loaded_rows: Vec<JournalRow> = Vec::new();
@@ -287,17 +289,9 @@ where
         }
     }
 
-    // Deduplicate journaled rows onto the grid and drop the rest (a matching
-    // fingerprint makes strays impossible short of hand-editing).
-    let grid_keys: HashSet<(usize, u64, usize)> = all_jobs.iter().map(MissionJob::key).collect();
-    let mut completed: HashSet<(usize, u64, usize)> = HashSet::new();
-    let mut rows: Vec<JournalRow> = Vec::new();
-    for row in loaded_rows {
-        let key = row.job_key();
-        if grid_keys.contains(&key) && completed.insert(key) {
-            rows.push(row);
-        }
-    }
+    // Keep the first journaled row per grid job (a matching fingerprint
+    // makes off-grid rows impossible short of hand-editing).
+    let (mut rows, jobs) = resume_onto(campaign.jobs(), loaded_rows);
     trace.emit(TraceEvent::CampaignStart {
         configs: campaign.configs.len(),
         missions_per_config: campaign.missions_per_config,
@@ -305,12 +299,10 @@ where
     // One event per resume-skipped job, under the job's own (fresh) scope:
     // the skip set is a function of journal content alone, so the trace
     // stays worker-count-independent.
-    for &(size, dev_bits, index) in &completed {
+    for row in &rows {
+        let (size, dev_bits, index) = row.job_key();
         trace.scoped_bits(size as u64, dev_bits, index as u64).emit(TraceEvent::ResumeSkip);
     }
-
-    let jobs: Vec<MissionJob> =
-        all_jobs.into_iter().filter(|job| !completed.contains(&job.key())).collect();
 
     // From here on the legacy runner is a thin client of the scheduler /
     // executor split: the same `InProcessExecutor` + `run_scheduled` path
@@ -359,6 +351,27 @@ where
     );
     trace.flush();
     Ok(report)
+}
+
+/// Resumes journaled `history` onto a campaign's grid `jobs`: keeps the
+/// first row of every grid job, in history order, drops the rows of jobs
+/// that are not on the grid, and returns the kept rows together with the
+/// jobs still pending, in grid order. [`run_campaign_with_options`] and
+/// [`crate::CampaignServer::submit`] both resume through it.
+pub(crate) fn resume_onto(
+    jobs: Vec<MissionJob>,
+    history: Vec<JournalRow>,
+) -> (Vec<JournalRow>, Vec<MissionJob>) {
+    let mut resumed: HashMap<(usize, u64, usize), bool> =
+        jobs.iter().map(|job| (job.key(), false)).collect();
+    let kept = history
+        .into_iter()
+        .filter(|row| {
+            resumed.get_mut(&row.job_key()).is_some_and(|seen| !std::mem::replace(seen, true))
+        })
+        .collect();
+    let pending = jobs.into_iter().filter(|job| !resumed[&job.key()]).collect();
+    (kept, pending)
 }
 
 /// Rebuilds a [`CampaignReport`] from journal rows with the same

@@ -266,14 +266,13 @@ pub fn render_dashboard(
             "<p>The trace carries logical time only, so effort is reported in \
              events, not wall-clock.</p>\n<table>\n",
         );
-        let rows: [(&str, u64); 8] = [
+        let rows: [(&str, u64); 7] = [
             ("baselines simulated", count(Counter::MissionsRun)),
             ("baselines rejected (collision)", count(Counter::BaselineSkips)),
             ("seeds ranked", count(Counter::SeedsRanked)),
             ("seeds searched", count(Counter::SeedsTried)),
             ("window probes", count(Counter::Evaluations)),
             ("gradient steps", count(Counter::GradientSteps)),
-            ("minimize passes", count(Counter::MinimizePasses)),
             ("journal appends", count(Counter::JournalAppends)),
         ];
         let max = rows.iter().map(|&(_, v)| v).max().unwrap_or(0);

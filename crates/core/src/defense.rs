@@ -29,7 +29,6 @@ pub struct InnovationMonitor {
     pub threshold: f64,
     last: Option<(Vec3, Vec3, f64)>,
     alarms: usize,
-    samples: usize,
     max_innovation: f64,
 }
 
@@ -41,13 +40,12 @@ impl InnovationMonitor {
     /// Panics if `threshold` is not strictly positive.
     pub fn new(threshold: f64) -> Self {
         assert!(threshold > 0.0, "threshold must be positive, got {threshold}");
-        InnovationMonitor { threshold, last: None, alarms: 0, samples: 0, max_innovation: 0.0 }
+        InnovationMonitor { threshold, last: None, alarms: 0, max_innovation: 0.0 }
     }
 
     /// Feeds one GPS fix (perceived position + velocity at `time`); returns
     /// the innovation in metres (`0` for the very first fix).
     pub fn observe(&mut self, position: Vec3, velocity: Vec3, time: f64) -> f64 {
-        self.samples += 1;
         let innovation = match self.last {
             Some((p, v, t)) => {
                 let dt = time - t;
@@ -67,11 +65,6 @@ impl InnovationMonitor {
     /// Number of alarms raised so far.
     pub fn alarms(&self) -> usize {
         self.alarms
-    }
-
-    /// Number of fixes observed.
-    pub fn samples(&self) -> usize {
-        self.samples
     }
 
     /// Largest innovation seen.
@@ -198,14 +191,6 @@ mod tests {
         let (p, v) = straight_flight(2000, 0.1);
         let out = screen_attack(2.0, &p, &v, 0.1, |_| Vec3::ZERO, 1.5, 42);
         assert!(out.detected, "1.5 m noise must trip a 2 m monitor");
-    }
-
-    #[test]
-    fn monitor_counts_samples() {
-        let mut m = InnovationMonitor::new(5.0);
-        m.observe(Vec3::ZERO, Vec3::ZERO, 0.0);
-        m.observe(Vec3::X, Vec3::ZERO, 0.1);
-        assert_eq!(m.samples(), 2);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub mod wire;
 pub use error::FuzzError;
 pub use executor::{InProcessExecutor, MissionExecutor, MissionJob};
 pub use fuzzer::{FuzzReport, Fuzzer, FuzzerConfig, SearchStrategy, SeedStrategy, SpvFinding};
-pub use seed::{Seed, Seedpool};
+pub use seed::Seed;
 pub use server::{
     CampaignServer, CampaignSpec, FairQueue, FuzzerVariant, JobPhase, JobStatus, ServerConfig,
     ServerError,

@@ -22,7 +22,6 @@ use swarm_sim::spoof::SpoofingAttack;
 use swarm_sim::{Simulation, SwarmController};
 
 use crate::fuzzer::SpvFinding;
-use crate::trace::{Trace, TraceEvent};
 use crate::FuzzError;
 
 /// Options for the minimization passes.
@@ -81,23 +80,6 @@ pub fn minimize_attack<C: SwarmController>(
     finding: &SpvFinding,
     config: &MinimizeConfig,
 ) -> Result<MinimizedAttack, FuzzError> {
-    minimize_attack_traced(sim, finding, config, &Trace::off())
-}
-
-/// [`minimize_attack`] with a trace handle: the attack state after each
-/// bisection pass is emitted as a [`TraceEvent::MinimizePass`]. The trace is
-/// purely observational — the returned attack is identical to the untraced
-/// call's.
-///
-/// # Errors
-///
-/// Same conditions as [`minimize_attack`].
-pub fn minimize_attack_traced<C: SwarmController>(
-    sim: &Simulation<C>,
-    finding: &SpvFinding,
-    config: &MinimizeConfig,
-    trace: &Trace,
-) -> Result<MinimizedAttack, FuzzError> {
     // The bisections below take attack-off as their non-crashing end, which
     // holds only on a clean mission. This check is not a probe and is not
     // counted in `evaluations`.
@@ -140,7 +122,6 @@ pub fn minimize_attack_traced<C: SwarmController>(
             lo = mid;
         }
     }
-    emit_pass(trace, "duration", evals.get(), &best);
 
     // Pass 2: push the start as late as possible while keeping the (now
     // minimal) duration. Invariant: current start crashes.
@@ -155,7 +136,6 @@ pub fn minimize_attack_traced<C: SwarmController>(
             hi = mid;
         }
     }
-    emit_pass(trace, "start", evals.get(), &best);
 
     // Pass 3: shrink the deviation.
     let (mut lo, mut hi) = (0.0f64, best.deviation);
@@ -177,24 +157,12 @@ pub fn minimize_attack_traced<C: SwarmController>(
         }
     }
 
-    emit_pass(trace, "deviation", evals.get(), &best);
-
     Ok(MinimizedAttack {
         attack: best,
         evaluations: evals.get(),
         original_duration: finding.duration,
         original_deviation: finding.deviation,
     })
-}
-
-fn emit_pass(trace: &Trace, pass: &str, evaluations: usize, best: &SpoofingAttack) {
-    trace.emit(TraceEvent::MinimizePass {
-        pass: pass.to_string(),
-        evaluations,
-        start: best.start,
-        duration: best.duration,
-        deviation: best.deviation,
-    });
 }
 
 #[cfg(test)]
@@ -335,27 +303,6 @@ mod tests {
         // And it still reproduces the collision.
         let out = sim.run(Some(&m.attack)).unwrap();
         assert!(out.spv_collision(m.attack.target).is_some());
-    }
-
-    #[test]
-    fn traced_minimization_emits_three_passes_and_matches_untraced() {
-        let (sim, finding) = rig();
-        let ring = std::sync::Arc::new(crate::trace::RingSink::new(64));
-        let trace = Trace::new(ring.clone());
-        let cfg = MinimizeConfig::default();
-        let traced = minimize_attack_traced(&sim, &finding, &cfg, &trace).unwrap();
-        let plain = minimize_attack(&sim, &finding, &cfg).unwrap();
-        assert_eq!(traced.attack, plain.attack, "tracing must not perturb minimization");
-        assert_eq!(traced.evaluations, plain.evaluations);
-        let passes: Vec<String> = ring
-            .records()
-            .iter()
-            .filter_map(|r| match &r.event {
-                TraceEvent::MinimizePass { pass, .. } => Some(pass.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(passes, ["duration", "start", "deviation"]);
     }
 
     /// A finding of another class as `rig()`'s, flown against the same seed.

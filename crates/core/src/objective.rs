@@ -95,11 +95,6 @@ impl<'a, C: SwarmController> Objective<'a, C> {
         self
     }
 
-    /// The seed this objective is bound to.
-    pub fn seed(&self) -> &Seed {
-        &self.seed
-    }
-
     /// Evaluates `f(start, duration)` by flying one attacked search probe.
     ///
     /// Negative inputs are clamped to zero (mirroring the paper's projected

@@ -20,7 +20,7 @@ use swarm_sim::recorder::MissionRecord;
 use swarm_sim::spoof::{SpoofDirection, WaveformKind, WaveformSet};
 use swarm_sim::{DroneId, SwarmController};
 
-use crate::seed::{Seed, Seedpool};
+use crate::seed::Seed;
 use crate::svg::{CentralityKind, SvgBuilder};
 use crate::trace::{Trace, TraceEvent};
 use crate::FuzzError;
@@ -36,7 +36,7 @@ pub fn svg_schedule<C: SwarmController>(
     spec: &MissionSpec,
     record: &MissionRecord,
     deviation: f64,
-) -> Result<Seedpool, FuzzError> {
+) -> Result<Vec<Seed>, FuzzError> {
     svg_schedule_instrumented(
         controller,
         spec,
@@ -62,7 +62,7 @@ pub fn svg_schedule_instrumented<C: SwarmController>(
     deviation: f64,
     centrality: CentralityKind,
     trace: &Trace,
-) -> Result<Seedpool, FuzzError> {
+) -> Result<Vec<Seed>, FuzzError> {
     let n = record.swarm_size();
     if n < 2 {
         return Err(FuzzError::SwarmTooSmall(n));
@@ -103,7 +103,7 @@ pub fn svg_schedule_instrumented<C: SwarmController>(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(b.influence.partial_cmp(&a.influence).unwrap_or(std::cmp::Ordering::Equal))
     });
-    Ok(Seedpool::new(seeds))
+    Ok(seeds)
 }
 
 /// Builds a uniformly shuffled seedpool over every `(T, V, θ)` combination —
@@ -112,7 +112,7 @@ pub fn svg_schedule_instrumented<C: SwarmController>(
 /// # Errors
 ///
 /// Returns [`FuzzError::SwarmTooSmall`] for swarms of fewer than two drones.
-pub fn random_schedule(record: &MissionRecord, rng: &mut StdRng) -> Result<Seedpool, FuzzError> {
+pub fn random_schedule(record: &MissionRecord, rng: &mut StdRng) -> Result<Vec<Seed>, FuzzError> {
     let n = record.swarm_size();
     if n < 2 {
         return Err(FuzzError::SwarmTooSmall(n));
@@ -136,14 +136,14 @@ pub fn random_schedule(record: &MissionRecord, rng: &mut StdRng) -> Result<Seedp
         }
     }
     seeds.shuffle(rng);
-    Ok(Seedpool::new(seeds))
+    Ok(seeds)
 }
 
 /// Emits one [`TraceEvent::SeedRanked`] per seed, in schedule order, so a
 /// trace records *why* the scheduler ranked each `<T-V, θ>` pair where it
 /// did (ascending victim VDO, descending SVG influence — or shuffle order
 /// with influence 0 for the random scheduler).
-pub fn trace_schedule(pool: &Seedpool, trace: &Trace) {
+pub fn trace_schedule(pool: &[Seed], trace: &Trace) {
     if !trace.is_enabled() {
         return;
     }
@@ -164,7 +164,7 @@ pub fn trace_schedule(pool: &Seedpool, trace: &Trace) {
 /// class order, preserving the pool's ranking between pairs. With the
 /// default constant-only set this is the identity — the pre-zoo pool comes
 /// back unchanged, which keeps the legacy fuzzing schedule bit-identical.
-pub fn expand_waveforms(pool: Seedpool, waveforms: WaveformSet) -> Seedpool {
+pub fn expand_waveforms(pool: Vec<Seed>, waveforms: WaveformSet) -> Vec<Seed> {
     if waveforms == WaveformSet::CONSTANT_ONLY {
         return pool;
     }
@@ -240,7 +240,7 @@ mod tests {
     fn svg_schedule_orders_directions_by_influence() {
         let spec = spec(3);
         let pool = svg_schedule(&Centroid, &spec, &record(), 10.0).unwrap();
-        for pair in pool.seeds().chunks(2) {
+        for pair in pool.chunks(2) {
             assert!(pair[0].influence >= pair[1].influence);
         }
     }

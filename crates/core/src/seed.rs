@@ -1,8 +1,10 @@
-//! Fuzzing seeds and the seedpool (paper §IV-B).
+//! Fuzzing seeds (paper §IV-B).
 //!
 //! A seed is the discrete part of a test-run: the target–victim drone pair
 //! and the spoofing direction `<T-V, θ>`. The continuous spoofing window
-//! `(t_s, Δt)` is found per seed by the search stage.
+//! `(t_s, Δt)` is found per seed by the search stage. The seedpool is a
+//! `Vec<Seed>` in fuzzing order, most promising first, as the
+//! [`crate::schedule`] functions return it.
 
 use swarm_sim::spoof::{SpoofDirection, WaveformKind};
 use swarm_sim::DroneId;
@@ -48,63 +50,6 @@ impl std::fmt::Display for Seed {
     }
 }
 
-/// An ordered pool of seeds, most promising first.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Seedpool {
-    seeds: Vec<Seed>,
-}
-
-impl Seedpool {
-    /// Creates a pool from pre-ordered seeds.
-    pub fn new(seeds: Vec<Seed>) -> Self {
-        Seedpool { seeds }
-    }
-
-    /// The seeds in fuzzing order.
-    pub fn seeds(&self) -> &[Seed] {
-        &self.seeds
-    }
-
-    /// Number of seeds.
-    pub fn len(&self) -> usize {
-        self.seeds.len()
-    }
-
-    /// `true` when the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.seeds.is_empty()
-    }
-
-    /// Iterates over seeds in fuzzing order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Seed> {
-        self.seeds.iter()
-    }
-}
-
-impl IntoIterator for Seedpool {
-    type Item = Seed;
-    type IntoIter = std::vec::IntoIter<Seed>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.seeds.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a Seedpool {
-    type Item = &'a Seed;
-    type IntoIter = std::slice::Iter<'a, Seed>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.seeds.iter()
-    }
-}
-
-impl FromIterator<Seed> for Seedpool {
-    fn from_iter<I: IntoIterator<Item = Seed>>(iter: I) -> Self {
-        Seedpool { seeds: iter.into_iter().collect() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,21 +63,6 @@ mod tests {
             victim_vdo: 3.0,
             waveform: WaveformKind::Constant,
         }
-    }
-
-    #[test]
-    fn pool_preserves_order() {
-        let pool = Seedpool::new(vec![seed(0, 1), seed(2, 3)]);
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.seeds()[0].target, DroneId(0));
-        assert_eq!(pool.iter().count(), 2);
-    }
-
-    #[test]
-    fn pool_from_iterator() {
-        let pool: Seedpool = (0..3).map(|i| seed(i, i + 1)).collect();
-        assert_eq!(pool.len(), 3);
-        assert!(!pool.is_empty());
     }
 
     #[test]

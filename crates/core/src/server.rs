@@ -26,7 +26,7 @@
 //!   [`crate::campaign::run_campaign`] computes for the same campaign, so a
 //!   served report is comparable (and bit-identical) to a direct run.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -34,7 +34,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use swarm_sim::spoof::WaveformSet;
 use swarm_sim::SwarmController;
 
-use crate::campaign::{report_from_rows, CampaignConfig, CampaignReport, SwarmConfig};
+use crate::campaign::{report_from_rows, resume_onto, CampaignConfig, CampaignReport, SwarmConfig};
 pub use crate::executor::ExecutorOptions;
 use crate::executor::{InProcessExecutor, MissionExecutor, MissionJob};
 use crate::fuzzer::{Fuzzer, FuzzerConfig};
@@ -247,14 +247,7 @@ impl CampaignSpec {
 
     /// Every mission job of this campaign, in canonical grid order.
     pub fn jobs(&self) -> Vec<MissionJob> {
-        self.campaign
-            .configs
-            .iter()
-            .flat_map(|&config| {
-                (0..self.campaign.missions_per_config)
-                    .map(move |index| MissionJob { config, index })
-            })
-            .collect()
+        self.campaign.jobs()
     }
 
     /// Encodes the spec as one JSON line (no trailing newline). The field
@@ -501,11 +494,6 @@ impl FairQueue {
             .flat_map(|t| t.campaigns.iter())
             .map(|(_, missions)| missions.len())
             .sum()
-    }
-
-    /// The admission bound.
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 }
 
@@ -890,8 +878,7 @@ impl CampaignServer {
     pub fn submit(&self, tenant: &str, spec: &CampaignSpec) -> Result<u64, ServerError> {
         let fingerprint = spec.fingerprint();
         let grid_jobs = spec.jobs();
-        let grid_keys: HashSet<(usize, u64, usize)> =
-            grid_jobs.iter().map(MissionJob::key).collect();
+        let total = grid_jobs.len();
 
         let mut state = lock_unpoisoned(&self.inner.state);
         if state.shutdown {
@@ -905,18 +892,11 @@ impl CampaignServer {
         }
 
         // Merge prior shard history (crash-safe resume by fingerprint).
-        let mut rows: Vec<JournalRow> = Vec::new();
-        let mut completed_keys: HashSet<(usize, u64, usize)> = HashSet::new();
-        if let Some(dir) = &self.inner.config.journal_dir {
-            for row in merge_shard_rows(dir, &fingerprint)? {
-                let key = row.job_key();
-                if grid_keys.contains(&key) && completed_keys.insert(key) {
-                    rows.push(row);
-                }
-            }
-        }
-        let pending: VecDeque<MissionJob> =
-            grid_jobs.iter().filter(|job| !completed_keys.contains(&job.key())).copied().collect();
+        let history = match &self.inner.config.journal_dir {
+            Some(dir) => merge_shard_rows(dir, &fingerprint)?,
+            None => Vec::new(),
+        };
+        let (rows, pending) = resume_onto(grid_jobs, history);
 
         let journal = match &self.inner.config.journal_dir {
             Some(dir) if !pending.is_empty() => {
@@ -929,7 +909,6 @@ impl CampaignServer {
         let executor = (!pending.is_empty()).then(|| (self.inner.factory)(spec));
         let job = state.next_job;
         state.next_job += 1;
-        let total = grid_jobs.len();
         let mut job_state = JobState {
             tenant: tenant.to_string(),
             fingerprint: fingerprint.clone(),
@@ -950,7 +929,7 @@ impl CampaignServer {
             state.completed += 1;
             job_state.completed_ordinal = Some(state.completed);
         } else {
-            state.queue.enqueue(tenant, job, pending);
+            state.queue.enqueue(tenant, job, pending.into());
         }
         let phase = job_state.phase;
         state.jobs.insert(job, job_state);
@@ -1087,11 +1066,6 @@ impl CampaignServer {
     /// Whether [`CampaignServer::shutdown`] has been called.
     pub fn is_shutdown(&self) -> bool {
         lock_unpoisoned(&self.inner.state).shutdown
-    }
-
-    /// The server's configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.inner.config
     }
 
     /// Stops the server: workers finish their in-flight missions (rows

@@ -783,11 +783,6 @@ impl CampaignJournal {
     pub fn append(&mut self, row: &JournalRow) -> Result<(), StoreError> {
         self.file.write_all(encode_row(row).as_bytes()).map_err(|e| io_err(&self.path, &e))
     }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 #[cfg(test)]

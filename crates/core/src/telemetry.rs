@@ -38,7 +38,7 @@ pub enum Phase {
     SvgBuild,
     /// Centrality scoring (PageRank or an ablation alternative).
     Centrality,
-    /// Seedpool construction and ordering.
+    /// Seed scheduling: building and ordering the seedpool.
     SeedSchedule,
     /// Gradient-guided window search (per seed).
     GradientSearch,
@@ -132,17 +132,15 @@ pub enum Counter {
     /// Physics steps *not* re-simulated thanks to forking (the prefix length
     /// of every fork hit).
     PrefixStepsSaved,
-    /// Seedpool entries ranked by the scheduler (`seed_ranked` events).
+    /// Seeds ranked by the scheduler (`seed_ranked` events).
     SeedsRanked,
     /// Projected gradient-descent updates (`gradient_step` events).
     GradientSteps,
-    /// Attack-minimization passes (`minimize_pass` events).
-    MinimizePasses,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 19] = [
         Counter::MissionsRun,
         Counter::Evaluations,
         Counter::SpvFound,
@@ -162,7 +160,6 @@ impl Counter {
         Counter::PrefixStepsSaved,
         Counter::SeedsRanked,
         Counter::GradientSteps,
-        Counter::MinimizePasses,
     ];
 
     /// Stable snake_case name used in reports.
@@ -187,7 +184,6 @@ impl Counter {
             Counter::PrefixStepsSaved => "prefix_steps_saved",
             Counter::SeedsRanked => "seeds_ranked",
             Counter::GradientSteps => "gradient_steps",
-            Counter::MinimizePasses => "minimize_passes",
         }
     }
 }
@@ -367,7 +363,6 @@ impl TraceSink for Telemetry {
             TraceEvent::MissionFailed { .. } => Counter::MissionFailures,
             TraceEvent::ResumeSkip => Counter::ResumeSkips,
             TraceEvent::JournalAppend { .. } => Counter::JournalAppends,
-            TraceEvent::MinimizePass { .. } => Counter::MinimizePasses,
             TraceEvent::CampaignStart { .. }
             | TraceEvent::CampaignEnd { .. }
             | TraceEvent::MissionStart { .. }
@@ -642,13 +637,6 @@ mod tests {
                 TraceEvent::MissionDone { success: false, evaluations: 3, seeds_tried: 1 },
                 TraceEvent::MissionFailed { error: "e".into(), retries: 0 },
                 TraceEvent::JournalAppend { row: "done".into() },
-                TraceEvent::MinimizePass {
-                    pass: "duration".into(),
-                    evaluations: 1,
-                    start: 1.0,
-                    duration: 2.0,
-                    deviation: 10.0,
-                },
                 TraceEvent::CampaignEnd { missions: 1, failures: 0 },
             ],
         );
@@ -666,7 +654,6 @@ mod tests {
             (Counter::ForkMisses, 1),
             (Counter::SeedsRanked, 1),
             (Counter::GradientSteps, 1),
-            (Counter::MinimizePasses, 1),
         ];
         for (counter, value) in expected {
             assert_eq!(t.counter(counter), value, "{}", counter.name());

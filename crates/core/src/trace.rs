@@ -3,9 +3,9 @@
 //!
 //! Every layer emits typed [`TraceEvent`]s — campaign and mission lifecycle,
 //! seed-schedule rankings with their SVG influence scores, every window
-//! probe with its parameters and objective value, gradient steps, minimize
-//! passes, journal appends, resume skips, retries and failures — through one
-//! [`Trace`] handle into a pluggable [`TraceSink`]. Counting is a sink too:
+//! probe with its parameters and objective value, gradient steps, journal
+//! appends, resume skips, retries and failures — through one [`Trace`]
+//! handle into a pluggable [`TraceSink`]. Counting is a sink too:
 //! [`crate::telemetry::Telemetry`] folds the same events into its counters.
 //!
 //! # Logical time, not wall-clock
@@ -243,19 +243,6 @@ pub enum TraceEvent {
         /// Retries spent before giving up.
         retries: usize,
     },
-    /// One minimization pass over a discovered attack finished.
-    MinimizePass {
-        /// Pass name: `"duration"`, `"start"` or `"deviation"`.
-        pass: String,
-        /// Cumulative evaluations spent so far.
-        evaluations: usize,
-        /// Window start after this pass (s).
-        start: f64,
-        /// Window duration after this pass (s).
-        duration: f64,
-        /// Deviation after this pass (m).
-        deviation: f64,
-    },
 }
 
 impl TraceEvent {
@@ -277,7 +264,6 @@ impl TraceEvent {
             TraceEvent::MissionDone { .. } => "mission_done",
             TraceEvent::MissionRetry { .. } => "mission_retry",
             TraceEvent::MissionFailed { .. } => "mission_failed",
-            TraceEvent::MinimizePass { .. } => "minimize_pass",
         }
     }
 
@@ -394,14 +380,6 @@ pub fn encode_record(record: &TraceRecord) -> String {
             store::push_json_string(&mut out, error);
             out.push_str(&format!(",\"retries\":{retries}"));
         }
-        TraceEvent::MinimizePass { pass, evaluations, start, duration, deviation } => {
-            out.push_str(",\"pass\":");
-            store::push_json_string(&mut out, pass);
-            out.push_str(&format!(",\"evaluations\":{evaluations}"));
-            store::push_field_f64(&mut out, "start", *start);
-            store::push_field_f64(&mut out, "duration", *duration);
-            store::push_field_f64(&mut out, "deviation", *deviation);
-        }
     }
     out.push_str("}\n");
     out
@@ -493,13 +471,6 @@ pub fn decode_record(line: &str) -> Result<TraceRecord, String> {
         "mission_failed" => TraceEvent::MissionFailed {
             error: field(&v, "error", Json::str)?.to_string(),
             retries: field(&v, "retries", Json::usize)?,
-        },
-        "minimize_pass" => TraceEvent::MinimizePass {
-            pass: field(&v, "pass", Json::str)?.to_string(),
-            evaluations: field(&v, "evaluations", Json::usize)?,
-            start: field(&v, "start", Json::f64)?,
-            duration: field(&v, "duration", Json::f64)?,
-            deviation: field(&v, "deviation", Json::f64)?,
         },
         other => return Err(format!("unknown trace event kind {other:?}")),
     };
@@ -713,11 +684,6 @@ impl FileSink {
             out: Mutex::new(BufWriter::new(file)),
             error: Mutex::new(None),
         })
-    }
-
-    /// The trace file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Flushes and reports the first write error, if any.
@@ -1129,13 +1095,6 @@ mod tests {
             TraceEvent::MissionDone { success: true, evaluations: 14, seeds_tried: 3 },
             TraceEvent::MissionRetry { attempt: 1, error: "sim: \"boom\"\nline2".into() },
             TraceEvent::MissionFailed { error: "gave up".into(), retries: 2 },
-            TraceEvent::MinimizePass {
-                pass: "duration".into(),
-                evaluations: 11,
-                start: 20.0,
-                duration: 3.25,
-                deviation: 10.0,
-            },
         ];
         all.into_iter()
             .enumerate()

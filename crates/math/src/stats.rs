@@ -19,22 +19,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     }
 }
 
-/// Unbiased sample variance. Returns `None` when fewer than two samples.
-pub fn variance(xs: &[f64]) -> Option<f64> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let m = mean(xs)?;
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
-}
-
-/// Median via sorting a copy. Returns `None` for an empty slice.
-///
-/// NaN values are sorted to the end and treated as largest.
-pub fn median(xs: &[f64]) -> Option<f64> {
-    percentile(xs, 50.0)
-}
-
 /// Linear-interpolated percentile in `[0, 100]`. Returns `None` for an empty
 /// slice.
 ///
@@ -90,16 +74,6 @@ impl Ecdf {
         Ecdf { sorted: sample }
     }
 
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// `true` when the sample is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Evaluates `F(x)`: the fraction of samples `<= x`.
     ///
     /// Returns 0 for an empty sample.
@@ -110,16 +84,6 @@ impl Ecdf {
         // partition_point gives the count of samples <= x.
         let count = self.sorted.partition_point(|&s| s <= x);
         count as f64 / self.sorted.len() as f64
-    }
-
-    /// Evaluates the ECDF at each threshold, returning `(threshold, F)` pairs.
-    pub fn curve(&self, thresholds: &[f64]) -> Vec<(f64, f64)> {
-        thresholds.iter().map(|&t| (t, self.eval(t))).collect()
-    }
-
-    /// The underlying sorted sample.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
@@ -303,23 +267,6 @@ impl LogHistogram {
         unreachable!("rank is bounded by the total count");
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Non-empty buckets as `(lo, hi, count)` triples, ascending.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| {
-            let (lo, hi) = log_bucket_bounds(i);
-            (lo, hi, c)
-        })
-    }
-
     /// Raw per-bucket counts (index = [`log_bucket_index`]).
     pub fn raw_counts(&self) -> &[u64; LOG_HISTOGRAM_BUCKETS] {
         &self.counts
@@ -385,25 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_merge_matches_combined_recording() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut combined = LogHistogram::new();
-        for v in [1u64, 7, 900] {
-            a.record(v);
-            combined.record(v);
-        }
-        for v in [0u64, 12_000, 31] {
-            b.record(v);
-            combined.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, combined);
-        let buckets: Vec<_> = a.buckets().collect();
-        assert_eq!(buckets.iter().map(|&(_, _, c)| c).sum::<u64>(), 6);
-    }
-
-    #[test]
     fn log_histogram_from_raw_round_trips() {
         let mut h = LogHistogram::new();
         for v in [4u64, 9, 77, 4096] {
@@ -414,22 +342,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_variance_of_known_sample() {
+    fn mean_of_known_sample() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), Some(5.0));
-        let var = variance(&xs).unwrap();
-        assert!((var - 32.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn variance_needs_two_samples() {
-        assert_eq!(variance(&[1.0]), None);
-    }
-
-    #[test]
-    fn median_odd_even() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
     }
 
     #[test]
@@ -460,9 +375,10 @@ mod tests {
 
     #[test]
     fn ecdf_empty_sample() {
+        // The NaN is dropped, and an empty sample reads 0 everywhere.
         let cdf = Ecdf::new(vec![f64::NAN]);
-        assert!(cdf.is_empty());
         assert_eq!(cdf.eval(0.0), 0.0);
+        assert_eq!(cdf.eval(f64::INFINITY), 0.0);
     }
 
     #[test]

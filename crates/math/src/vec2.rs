@@ -36,11 +36,6 @@ impl Vec2 {
         self.x * rhs.x + self.y * rhs.y
     }
 
-    /// 2-D cross product (the z-component of the 3-D cross product).
-    pub fn cross(self, rhs: Vec2) -> f64 {
-        self.x * rhs.y - self.y * rhs.x
-    }
-
     /// Euclidean norm.
     pub fn norm(self) -> f64 {
         self.dot(self).sqrt()
@@ -75,16 +70,6 @@ impl Vec2 {
     pub fn rotated(self, angle: f64) -> Vec2 {
         let (s, c) = angle.sin_cos();
         Vec2::new(c * self.x - s * self.y, s * self.x + c * self.y)
-    }
-
-    /// Angle of the vector from the +x axis, in `(-π, π]`.
-    pub fn angle(self) -> f64 {
-        self.y.atan2(self.x)
-    }
-
-    /// `true` when both components are finite.
-    pub fn is_finite(self) -> bool {
-        self.x.is_finite() && self.y.is_finite()
     }
 }
 
@@ -188,18 +173,6 @@ mod tests {
         let r = v.rotated(std::f64::consts::FRAC_PI_2);
         assert!((r.x - v.perp().x).abs() < 1e-12);
         assert!((r.y - v.perp().y).abs() < 1e-12);
-    }
-
-    #[test]
-    fn angle_of_axes() {
-        assert_eq!(Vec2::X.angle(), 0.0);
-        assert!((Vec2::Y.angle() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cross_sign_encodes_orientation() {
-        assert!(Vec2::X.cross(Vec2::Y) > 0.0);
-        assert!(Vec2::Y.cross(Vec2::X) < 0.0);
     }
 
     #[test]

@@ -52,15 +52,6 @@ impl Vec3 {
         self.x * rhs.x + self.y * rhs.y + self.z * rhs.z
     }
 
-    /// Cross product (right-handed).
-    pub fn cross(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(
-            self.y * rhs.z - self.z * rhs.y,
-            self.z * rhs.x - self.x * rhs.z,
-            self.x * rhs.y - self.y * rhs.x,
-        )
-    }
-
     /// Euclidean norm.
     pub fn norm(self) -> f64 {
         self.dot(self).sqrt()
@@ -150,11 +141,6 @@ impl Vec3 {
     /// `true` when all components are finite.
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
-    }
-
-    /// Component-wise absolute value.
-    pub fn abs(self) -> Vec3 {
-        Vec3::new(self.x.abs(), self.y.abs(), self.z.abs())
     }
 }
 
@@ -274,14 +260,6 @@ impl fmt::Display for Vec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dot_and_cross_orthogonality() {
-        let c = Vec3::X.cross(Vec3::Y);
-        assert_eq!(c, Vec3::Z);
-        assert_eq!(c.dot(Vec3::X), 0.0);
-        assert_eq!(c.dot(Vec3::Y), 0.0);
-    }
 
     #[test]
     fn normalized_zero_is_zero() {

@@ -3,7 +3,7 @@
 //! Failures shrink to a minimal counterexample and persist to
 //! `tests/corpus/` at the workspace root.
 
-use swarm_math::stats::{cumulative_rate_by_threshold, mean, median, min_max, percentile, Ecdf};
+use swarm_math::stats::{cumulative_rate_by_threshold, mean, min_max, percentile, Ecdf};
 use swarm_math::{Vec2, Vec3};
 use swarm_testkit::domain::{finite_f64, vec2_in, vec3_in};
 use swarm_testkit::{check, gens, tk_ensure, Gen};
@@ -47,17 +47,6 @@ fn vec3_dot_is_symmetric_and_cauchy_schwarz() {
             a.dot(*b).abs() <= a.norm() * b.norm() * (1.0 + 1e-12),
             "Cauchy-Schwarz violated for {a:?}, {b:?}"
         );
-        Ok(())
-    });
-}
-
-#[test]
-fn vec3_cross_is_orthogonal() {
-    check("math-vec3-cross-orthogonal", &gens::zip2(&vec3(), &vec3()), |(a, b)| {
-        let c = a.cross(*b);
-        let scale = a.norm() * b.norm();
-        tk_ensure!(c.dot(*a).abs() <= 1e-6 * (1.0 + scale * a.norm()));
-        tk_ensure!(c.dot(*b).abs() <= 1e-6 * (1.0 + scale * b.norm()));
         Ok(())
     });
 }
@@ -216,14 +205,6 @@ fn mean_is_between_min_and_max() {
         let m = mean(xs).ok_or("mean of non-empty sample")?;
         let (lo, hi) = min_max(xs).ok_or("min_max of non-empty sample")?;
         tk_ensure!(m >= lo - 1e-9 && m <= hi + 1e-9, "mean {m} outside [{lo}, {hi}]");
-        Ok(())
-    });
-}
-
-#[test]
-fn median_is_a_percentile() {
-    check("math-median-is-p50", &sample_vec(), |xs| {
-        tk_ensure!(median(xs) == percentile(xs, 50.0));
         Ok(())
     });
 }

@@ -88,11 +88,6 @@ impl CommsBus {
         }
     }
 
-    /// The bus configuration.
-    pub fn config(&self) -> &CommsConfig {
-        &self.config
-    }
-
     /// Advances the bus one control tick: enqueues this tick's broadcasts,
     /// then delivers messages whose delay has elapsed into the neighbor
     /// tables. `receiver_positions` are the drones' true positions, used for
@@ -283,12 +278,6 @@ impl CommsBus {
         // already self-free.
         self.tables[receiver.index()].iter().copied()
     }
-
-    /// The latest state `receiver` has heard from `sender`, if any.
-    pub fn last_heard(&self, receiver: DroneId, sender: DroneId) -> Option<StateMessage> {
-        let row = &self.tables[receiver.index()];
-        row.binary_search_by_key(&sender, |m| m.sender).ok().map(|i| row[i])
-    }
 }
 
 #[cfg(test)]
@@ -314,7 +303,7 @@ mod tests {
         let mut bus = CommsBus::new(3, CommsConfig::default());
         bus.step(vec![msg(0, 0.0), msg(1, 0.0)], &[Vec3::ZERO; 3], &mut rng()).unwrap();
         assert_eq!(bus.neighbors_of(DroneId(2)).count(), 2);
-        assert!(bus.last_heard(DroneId(2), DroneId(0)).is_some());
+        assert!(bus.neighbors_of(DroneId(2)).any(|m| m.sender == DroneId(0)));
         // A drone never hears itself.
         assert!(bus.neighbors_of(DroneId(0)).all(|m| m.sender != DroneId(0)));
     }
@@ -410,7 +399,8 @@ mod tests {
         let mut newer = msg(0, 1.0);
         newer.position = Vec3::new(9.0, 9.0, 9.0);
         bus.step(vec![newer], &pos, &mut rng()).unwrap();
-        assert_eq!(bus.last_heard(DroneId(1), DroneId(0)).unwrap().position, newer.position);
+        let heard: Vec<StateMessage> = bus.neighbors_of(DroneId(1)).collect();
+        assert_eq!(heard, [newer], "one entry per sender, holding the newest state");
     }
 
     #[test]
@@ -462,6 +452,6 @@ mod tests {
         for t in 0..50 {
             bus.step(vec![msg(0, t as f64)], &[Vec3::ZERO; 2], &mut r).unwrap();
         }
-        assert!(bus.last_heard(DroneId(1), DroneId(0)).is_some());
+        assert!(bus.neighbors_of(DroneId(1)).any(|m| m.sender == DroneId(0)));
     }
 }

@@ -252,11 +252,6 @@ impl SimSnapshot {
         self.state.next_step as f64 * self.physics_dt
     }
 
-    /// Number of recorder samples taken before the capture point.
-    pub fn record_ticks(&self) -> usize {
-        self.record_ticks
-    }
-
     /// The run counters accumulated over the prefix.
     pub fn stats(&self) -> &RunStats {
         &self.state.stats
@@ -438,17 +433,13 @@ impl<C: SwarmController> Simulation<C> {
         &self.controller
     }
 
-    /// The runtime options in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Runs the mission, optionally under a GPS spoofing attack.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnknownTarget`] when the attack targets a drone
-    /// outside the swarm.
+    /// outside the swarm, and [`SimError::InvalidAttack`] when
+    /// [`SpoofingAttack::validate`] rejects its parameters.
     pub fn run(&self, attack: Option<&SpoofingAttack>) -> Result<MissionOutcome, SimError> {
         self.run_observed(attack, None)
     }
@@ -533,7 +524,9 @@ impl<C: SwarmController> Simulation<C> {
         })
     }
 
-    /// Rejects attacks that reference a drone outside the swarm.
+    /// Rejects attacks that reference a drone outside the swarm, then those
+    /// whose parameters [`SpoofingAttack::validate`] rejects: every field is
+    /// public, so a hand-built attack never met a constructor's check.
     fn check_attack(&self, attack: Option<&SpoofingAttack>) -> Result<(), SimError> {
         if let Some(a) = attack {
             if a.target.index() >= self.spec.swarm_size {
@@ -542,6 +535,7 @@ impl<C: SwarmController> Simulation<C> {
                     swarm_size: self.spec.swarm_size,
                 });
             }
+            a.validate()?;
         }
         Ok(())
     }
@@ -871,12 +865,12 @@ impl<C: SwarmController> Simulation<C> {
 
     /// Reconstructs the prefix [`MissionRecord`] a fresh run would have
     /// accumulated by the snapshot's capture point, replaying the first
-    /// [`SimSnapshot::record_ticks`] samples of `source` (any record of the
-    /// same mission whose prefix covers the snapshot, e.g. the baseline the
-    /// snapshot was captured from). The per-drone obstacle minima are
-    /// recomputed through the same code path as the live loop, so the result
-    /// is bit-identical; average inter-drone distances, as for any record,
-    /// are derived from the positions only when first read.
+    /// `record_ticks` samples of `source` (any record of the same mission
+    /// whose prefix covers the snapshot, e.g. the baseline the snapshot was
+    /// captured from). The per-drone obstacle minima are recomputed through
+    /// the same code path as the live loop, so the result is bit-identical;
+    /// average inter-drone distances, as for any record, are derived from
+    /// the positions only when first read.
     ///
     /// # Errors
     ///
@@ -933,11 +927,13 @@ impl<C: SwarmController> Simulation<C> {
     /// # Errors
     ///
     /// Returns [`SimError::UnknownTarget`] for an out-of-swarm attack target,
-    /// [`SimError::SnapshotMismatch`] when the snapshot belongs to a
-    /// different mission/configuration, `prefix` does not match the
-    /// snapshot's recorder cursor, or the attack window opens inside the
-    /// already-simulated prefix (see [`SimSnapshot::admits_attack_start`]),
-    /// and [`SimError::CommsInvariant`] for a malformed snapshot.
+    /// [`SimError::InvalidAttack`] for parameters
+    /// [`SpoofingAttack::validate`] rejects, [`SimError::SnapshotMismatch`]
+    /// when the snapshot belongs to a different mission/configuration,
+    /// `prefix` does not match the snapshot's recorder cursor, or the attack
+    /// window opens inside the already-simulated prefix (see
+    /// [`SimSnapshot::admits_attack_start`]), and
+    /// [`SimError::CommsInvariant`] for a malformed snapshot.
     pub fn resume_probe(
         &self,
         snapshot: &SimSnapshot,
@@ -1088,6 +1084,57 @@ mod tests {
     }
 
     #[test]
+    fn every_entry_point_checks_the_attack_it_flies() {
+        use crate::spoof::Waveform;
+        // Every field of an attack is public, so these hand-built ones never
+        // met a constructor's `validate()`.
+        let attack = |start, duration, deviation, waveform| SpoofingAttack {
+            target: DroneId(1),
+            direction: SpoofDirection::Left,
+            start,
+            duration,
+            deviation,
+            waveform,
+        };
+        let invalid = [
+            attack(5.0, 10.0, f64::NAN, Waveform::Constant),
+            attack(5.0, 10.0, -10.0, Waveform::Constant),
+            attack(f64::NAN, 10.0, 10.0, Waveform::Constant),
+            attack(5.0, 10.0, 10.0, Waveform::Drift { ramp: 50.0 }),
+            attack(5.0, 10.0, 10.0, Waveform::Jump { period: 0.0 }),
+        ];
+        let sim = Simulation::new(short_spec(5), BeeLine).unwrap();
+        let (snap, source) = snapshot_at(&sim, 0);
+        for a in &invalid {
+            let expected = a.validate().expect_err("the table holds invalid attacks");
+            assert!(matches!(expected, SimError::InvalidAttack(_)), "{a:?}: {expected:?}");
+            assert_eq!(sim.run(Some(a)).unwrap_err(), expected, "run {a:?}");
+            assert_eq!(sim.run_probe(a, None).unwrap_err(), expected, "run_probe {a:?}");
+            let forked = fork_probe(&sim, &snap, &source, a, None).unwrap_err();
+            assert_eq!(forked, expected, "resume_probe {a:?}");
+        }
+        for waveform in [
+            Waveform::Constant,
+            Waveform::Drift { ramp: 10.0 },
+            Waveform::Circular { omega: 1.0 },
+            Waveform::Jump { period: 2.0 },
+        ] {
+            let a = SpoofingAttack::from_waveform(
+                waveform,
+                DroneId(1),
+                SpoofDirection::Left,
+                5.0,
+                10.0,
+                10.0,
+            )
+            .unwrap();
+            sim.run(Some(&a)).unwrap();
+            sim.run_probe(&a, None).unwrap();
+            fork_probe(&sim, &snap, &source, &a, None).unwrap();
+        }
+    }
+
+    #[test]
     fn spoofed_hovering_drone_is_perceived_displaced() {
         // Under spoofing, a hovering target's *recorded physics* stays put,
         // but the attack window must not crash anything; this checks the
@@ -1216,7 +1263,7 @@ mod tests {
         let sim = Simulation::new(short_spec(3), BeeLine).unwrap();
         let (snap, source) = snapshot_at(&sim, 0);
         assert_eq!(snap.state, sim.init_state());
-        assert_eq!(snap.record_ticks(), 0);
+        assert_eq!(snap.record_ticks, 0);
         let attack = SpoofingAttack::new(DroneId(0), SpoofDirection::Left, 0.0, 4.0, 12.0).unwrap();
         let fresh = sim.run_probe(&attack, None).unwrap();
         let forked = fork_probe(&sim, &snap, &source, &attack, None).unwrap();

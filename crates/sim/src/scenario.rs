@@ -1,32 +1,16 @@
-//! A library of canned mission scenarios beyond the paper's delivery run.
+//! Mission scenarios beyond the paper's delivery run.
 //!
 //! The paper argues (§VI) that modelling other missions "only needs one
-//! input changed — the obstacle coordinates". These constructors exercise
-//! that claim: each returns a ready [`MissionSpec`] with a different
-//! obstacle layout, all deterministic from the mission seed.
+//! input changed — the obstacle coordinates". [`gate`] exercises that
+//! claim with a two-obstacle world, and [`large_swarm`] is the stress
+//! scenario of the `stress` command, the scaling ladder and the benchmark.
+//! Each returns a ready [`MissionSpec`], deterministic from the mission
+//! seed.
 
 use swarm_math::Vec2;
 
-use crate::mission::{MissionSpec, CRUISE_ALTITUDE, PAPER_MISSION_LENGTH};
+use crate::mission::MissionSpec;
 use crate::world::{Obstacle, World};
-
-/// A slalom corridor: `count` cylinders alternating left/right of the
-/// centerline, forcing repeated side decisions.
-pub fn slalom(swarm_size: usize, seed: u64, count: usize) -> MissionSpec {
-    let mut spec = MissionSpec::paper_delivery(swarm_size, seed);
-    let mut obstacles = Vec::with_capacity(count);
-    let first_x = 80.0;
-    let last_x = PAPER_MISSION_LENGTH - 60.0;
-    for i in 0..count {
-        let f = if count > 1 { i as f64 / (count - 1) as f64 } else { 0.5 };
-        let x = first_x + f * (last_x - first_x);
-        let y = if i % 2 == 0 { -6.0 } else { 6.0 };
-        obstacles.push(Obstacle::Cylinder { center: Vec2::new(x, y), radius: 4.0 });
-    }
-    spec.world = World::with_obstacles(obstacles);
-    spec.duration = 200.0;
-    spec
-}
 
 /// A narrow gate: two cylinders with a `gap`-metre opening between them on
 /// the centerline — the swarm must funnel through.
@@ -94,20 +78,10 @@ pub fn large_swarm(swarm_size: usize, seed: u64) -> MissionSpec {
     spec
 }
 
-/// An open-field survey with a single spherical balloon obstacle at low
-/// altitude — exercises the 3-D (sphere) distance path.
-pub fn balloon_field(swarm_size: usize, seed: u64) -> MissionSpec {
-    let mut spec = MissionSpec::paper_delivery(swarm_size, seed);
-    spec.world = World::with_obstacles(vec![Obstacle::Sphere {
-        center: swarm_math::Vec3::new(130.0, 0.0, CRUISE_ALTITUDE),
-        radius: 5.0,
-    }]);
-    spec
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mission::CRUISE_ALTITUDE;
     use crate::Simulation;
     use crate::{ControlContext, SwarmController};
     use swarm_math::Vec3;
@@ -120,37 +94,11 @@ mod tests {
     }
 
     #[test]
-    fn slalom_places_alternating_obstacles() {
-        let spec = slalom(5, 1, 4);
-        assert_eq!(spec.world.obstacles.len(), 4);
-        let ys: Vec<f64> = spec.world.obstacles.iter().map(|o| o.center().y).collect();
-        assert_eq!(ys, vec![-6.0, 6.0, -6.0, 6.0]);
-        // Obstacles ordered along the corridor.
-        let xs: Vec<f64> = spec.world.obstacles.iter().map(|o| o.center().x).collect();
-        assert!(xs.windows(2).all(|w| w[0] < w[1]));
-        spec.validate().unwrap();
-    }
-
-    #[test]
-    fn slalom_single_obstacle_centers() {
-        let spec = slalom(5, 1, 1);
-        assert_eq!(spec.world.obstacles.len(), 1);
-        spec.validate().unwrap();
-    }
-
-    #[test]
     fn gate_opening_matches_request() {
         let spec = gate(5, 1, 12.0);
         let [a, b] = spec.world.obstacles[..] else { panic!("two obstacles") };
         let opening = (a.center().y - b.center().y).abs() - a.radius() - b.radius();
         assert!((opening - 12.0).abs() < 1e-9);
-        spec.validate().unwrap();
-    }
-
-    #[test]
-    fn balloon_field_uses_a_sphere() {
-        let spec = balloon_field(5, 1);
-        assert!(matches!(spec.world.obstacles[0], Obstacle::Sphere { .. }));
         spec.validate().unwrap();
     }
 
@@ -199,8 +147,14 @@ mod tests {
 
     #[test]
     fn scenarios_are_flyable() {
-        for spec in [slalom(3, 2, 3), gate(3, 2, 16.0), balloon_field(3, 2)] {
-            let mut spec = spec;
+        // A balloon: the one world whose obstacle is a sphere, so the 3-D
+        // distance path flies too.
+        let mut balloon = MissionSpec::paper_delivery(3, 2);
+        balloon.world = World::with_obstacles(vec![Obstacle::Sphere {
+            center: Vec3::new(130.0, 0.0, CRUISE_ALTITUDE),
+            radius: 5.0,
+        }]);
+        for mut spec in [gate(3, 2, 16.0), balloon] {
             spec.duration = 20.0;
             let sim = Simulation::new(spec, GoToGoal).unwrap();
             let out = sim.run(None).unwrap();

@@ -73,11 +73,6 @@ impl GpsReceiver {
         GpsReceiver { config, last_fix: GpsFix::default(), initialized: false }
     }
 
-    /// The receiver configuration.
-    pub fn config(&self) -> &GpsConfig {
-        &self.config
-    }
-
     /// Takes a measurement of the true state, applying noise and the given
     /// spoofing `offset`, and stores it as the current fix.
     pub fn sample(

@@ -342,11 +342,6 @@ impl WaveformSet {
         WaveformKind::ALL.into_iter().filter(move |&k| self.contains(k))
     }
 
-    /// Number of enabled classes.
-    pub fn len(self) -> usize {
-        self.bits.count_ones() as usize
-    }
-
     /// Whether no class is enabled.
     pub fn is_empty(self) -> bool {
         self.bits == 0
@@ -642,7 +637,7 @@ mod tests {
         assert!(!set.contains(WaveformKind::Circular));
         assert_eq!(set.to_string(), "constant,drift,jump");
         assert_eq!(WaveformSet::default(), WaveformSet::CONSTANT_ONLY);
-        assert_eq!(WaveformSet::all().len(), 4);
+        assert_eq!(WaveformSet::all().iter().count(), 4);
         assert_eq!(
             WaveformSet::parse("constant,wobble").unwrap_err(),
             "unknown attack class \"wobble\""

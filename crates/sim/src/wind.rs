@@ -56,11 +56,6 @@ impl Wind {
         Wind { config, gust: Vec3::ZERO }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &WindConfig {
-        &self.config
-    }
-
     /// Advances the gust process by `dt` and returns the total wind velocity.
     ///
     /// # Panics

@@ -1,19 +1,18 @@
 //! Generators for the workspace's domain types: vectors, digraphs, mission
-//! scenarios, spoofing windows, fuzzer configurations, and campaign journal
-//! rows. Property suites compose these instead of hand-rolling sampling
-//! loops per file.
+//! scenarios, campaign journal rows and scheduler workloads. Property suites compose these instead of
+//! hand-rolling sampling loops per file.
 
 use std::ops::RangeInclusive;
 
 use swarm_graph::DiGraph;
 use swarm_math::{Vec2, Vec3};
 use swarm_sim::mission::MissionSpec;
-use swarm_sim::spoof::{SpoofDirection, SpoofingAttack, Waveform, WaveformKind, WaveformSet};
+use swarm_sim::spoof::{SpoofDirection, Waveform, WaveformKind};
 use swarm_sim::DroneId;
 use swarmfuzz::campaign::{MissionFailure, MissionResult, SwarmConfig};
 use swarmfuzz::seed::Seed;
 use swarmfuzz::store::JournalRow;
-use swarmfuzz::{CentralityKind, FuzzerConfig, SearchStrategy, SeedStrategy, SpvFinding};
+use swarmfuzz::SpvFinding;
 
 use crate::gen::{bool_any, f64_in, one_of, u64_any, usize_in, zip2, zip3, zip4, Gen};
 
@@ -104,22 +103,6 @@ pub fn spoof_direction() -> Gen<SpoofDirection> {
     one_of(vec![SpoofDirection::Right, SpoofDirection::Left])
 }
 
-/// A valid spoofing window against a swarm of `swarm_size` drones: start in
-/// `[0, 150)`, duration in `[0, 40)`, deviation in `[0, 20)`.
-pub fn spoof_window(swarm_size: usize) -> Gen<SpoofingAttack> {
-    assert!(swarm_size > 0, "spoof_window needs a non-empty swarm");
-    zip4(
-        &usize_in(0..=swarm_size - 1),
-        &spoof_direction(),
-        &zip2(&f64_in(0.0, 150.0), &f64_in(0.0, 40.0)),
-        &f64_in(0.0, 20.0),
-    )
-    .map(|(target, direction, (start, duration), deviation)| {
-        SpoofingAttack::new(DroneId(target), direction, start, duration, deviation)
-            .expect("generated window parameters are finite and non-negative")
-    })
-}
-
 /// An attack class. The zero choice decodes to `Constant` — the paper's
 /// attack and the natural shrink target for every zoo property.
 pub fn waveform_kind() -> Gen<WaveformKind> {
@@ -135,96 +118,6 @@ pub fn waveform() -> Gen<Waveform> {
         WaveformKind::Circular => Waveform::Circular { omega: shape },
         WaveformKind::Jump => Waveform::Jump { period: shape },
     })
-}
-
-/// A non-empty set of attack classes; the zero choice decodes to the
-/// default constant-only set.
-pub fn waveform_set() -> Gen<WaveformSet> {
-    usize_in(0..=15).map(|bits| {
-        let mut set = WaveformSet::CONSTANT_ONLY;
-        for (i, kind) in WaveformKind::ALL.into_iter().enumerate() {
-            if bits & (1 << i) != 0 {
-                set.insert(kind);
-            }
-        }
-        set
-    })
-}
-
-/// A feasible attack of any class `(class, amplitude, shape, window)`
-/// against a swarm of `swarm_size` drones: every generated attack passes
-/// `SpoofingAttack::validate` by construction (ramp never exceeds the
-/// window, ω is non-negative, the jump period is positive). Shrinks toward
-/// a zero-amplitude constant offset — the attack that provably does nothing.
-/// The draw order (class, target and direction, window, amplitude and shape
-/// fraction) is fixed, so committed corpus tapes keep decoding to the same
-/// attack.
-pub fn attack_spec(swarm_size: usize) -> Gen<SpoofingAttack> {
-    assert!(swarm_size > 0, "attack_spec needs a non-empty swarm");
-    zip4(
-        &waveform_kind(),
-        &zip2(&usize_in(0..=swarm_size - 1), &spoof_direction()),
-        &zip2(&f64_in(0.0, 150.0), &f64_in(0.0, 40.0)),
-        &zip2(&f64_in(0.0, 20.0), &f64_in(0.0, 1.0)),
-    )
-    .map(|(kind, (target, direction), (start, duration), (deviation, frac))| {
-        let waveform = match kind {
-            WaveformKind::Constant => Waveform::Constant,
-            // Ramp-in time as a fraction of the window can never exceed it.
-            WaveformKind::Drift => Waveform::Drift { ramp: frac * duration },
-            WaveformKind::Circular => Waveform::Circular { omega: frac * std::f64::consts::TAU },
-            WaveformKind::Jump => Waveform::Jump { period: 0.1 + frac * 9.9 },
-        };
-        SpoofingAttack::from_waveform(
-            waveform,
-            DroneId(target),
-            direction,
-            start,
-            duration,
-            deviation,
-        )
-        .expect("generated attack parameters are feasible by construction")
-    })
-}
-
-/// A fuzzer configuration across every strategy/centrality ablation.
-pub fn fuzzer_config() -> Gen<FuzzerConfig> {
-    zip4(
-        &one_of(vec![SeedStrategy::Svg, SeedStrategy::Random]),
-        &one_of(vec![SearchStrategy::Gradient, SearchStrategy::Random]),
-        &one_of(vec![
-            CentralityKind::PageRank,
-            CentralityKind::Degree,
-            CentralityKind::Eigenvector,
-            CentralityKind::Closeness,
-            CentralityKind::Betweenness,
-        ]),
-        &zip2(
-            &zip4(&f64_in(1.0, 20.0), &usize_in(0..=40), &f64_in(1.0, 30.0), &u64_any()),
-            &waveform_set(),
-        ),
-    )
-    .map(
-        |(
-            seed_strategy,
-            search_strategy,
-            centrality,
-            ((deviation, budget, lead, rng_seed), waveforms),
-        )| {
-            FuzzerConfig {
-                seed_strategy,
-                search_strategy,
-                centrality,
-                deviation,
-                eval_budget: budget,
-                lead_time: lead,
-                initial_duration: 12.0,
-                max_duration: 30.0,
-                rng_seed,
-                waveforms,
-            }
-        },
-    )
 }
 
 fn swarm_config() -> Gen<SwarmConfig> {
@@ -390,16 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn spoof_windows_are_valid_and_in_range() {
-        for a in sample(&spoof_window(8), 2, 100) {
-            assert!(a.target.0 < 8);
-            assert!((0.0..150.0).contains(&a.start));
-            assert!((0.0..40.0).contains(&a.duration));
-            assert!((0.0..20.0).contains(&a.deviation));
-        }
-    }
-
-    #[test]
     fn missions_validate() {
         for spec in sample(&delivery_mission(2..=6), 3, 20) {
             assert!(spec.validate().is_ok(), "generated mission must be valid");
@@ -411,43 +294,6 @@ mod tests {
         let rows = sample(&journal_row(), 4, 200);
         assert!(rows.iter().any(|r| matches!(r, JournalRow::Done { .. })));
         assert!(rows.iter().any(|r| matches!(r, JournalRow::Failed(_))));
-    }
-
-    #[test]
-    fn attack_specs_cover_every_class_and_stay_feasible() {
-        let specs = sample(&attack_spec(8), 6, 200);
-        for kind in WaveformKind::ALL {
-            assert!(
-                specs.iter().any(|a| a.waveform.kind() == kind),
-                "class {kind} must appear in 200 samples"
-            );
-        }
-        for a in &specs {
-            assert!((0.0..20.0).contains(&a.deviation));
-            // Re-validating proves the generated shape parameters are
-            // feasible.
-            assert!(a.validate().is_ok());
-        }
-    }
-
-    #[test]
-    fn attack_spec_shrink_target_is_zero_amplitude_constant() {
-        // An all-zero tape is what every counterexample shrinks toward:
-        // it must decode to the attack that provably does nothing.
-        let mut src = Source::replay(Vec::new());
-        let a = attack_spec(5).generate(&mut src);
-        assert_eq!(a.waveform, Waveform::Constant);
-        assert_eq!(a.deviation, 0.0);
-        assert_eq!(a.duration, 0.0);
-    }
-
-    #[test]
-    fn waveform_set_shrink_target_is_constant_only() {
-        let mut src = Source::replay(Vec::new());
-        assert_eq!(waveform_set().generate(&mut src), WaveformSet::CONSTANT_ONLY);
-        let sets = sample(&waveform_set(), 7, 100);
-        assert!(sets.iter().any(|s| s.len() == 4), "full zoo must appear");
-        assert!(sets.iter().all(|s| !s.is_empty()));
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl<T: 'static> Gen<T> {
     }
 }
 
-/// Always generates a clone of `value` (consumes no choices).
-pub fn constant<T: Clone + 'static>(value: T) -> Gen<T> {
-    Gen::from_fn(move |_| value.clone())
-}
-
 /// Any `u64`, uniformly.
 pub fn u64_any() -> Gen<u64> {
     Gen::from_fn(Source::next_choice)

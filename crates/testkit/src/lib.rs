@@ -42,8 +42,8 @@ pub use source::Source;
 /// files read `gens::f64_in(..)` without a pile of imports.
 pub mod gens {
     pub use crate::gen::{
-        bool_any, constant, f64_in, f64_unit, one_of, permutation, u64_any, u64_in, usize_in,
-        vec_of, zip2, zip3, zip4,
+        bool_any, f64_in, f64_unit, one_of, permutation, u64_any, u64_in, usize_in, vec_of, zip2,
+        zip3, zip4,
     };
 }
 

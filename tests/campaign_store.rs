@@ -1,10 +1,12 @@
 //! Crash-safety contract of the campaign journal: a campaign killed after K
 //! missions and resumed must produce a [`CampaignReport`] bit-identical to
-//! an uninterrupted run, across worker counts; mission-level failures are
+//! an uninterrupted run, across worker counts, keeping the first journaled
+//! row per job and ignoring rows off the grid; mission-level failures are
 //! quarantined as `failed` rows instead of aborting; and a journal from a
 //! different campaign (grid, seed, or fuzzer variant) is refused.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_sim::spoof::{Waveform, WaveformKind, WaveformSet};
@@ -12,10 +14,15 @@ use swarm_testkit::domain::journal_row;
 use swarm_testkit::tk_ensure;
 use swarmfuzz::campaign::{
     run_campaign, run_campaign_with_options, CampaignConfig, CampaignReport, CampaignRunOptions,
-    JournalSpec, SwarmConfig,
+    JournalSpec, MissionResult, SwarmConfig,
 };
+use swarmfuzz::store::{encode_row, JournalRow};
 use swarmfuzz::telemetry::Counter;
-use swarmfuzz::{CampaignJournal, FuzzError, Fuzzer, FuzzerConfig, StoreError, Telemetry, Trace};
+use swarmfuzz::trace::{encode_record, RingSink};
+use swarmfuzz::{
+    CampaignJournal, FuzzError, Fuzzer, FuzzerConfig, StoreError, Telemetry, Trace, TraceEvent,
+    TraceRecord,
+};
 
 fn controller() -> VasarhelyiController {
     VasarhelyiController::new(VasarhelyiParams::default())
@@ -65,14 +72,35 @@ fn run_journaled(
 /// Cuts the journal back to its header plus the first `k` rows, then
 /// appends half a row — the on-disk state after a `kill -9` mid-append.
 fn kill_after(path: &Path, k: usize) {
+    kill_after_with(path, k, &[]);
+}
+
+/// [`kill_after`] with `strays` journaled between the kept rows and the
+/// torn tail.
+fn kill_after_with(path: &Path, k: usize, strays: &[JournalRow]) {
     let text = std::fs::read_to_string(path).expect("journal exists");
     let mut lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() > 1 + k, "need more than {k} rows to truncate");
     lines.truncate(1 + k);
     let mut out = lines.join("\n");
     out.push('\n');
+    for row in strays {
+        out.push_str(&encode_row(row));
+    }
     out.push_str("{\"kind\":\"done\",\"index\":1,\"resu"); // torn final write
     std::fs::write(path, out).expect("truncate journal");
+}
+
+/// Two rows a resume must ignore: a later, different row for `row`'s own
+/// job (the first journaled row of a job wins) and a copy of `row` at a
+/// mission index off the grid.
+fn strays(row: &JournalRow) -> Vec<JournalRow> {
+    let JournalRow::Done { index, result } = row else { panic!("expected a done row: {row:?}") };
+    let rerun = MissionResult { evaluations: result.evaluations + 100, ..result.clone() };
+    vec![
+        JournalRow::Done { index: *index, result: rerun },
+        JournalRow::Done { index: 99, result: result.clone() },
+    ]
 }
 
 #[test]
@@ -85,10 +113,12 @@ fn killed_campaign_resumes_bit_identical() {
         for k in [1usize, 3] {
             let path = dir.join(format!("w{workers}-k{k}.jsonl"));
             // Full journaled run, then rewind the file to "crashed after k
-            // missions, died mid-append".
+            // missions, died mid-append", with a duplicate and an off-grid
+            // row journaled after the kept ones.
             run_journaled(&tiny_campaign(workers), &path, false, &Telemetry::off())
                 .expect("initial journaled run");
-            kill_after(&path, k);
+            let first = CampaignJournal::read(&path).expect("journal readable").rows[0].clone();
+            kill_after_with(&path, k, &strays(&first));
 
             let telemetry = Telemetry::enabled(workers);
             let resumed = run_journaled(&tiny_campaign(workers), &path, true, &telemetry)
@@ -97,11 +127,46 @@ fn killed_campaign_resumes_bit_identical() {
             assert_eq!(telemetry.counter(Counter::ResumeSkips), k as u64);
             assert_eq!(telemetry.counter(Counter::JournalAppends), (4 - k) as u64);
 
-            // The compacted journal now holds the complete campaign.
+            // The compacted journal now holds the complete campaign, and
+            // still the two strays.
             let contents = CampaignJournal::read(&path).expect("journal readable");
-            assert_eq!(contents.rows.len(), 4);
+            assert_eq!(contents.rows.len(), 4 + 2);
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resumed_raw_trace_is_deterministic() {
+    // One worker and one pending mission: every event of a resumed run is
+    // then emitted in a fixed order, resume skips included, so two resumes
+    // of one killed journal write the same raw (unsorted) record stream.
+    let dir = tmp_dir("raw-trace");
+    let campaign = CampaignConfig { missions_per_config: 4, ..tiny_campaign(1) };
+    let killed = dir.join("killed.jsonl");
+    run_campaign_with_options(&campaign, fuzzer, &journal_options(&killed, false), &Trace::off())
+        .expect("initial journaled run");
+    kill_after(&killed, 7);
+    let streams: Vec<Vec<TraceRecord>> = ["a", "b"]
+        .into_iter()
+        .map(|copy| {
+            let path = dir.join(format!("{copy}.jsonl"));
+            std::fs::copy(&killed, &path).expect("copy the killed journal");
+            let ring = Arc::new(RingSink::new(1 << 14));
+            run_campaign_with_options(
+                &campaign,
+                fuzzer,
+                &journal_options(&path, true),
+                &Trace::new(ring.clone()),
+            )
+            .expect("resumed run");
+            ring.records()
+        })
+        .collect();
+    let skips = streams[0].iter().filter(|r| r.event == TraceEvent::ResumeSkip).count();
+    assert_eq!(skips, 7);
+    let [a, b] = [0, 1].map(|i| streams[i].iter().map(encode_record).collect::<String>());
+    assert_eq!(a, b, "two resumes of one journal must trace alike");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -18,15 +18,16 @@ use swarm_testkit::gens::{u64_in, usize_in, zip4};
 use swarm_testkit::{cases, check_budgeted, tk_ensure};
 use swarmfuzz::campaign::{
     run_campaign, run_campaign_with_options, CampaignConfig, CampaignReport, CampaignRunOptions,
-    JournalSpec, SwarmConfig,
+    JournalSpec, MissionResult, SwarmConfig,
 };
 use swarmfuzz::server::{
     in_process_factory, merge_shard_rows, shard_path, ExecutorFactory, ExecutorOptions,
 };
+use swarmfuzz::store::{encode_row, JournalRow};
 use swarmfuzz::wire::{serve, serve_connection, Client, ClientMsg, WireError};
 use swarmfuzz::{
-    CampaignServer, CampaignSpec, Fuzzer, FuzzerConfig, InProcessExecutor, JobPhase,
-    MissionExecutor, ServerConfig, Telemetry, Trace,
+    CampaignJournal, CampaignServer, CampaignSpec, Fuzzer, FuzzerConfig, InProcessExecutor,
+    JobPhase, MissionExecutor, MissionJob, ServerConfig, Telemetry, Trace,
 };
 
 fn controller() -> VasarhelyiController {
@@ -194,10 +195,19 @@ fn partial_shard_resume_is_bit_identical_to_uninterrupted() {
     assert_eq!(journaled, uninterrupted);
 
     // Simulate a crash after two missions: truncate shard 0 to header + 2
-    // rows, plus a torn tail from a kill mid-append.
+    // rows, plus a torn tail from a kill mid-append. Between them sit two
+    // rows the resume must ignore: a later, different row for the first
+    // row's job (the first journaled row of a job wins) and a copy of it at
+    // a mission index off the grid.
+    let first = CampaignJournal::read(&shard0).expect("read shard").rows[0].clone();
+    let JournalRow::Done { index, result } = first else { panic!("expected a done row") };
+    let rerun = MissionResult { evaluations: result.evaluations + 100, ..result.clone() };
+    let strays =
+        [JournalRow::Done { index, result: rerun }, JournalRow::Done { index: 99, result }];
     let text = std::fs::read_to_string(&shard0).expect("read shard");
-    let kept: Vec<&str> = text.lines().take(3).collect();
-    std::fs::write(&shard0, format!("{}\n{{\"torn", kept.join("\n"))).expect("truncate shard");
+    let mut kept: String = text.lines().take(3).map(|line| format!("{line}\n")).collect();
+    kept.extend(strays.iter().map(encode_row));
+    std::fs::write(&shard0, format!("{kept}{{\"torn")).expect("truncate shard");
 
     let server = start_server(2, ExecutorOptions::default(), Some(dir.clone()));
     server.register_tenant("tenant", 1).expect("register tenant");
@@ -214,8 +224,11 @@ fn partial_shard_resume_is_bit_identical_to_uninterrupted() {
     assert_eq!(keys, sorted, "rows of a finished job stream in job-key order");
     assert!(shard_path(&dir, &fingerprint, 1).exists(), "the resumed missions open shard 1");
     let merged = merge_shard_rows(&dir, &fingerprint).expect("merge shards");
-    let distinct: std::collections::HashSet<_> = merged.iter().map(|r| r.job_key()).collect();
-    assert_eq!(distinct.len(), 4, "shards cover the whole grid exactly once");
+    assert_eq!(merged.len(), 2 + strays.len() + 2, "shard 1 holds only the two pending missions");
+    let grid: std::collections::HashSet<_> = spec.jobs().iter().map(MissionJob::key).collect();
+    let covered: std::collections::HashSet<_> =
+        merged.iter().map(|r| r.job_key()).filter(|key| grid.contains(key)).collect();
+    assert_eq!(covered.len(), 4, "shards cover the whole grid");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
