@@ -576,6 +576,9 @@ fn cmd_replay(opts: &ReplayOpts) -> Result<(), CliError> {
         opts.duration,
         opts.deviation,
     )?;
+    // An operator's target must be in the swarm and the window must close
+    // before the mission does.
+    sim.spec().validate_attack(&attack)?;
     // An attack can only be said to cause a crash on a clean mission.
     if let Some(c) = sim.run(None)?.first_collision() {
         return Err(FuzzError::BaselineCollision(*c).into());
